@@ -14,10 +14,17 @@
 //! evaluation possible in `Õ(√n + D)` rounds. The same independence that
 //! makes the *distributed* evaluation cheap makes the *threaded* one cheap:
 //! each tree's aggregation touches only that tree, so
-//! [`CongestionApproximator::apply_into_par`] and
-//! [`CongestionApproximator::apply_transpose_into_par`] fan the per-tree work
-//! across a worker pool and reduce in fixed tree order, producing results
-//! byte-identical to the sequential evaluation for any thread count.
+//! [`CongestionApproximator::apply_block_into_par`] and
+//! [`CongestionApproximator::apply_transpose_block_into_par`] fan the
+//! per-tree work across a worker pool and reduce in fixed tree order,
+//! producing results byte-identical to the sequential evaluation for any
+//! thread count.
+//!
+//! Every operator evaluates `k` lane-major right-hand sides in one walk over
+//! the trees (see [`CongestionApproximator::apply_block_into`]); a single
+//! vector is a block of one lane, which is all
+//! [`CongestionApproximator::apply_into`] and
+//! [`CongestionApproximator::apply_transpose_into`] are.
 //!
 //! # Level-ordered slot layout
 //!
@@ -62,7 +69,7 @@ pub struct CongestionApproximator {
 /// runtime lane count") otherwise. The lane-inner loops of the blocked
 /// kernels only vectorize when the trip count is a compile-time constant;
 /// with a runtime `k` the autovectorizer gives up and the blocked sweeps run
-/// *slower* than `k` scalar sweeps. Every instantiation executes the exact
+/// *slower* than `k` one-lane sweeps. Every instantiation executes the exact
 /// same operations in the same order, so byte-identity is unaffected.
 macro_rules! lane_dispatch {
     ($k:expr, $slf:ident.$f:ident($($args:expr),* $(,)?)) => {
@@ -125,99 +132,35 @@ impl TreeSlots {
         }
     }
 
-    /// Subtree sums of the node-indexed `values`, left in slot space in
-    /// `buf`. The reverse sweep performs the same additions in the same order
-    /// as [`flowgraph::RootedTree::subtree_sums_into`].
-    fn subtree_sums_to_slots(&self, values: &[f64], buf: &mut [f64]) {
-        for (x, &v) in buf.iter_mut().zip(&self.node_at_slot) {
-            *x = values[v as usize];
-        }
-        for i in (1..buf.len()).rev() {
-            let add = buf[i];
-            buf[self.parent_slot[i] as usize] += add;
-        }
-    }
-
-    /// Divides the slot-space subtree sums in `buf` by the cut capacities and
-    /// gathers the rows back into node order (`out[v]` is the row of node
-    /// `v`, matching the public row layout).
-    fn rows_from_slots(&self, buf: &[f64], out: &mut [f64]) {
-        for (r, &slot) in out.iter_mut().zip(&self.slot_of_node) {
-            let cap = self.cut_capacity[slot as usize];
-            let sum = buf[slot as usize];
-            *r = if cap > 0.0 { sum / cap } else { 0.0 };
-        }
-    }
-
-    /// One tree's `R·b` rows: subtree sums, then the capacity division, all
-    /// through the slot permutation. `buf` is a node-sized scratch.
-    fn apply_rows(&self, values: &[f64], buf: &mut [f64], out: &mut [f64]) {
-        self.subtree_sums_to_slots(values, buf);
-        self.rows_from_slots(buf, out);
-    }
-
-    /// Gathers one tree's block of the row-indexed price vector `y_rows`
-    /// (node order) into slot space, dividing by the cut capacities — the
-    /// per-row `y_i / cap_i` scaling of `Rᵀ`.
-    fn prices_to_slots(&self, y_rows: &[f64], prices: &mut [f64]) {
-        for ((p, &v), &cap) in prices
-            .iter_mut()
-            .zip(&self.node_at_slot)
-            .zip(&self.cut_capacity)
-        {
-            *p = if cap > 0.0 {
-                y_rows[v as usize] / cap
-            } else {
-                0.0
-            };
-        }
-    }
-
-    /// Root-to-slot prefix sums of the slot-space `prices` into `buf`. The
-    /// forward sweep performs the same additions in the same order as
-    /// [`flowgraph::RootedTree::prefix_sums_from_root_into`].
-    fn prefix_sums_in_slots(&self, prices: &[f64], buf: &mut [f64]) {
-        if buf.is_empty() {
-            return;
-        }
-        buf[0] = 0.0 + prices[0];
-        for i in 1..buf.len() {
-            buf[i] = buf[self.parent_slot[i] as usize] + prices[i];
-        }
-    }
-
-    /// Accumulates the slot-space prefix sums in `buf` into the node-indexed
-    /// `potentials` (the `π += ` reduction of `Rᵀ`, in node order like the
-    /// original per-node loop).
-    fn add_potentials_from_slots(&self, buf: &[f64], potentials: &mut [f64]) {
-        for (p, &slot) in potentials.iter_mut().zip(&self.slot_of_node) {
-            *p += buf[slot as usize];
-        }
-    }
-
-    /// Blocked counterpart of [`Self::subtree_sums_to_slots`]: `values_block`
+    /// One tree's `k` lanes of `R·b` rows in one slot walk. `values_block`
     /// holds `k` lane-major right-hand sides (`values_block[v*k + l]` is lane
-    /// `l` of node `v`) and `buf` receives the `k` subtree-sum lanes of every
-    /// slot. The sweep is element-outer / lane-inner, so each lane sees
-    /// exactly the additions of the `k = 1` sweep in the same order — every
-    /// lane is byte-identical to a scalar evaluation of that right-hand side,
-    /// while the `parent_slot` walk (the bandwidth-bound part at scale) is
-    /// paid once for all `k` lanes.
-    fn subtree_sums_to_slots_block(&self, values_block: &[f64], k: usize, buf: &mut [f64]) {
-        lane_dispatch!(k, self.subtree_sums_to_slots_impl(values_block, k, buf));
+    /// `l` of node `v`), `buf` is a `slots × k` scratch and `out[v*k + l]`
+    /// receives lane `l` of the row of node `v` (the public row layout).
+    ///
+    /// Every sweep is element-outer / lane-inner, so each lane sees exactly
+    /// the operations of the `k = 1` sweep in the same order — every lane is
+    /// byte-identical to evaluating that right-hand side alone, while the
+    /// `parent_slot` walk (the bandwidth-bound part at scale) is paid once
+    /// for all `k` lanes.
+    fn apply_rows_block(&self, values_block: &[f64], k: usize, buf: &mut [f64], out: &mut [f64]) {
+        lane_dispatch!(k, self.apply_rows_impl(values_block, k, buf, out));
     }
 
     #[inline(always)]
-    fn subtree_sums_to_slots_impl<const K: usize>(
+    fn apply_rows_impl<const K: usize>(
         &self,
         values_block: &[f64],
         k_dyn: usize,
         buf: &mut [f64],
+        out: &mut [f64],
     ) {
         let k = if K > 0 { K } else { k_dyn };
         for (chunk, &v) in buf.chunks_exact_mut(k).zip(&self.node_at_slot) {
             chunk.copy_from_slice(&values_block[v as usize * k..][..k]);
         }
+        // Subtree sums in slot space: the reverse sweep
+        // `buf[parent[i]] += buf[i]` performs the same additions in the same
+        // order as [`flowgraph::RootedTree::subtree_sums_into`].
         for i in (1..self.parent_slot.len()).rev() {
             let p = self.parent_slot[i] as usize;
             // Parents precede children in the level order (`p < i`), so the
@@ -229,18 +172,8 @@ impl TreeSlots {
                 *dst += add;
             }
         }
-    }
-
-    /// Blocked counterpart of [`Self::rows_from_slots`]: divides every lane
-    /// of the slot-space subtree sums by the (lane-independent) cut capacity
-    /// and gathers the rows back into node order, lane-major.
-    fn rows_from_slots_block(&self, buf: &[f64], k: usize, out: &mut [f64]) {
-        lane_dispatch!(k, self.rows_from_slots_impl(buf, k, out));
-    }
-
-    #[inline(always)]
-    fn rows_from_slots_impl<const K: usize>(&self, buf: &[f64], k_dyn: usize, out: &mut [f64]) {
-        let k = if K > 0 { K } else { k_dyn };
+        // Divide by the (lane-independent) cut capacity and gather the rows
+        // back into node order.
         for (chunk, &slot) in out.chunks_exact_mut(k).zip(&self.slot_of_node) {
             let cap = self.cut_capacity[slot as usize];
             if cap > 0.0 {
@@ -254,26 +187,29 @@ impl TreeSlots {
         }
     }
 
-    /// One tree's `k` lanes of `R·b` rows in one slot walk. `buf` is a
-    /// `slots × k` scratch.
-    fn apply_rows_block(&self, values_block: &[f64], k: usize, buf: &mut [f64], out: &mut [f64]) {
-        self.subtree_sums_to_slots_block(values_block, k, buf);
-        self.rows_from_slots_block(buf, k, out);
-    }
-
-    /// Blocked counterpart of [`Self::prices_to_slots`]: gathers `k` lanes of
-    /// one tree's row-indexed prices into slot space, dividing each lane by
-    /// the cut capacity.
-    fn prices_to_slots_block(&self, y_rows_block: &[f64], k: usize, prices: &mut [f64]) {
-        lane_dispatch!(k, self.prices_to_slots_impl(y_rows_block, k, prices));
+    /// One tree's `k` lanes of the `Rᵀ` prefix sums, left in slot space in
+    /// `prefix`: the row-indexed prices `y_rows_block` (node order) are
+    /// gathered into slot space and divided by the cut capacities (the
+    /// per-row `y_i / cap_i` scaling of `Rᵀ`) into `prices`, then summed
+    /// along every root path. Element-outer / lane-inner like
+    /// [`Self::apply_rows_block`].
+    fn prefix_sums_block(
+        &self,
+        y_rows_block: &[f64],
+        k: usize,
+        prices: &mut [f64],
+        prefix: &mut [f64],
+    ) {
+        lane_dispatch!(k, self.prefix_sums_impl(y_rows_block, k, prices, prefix));
     }
 
     #[inline(always)]
-    fn prices_to_slots_impl<const K: usize>(
+    fn prefix_sums_impl<const K: usize>(
         &self,
         y_rows_block: &[f64],
         k_dyn: usize,
         prices: &mut [f64],
+        buf: &mut [f64],
     ) {
         let k = if K > 0 { K } else { k_dyn };
         for ((chunk, &v), &cap) in prices
@@ -290,51 +226,46 @@ impl TreeSlots {
                 chunk.fill(0.0);
             }
         }
-    }
-
-    /// Blocked counterpart of [`Self::prefix_sums_in_slots`]: the forward
-    /// sweep walks the slots once and advances all `k` prefix-sum lanes,
-    /// each lane adding in the `k = 1` order.
-    fn prefix_sums_in_slots_block(&self, prices: &[f64], k: usize, buf: &mut [f64]) {
-        lane_dispatch!(k, self.prefix_sums_in_slots_impl(prices, k, buf));
-    }
-
-    #[inline(always)]
-    fn prefix_sums_in_slots_impl<const K: usize>(
-        &self,
-        prices: &[f64],
-        k_dyn: usize,
-        buf: &mut [f64],
-    ) {
-        let k = if K > 0 { K } else { k_dyn };
         if self.parent_slot.is_empty() {
             return;
         }
+        // Root-to-slot prefix sums: the forward sweep
+        // `buf[i] = buf[parent[i]] + price[i]` adds in the order of
+        // [`flowgraph::RootedTree::prefix_sums_from_root_into`].
         for (b, &p) in buf[..k].iter_mut().zip(&prices[..k]) {
             *b = 0.0 + p;
         }
-        for i in 1..self.parent_slot.len() {
-            let p = self.parent_slot[i] as usize;
-            // `p < i` (parents precede children), so the parent window is
-            // entirely inside `head` and disjoint from the slot being written.
-            let (head, tail) = buf.split_at_mut(i * k);
-            let parent = &head[p * k..p * k + k];
-            let src = &prices[i * k..i * k + k];
-            for ((dst, &a), &b) in tail[..k].iter_mut().zip(parent).zip(src) {
-                *dst = a + b;
+        if K == 1 {
+            // One lane: plain indexing. The window split below costs this
+            // sweep about 8% at one lane; the subtree-sum sweep above shows
+            // no such difference and keeps its single shape.
+            for i in 1..self.parent_slot.len() {
+                buf[i] = buf[self.parent_slot[i] as usize] + prices[i];
+            }
+        } else {
+            for i in 1..self.parent_slot.len() {
+                let p = self.parent_slot[i] as usize;
+                // `p < i` (parents precede children), so the parent window is
+                // entirely inside `head` and disjoint from the slot being
+                // written.
+                let (head, tail) = buf.split_at_mut(i * k);
+                let parent = &head[p * k..p * k + k];
+                let src = &prices[i * k..i * k + k];
+                for ((dst, &a), &b) in tail[..k].iter_mut().zip(parent).zip(src) {
+                    *dst = a + b;
+                }
             }
         }
     }
 
-    /// Blocked counterpart of [`Self::add_potentials_from_slots`]:
-    /// accumulates all `k` prefix-sum lanes into the lane-major node-indexed
-    /// potentials, in node order like the scalar loop.
-    fn add_potentials_from_slots_block(&self, buf: &[f64], k: usize, potentials: &mut [f64]) {
-        lane_dispatch!(k, self.add_potentials_from_slots_impl(buf, k, potentials));
+    /// Accumulates all `k` prefix-sum lanes into the lane-major node-indexed
+    /// potentials, in node order (the `π +=` reduction of `Rᵀ`).
+    fn add_potentials_block(&self, buf: &[f64], k: usize, potentials: &mut [f64]) {
+        lane_dispatch!(k, self.add_potentials_impl(buf, k, potentials));
     }
 
     #[inline(always)]
-    fn add_potentials_from_slots_impl<const K: usize>(
+    fn add_potentials_impl<const K: usize>(
         &self,
         buf: &[f64],
         k_dyn: usize,
@@ -358,9 +289,10 @@ const _: fn() = parallel::assert_send_sync::<TreeEnsemble>;
 const _: fn() = parallel::assert_send_sync::<CapacitatedTree>;
 const _: fn() = parallel::assert_send_sync::<OperatorScratch>;
 
-/// Reusable node-sized buffers for the allocation-free operator evaluations
-/// [`CongestionApproximator::apply_into`] and
-/// [`CongestionApproximator::apply_transpose_into`].
+/// Reusable node-sized buffers (`nodes × lanes`) for the allocation-free
+/// operator evaluations [`CongestionApproximator::apply_block_into`] and
+/// [`CongestionApproximator::apply_transpose_block_into`] and their one-lane
+/// calls.
 ///
 /// Construct once (or use `Default` and let the first evaluation size it) and
 /// pass `&mut` per call: after the first call on a given approximator no
@@ -725,8 +657,8 @@ impl CongestionApproximator {
     }
 
     /// Evaluates `R·b` into the caller-owned buffer `rows` using borrowed
-    /// scratch, so repeated evaluations (one per gradient iteration) allocate
-    /// nothing in the steady state.
+    /// scratch, so repeated evaluations allocate nothing in the steady state:
+    /// a one-lane [`Self::apply_block_into`].
     ///
     /// # Errors
     ///
@@ -743,72 +675,7 @@ impl CongestionApproximator {
         rows: &mut [f64],
         scratch: &mut OperatorScratch,
     ) -> Result<(), GraphError> {
-        if b.len() != self.num_nodes {
-            return Err(GraphError::DemandMismatch {
-                expected: self.num_nodes,
-                actual: b.len(),
-            });
-        }
-        assert_eq!(rows.len(), self.num_rows(), "row buffer length mismatch");
-        scratch.ensure_nodes(self.num_nodes);
-        for (slots, out) in self.slots.iter().zip(rows.chunks_mut(self.num_nodes)) {
-            slots.apply_rows(b.values(), &mut scratch.node_a, out);
-        }
-        Ok(())
-    }
-
-    /// [`Self::apply_into`] with the per-tree subtree aggregations fanned
-    /// across the workers of `par`. The row block of each tree is a disjoint
-    /// chunk of `rows` and each worker aggregates into its own chunk of the
-    /// scratch's tree-major workspace, so the result is **byte-identical** to
-    /// the sequential evaluation for every thread count;
-    /// `Parallelism::sequential()` takes the sequential path exactly.
-    ///
-    /// Each parallel call spawns its scoped workers afresh (tens of
-    /// microseconds), so the fan-out pays off when the per-call work —
-    /// `O(num_trees × n)` — dominates that setup: large instances, or the
-    /// default `O(log n)`-tree ensembles on 10k+ nodes. For many small
-    /// queries, prefer fanning out at the query level
-    /// (`PreparedMaxFlow::par_max_flow_batch` in the `maxflow` crate), which
-    /// spawns once per batch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::apply_into`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::apply_into`].
-    pub fn apply_into_par(
-        &self,
-        b: &Demand,
-        rows: &mut [f64],
-        scratch: &mut OperatorScratch,
-        par: &Parallelism,
-    ) -> Result<(), GraphError> {
-        if par.is_sequential() || self.trees.len() <= 1 || self.num_nodes == 0 {
-            return self.apply_into(b, rows, scratch);
-        }
-        if b.len() != self.num_nodes {
-            return Err(GraphError::DemandMismatch {
-                expected: self.num_nodes,
-                actual: b.len(),
-            });
-        }
-        assert_eq!(rows.len(), self.num_rows(), "row buffer length mismatch");
-        let n = self.num_nodes;
-        scratch.ensure_tree_major(self.trees.len(), n, false);
-        let tasks: Vec<(&TreeSlots, &mut [f64], &mut [f64])> = self
-            .slots
-            .iter()
-            .zip(rows.chunks_mut(n))
-            .zip(scratch.tree_a.chunks_mut(n))
-            .map(|((slots, out), tmp)| (slots, out, tmp))
-            .collect();
-        par.for_each_owned(tasks, |_, (slots, out, tmp)| {
-            slots.apply_rows(b.values(), tmp, out);
-        });
-        Ok(())
+        self.apply_block_into(b.values(), 1, rows, scratch)
     }
 
     /// `‖R·b‖_∞` — the approximator's estimate (lower bound) of the optimal
@@ -872,7 +739,8 @@ impl CongestionApproximator {
 
     /// Evaluates `Rᵀ·y` into the caller-owned buffer `potentials` using
     /// borrowed scratch, the allocation-free counterpart of
-    /// [`Self::apply_transpose`].
+    /// [`Self::apply_transpose`]: a one-lane
+    /// [`Self::apply_transpose_block_into`].
     ///
     /// # Errors
     ///
@@ -889,99 +757,11 @@ impl CongestionApproximator {
         potentials: &mut [f64],
         scratch: &mut OperatorScratch,
     ) -> Result<(), GraphError> {
-        if y.len() != self.num_rows() {
-            return Err(GraphError::DemandMismatch {
-                expected: self.num_rows(),
-                actual: y.len(),
-            });
-        }
-        assert_eq!(
-            potentials.len(),
-            self.num_nodes,
-            "potential buffer length mismatch"
-        );
-        potentials.fill(0.0);
-        scratch.ensure_nodes(self.num_nodes);
-        for (slots, y_rows) in self.slots.iter().zip(y.chunks(self.num_nodes)) {
-            // Per-slot price of the row indexed by this slot's parent edge,
-            // already scaled by the cut capacity.
-            slots.prices_to_slots(y_rows, &mut scratch.node_a);
-            // π contribution of this tree: sum of prices along the root path.
-            slots.prefix_sums_in_slots(&scratch.node_a, &mut scratch.node_b);
-            slots.add_potentials_from_slots(&scratch.node_b, potentials);
-        }
-        Ok(())
-    }
-
-    /// [`Self::apply_transpose_into`] with the per-tree root-path prefix sums
-    /// fanned across the workers of `par`, followed by a **fixed tree-order
-    /// reduction** on the calling thread: tree contributions are added into
-    /// `potentials` in tree index order, exactly like the sequential loop, so
-    /// the floating-point result is byte-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::apply_transpose_into`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::apply_transpose_into`].
-    pub fn apply_transpose_into_par(
-        &self,
-        y: &[f64],
-        potentials: &mut [f64],
-        scratch: &mut OperatorScratch,
-        par: &Parallelism,
-    ) -> Result<(), GraphError> {
-        if par.is_sequential() || self.trees.len() <= 1 || self.num_nodes == 0 {
-            return self.apply_transpose_into(y, potentials, scratch);
-        }
-        if y.len() != self.num_rows() {
-            return Err(GraphError::DemandMismatch {
-                expected: self.num_rows(),
-                actual: y.len(),
-            });
-        }
-        assert_eq!(
-            potentials.len(),
-            self.num_nodes,
-            "potential buffer length mismatch"
-        );
-        let n = self.num_nodes;
-        scratch.ensure_tree_major(self.trees.len(), n, true);
-        struct TransposeTask<'a> {
-            slots: &'a TreeSlots,
-            y_rows: &'a [f64],
-            prices: &'a mut [f64],
-            prefix: &'a mut [f64],
-        }
-        let tasks: Vec<TransposeTask<'_>> = self
-            .slots
-            .iter()
-            .zip(y.chunks(n))
-            .zip(scratch.tree_a.chunks_mut(n))
-            .zip(scratch.tree_b.chunks_mut(n))
-            .map(|(((slots, y_rows), prices), prefix)| TransposeTask {
-                slots,
-                y_rows,
-                prices,
-                prefix,
-            })
-            .collect();
-        par.for_each_owned(tasks, |_, task| {
-            task.slots.prices_to_slots(task.y_rows, task.prices);
-            task.slots.prefix_sums_in_slots(task.prices, task.prefix);
-        });
-        potentials.fill(0.0);
-        for (slots, prefix) in self.slots.iter().zip(scratch.tree_b.chunks(n)) {
-            slots.add_potentials_from_slots(prefix, potentials);
-        }
-        Ok(())
+        self.apply_transpose_block_into(y, 1, potentials, scratch)
     }
 
     /// Evaluates `R·b` for `k` right-hand sides in one walk over every
-    /// tree's slots — the blocked (multi-RHS) counterpart of
-    /// [`Self::apply_into`].
+    /// tree's slots ([`Self::apply_into`] is its one-lane call).
     ///
     /// # Lane layout
     ///
@@ -991,9 +771,9 @@ impl CongestionApproximator {
     /// contiguous lanes per row). The per-slot sweeps are element-outer /
     /// lane-inner, so **each lane's floating-point sequence is exactly the
     /// `k = 1` sequence**: lane `l` of the result is byte-identical to
-    /// `apply_into` on lane `l`'s demand, while the level-ordered slot walk —
-    /// the memory-bandwidth-bound part on million-node instances — is paid
-    /// once per sweep instead of once per demand.
+    /// `apply_into` on lane `l`'s demand alone, while the level-ordered slot
+    /// walk — the memory-bandwidth-bound part on million-node instances — is
+    /// paid once per sweep instead of once per demand.
     ///
     /// # Errors
     ///
@@ -1011,33 +791,23 @@ impl CongestionApproximator {
         rows_block: &mut [f64],
         scratch: &mut OperatorScratch,
     ) -> Result<(), GraphError> {
-        assert!(k > 0, "blocked operators need at least one lane");
-        if b_block.len() != self.num_nodes * k {
-            return Err(GraphError::DemandMismatch {
-                expected: self.num_nodes * k,
-                actual: b_block.len(),
-            });
-        }
-        assert_eq!(
-            rows_block.len(),
-            self.num_rows() * k,
-            "row block buffer length mismatch"
-        );
-        scratch.ensure_nodes(self.num_nodes * k);
-        for (slots, out) in self
-            .slots
-            .iter()
-            .zip(rows_block.chunks_mut(self.num_nodes * k))
-        {
-            slots.apply_rows_block(b_block, k, &mut scratch.node_a, out);
-        }
-        Ok(())
+        self.apply_block_into_par(b_block, k, rows_block, scratch, &Parallelism::sequential())
     }
 
     /// [`Self::apply_block_into`] with the per-tree blocked aggregations
-    /// fanned across the workers of `par`; byte-identical to the sequential
-    /// blocked evaluation (and hence to `k` scalar evaluations) for every
-    /// thread count.
+    /// fanned across the workers of `par`. The row block of each tree is a
+    /// disjoint chunk of `rows_block` and each worker aggregates into its own
+    /// chunk of the scratch's tree-major workspace, so the result is
+    /// **byte-identical** to the sequential evaluation for every thread
+    /// count; `Parallelism::sequential()` takes the sequential path exactly.
+    ///
+    /// Each parallel call spawns its scoped workers afresh (tens of
+    /// microseconds), so the fan-out pays off when the per-call work —
+    /// `O(num_trees × n × k)` — dominates that setup: large instances, or the
+    /// default `O(log n)`-tree ensembles on 10k+ nodes. For many small
+    /// queries, prefer fanning out at the query level
+    /// (`PreparedMaxFlow::par_max_flow_batch` in the `maxflow` crate), which
+    /// spawns once per batch.
     ///
     /// # Errors
     ///
@@ -1054,13 +824,11 @@ impl CongestionApproximator {
         scratch: &mut OperatorScratch,
         par: &Parallelism,
     ) -> Result<(), GraphError> {
-        if par.is_sequential() || self.trees.len() <= 1 || self.num_nodes == 0 {
-            return self.apply_block_into(b_block, k, rows_block, scratch);
-        }
         assert!(k > 0, "blocked operators need at least one lane");
-        if b_block.len() != self.num_nodes * k {
+        let nk = self.num_nodes * k;
+        if b_block.len() != nk {
             return Err(GraphError::DemandMismatch {
-                expected: self.num_nodes * k,
+                expected: nk,
                 actual: b_block.len(),
             });
         }
@@ -1069,7 +837,13 @@ impl CongestionApproximator {
             self.num_rows() * k,
             "row block buffer length mismatch"
         );
-        let nk = self.num_nodes * k;
+        if par.is_sequential() || self.trees.len() <= 1 || nk == 0 {
+            scratch.ensure_nodes(nk);
+            for (slots, out) in self.slots.iter().zip(rows_block.chunks_mut(nk)) {
+                slots.apply_rows_block(b_block, k, &mut scratch.node_a, out);
+            }
+            return Ok(());
+        }
         scratch.ensure_tree_major(self.trees.len(), nk, false);
         let tasks: Vec<(&TreeSlots, &mut [f64], &mut [f64])> = self
             .slots
@@ -1085,10 +859,10 @@ impl CongestionApproximator {
     }
 
     /// Evaluates `Rᵀ·y` for `k` price vectors in one walk over every tree's
-    /// slots — the blocked counterpart of [`Self::apply_transpose_into`].
-    /// Lane layout as in [`Self::apply_block_into`]: `y_block[(t*n + v)*k + l]`
+    /// slots ([`Self::apply_transpose_into`] is its one-lane call). Lane
+    /// layout as in [`Self::apply_block_into`]: `y_block[(t*n + v)*k + l]`
     /// in, `potentials_block[v*k + l]` out, each lane byte-identical to the
-    /// scalar transpose on that lane's prices.
+    /// transpose of that lane's prices alone.
     ///
     /// # Errors
     ///
@@ -1106,32 +880,21 @@ impl CongestionApproximator {
         potentials_block: &mut [f64],
         scratch: &mut OperatorScratch,
     ) -> Result<(), GraphError> {
-        assert!(k > 0, "blocked operators need at least one lane");
-        if y_block.len() != self.num_rows() * k {
-            return Err(GraphError::DemandMismatch {
-                expected: self.num_rows() * k,
-                actual: y_block.len(),
-            });
-        }
-        assert_eq!(
-            potentials_block.len(),
-            self.num_nodes * k,
-            "potential block buffer length mismatch"
-        );
-        potentials_block.fill(0.0);
-        scratch.ensure_nodes(self.num_nodes * k);
-        for (slots, y_rows) in self.slots.iter().zip(y_block.chunks(self.num_nodes * k)) {
-            slots.prices_to_slots_block(y_rows, k, &mut scratch.node_a);
-            slots.prefix_sums_in_slots_block(&scratch.node_a, k, &mut scratch.node_b);
-            slots.add_potentials_from_slots_block(&scratch.node_b, k, potentials_block);
-        }
-        Ok(())
+        self.apply_transpose_block_into_par(
+            y_block,
+            k,
+            potentials_block,
+            scratch,
+            &Parallelism::sequential(),
+        )
     }
 
     /// [`Self::apply_transpose_block_into`] with the per-tree blocked prefix
-    /// sums fanned across the workers of `par`, followed by the fixed
-    /// tree-order reduction on the calling thread — byte-identical to the
-    /// sequential blocked evaluation for every thread count.
+    /// sums fanned across the workers of `par`, followed by a **fixed
+    /// tree-order reduction** on the calling thread: tree contributions are
+    /// added into `potentials_block` in tree index order, exactly like the
+    /// sequential loop, so the result is byte-identical for every thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -1148,9 +911,6 @@ impl CongestionApproximator {
         scratch: &mut OperatorScratch,
         par: &Parallelism,
     ) -> Result<(), GraphError> {
-        if par.is_sequential() || self.trees.len() <= 1 || self.num_nodes == 0 {
-            return self.apply_transpose_block_into(y_block, k, potentials_block, scratch);
-        }
         assert!(k > 0, "blocked operators need at least one lane");
         if y_block.len() != self.num_rows() * k {
             return Err(GraphError::DemandMismatch {
@@ -1158,12 +918,21 @@ impl CongestionApproximator {
                 actual: y_block.len(),
             });
         }
+        let nk = self.num_nodes * k;
         assert_eq!(
             potentials_block.len(),
-            self.num_nodes * k,
+            nk,
             "potential block buffer length mismatch"
         );
-        let nk = self.num_nodes * k;
+        if par.is_sequential() || self.trees.len() <= 1 || nk == 0 {
+            potentials_block.fill(0.0);
+            scratch.ensure_nodes(nk);
+            for (slots, y_rows) in self.slots.iter().zip(y_block.chunks(nk)) {
+                slots.prefix_sums_block(y_rows, k, &mut scratch.node_a, &mut scratch.node_b);
+                slots.add_potentials_block(&scratch.node_b, k, potentials_block);
+            }
+            return Ok(());
+        }
         scratch.ensure_tree_major(self.trees.len(), nk, true);
         struct TransposeBlockTask<'a> {
             slots: &'a TreeSlots,
@@ -1186,13 +955,11 @@ impl CongestionApproximator {
             .collect();
         par.for_each_owned(tasks, |_, task| {
             task.slots
-                .prices_to_slots_block(task.y_rows, k, task.prices);
-            task.slots
-                .prefix_sums_in_slots_block(task.prices, k, task.prefix);
+                .prefix_sums_block(task.y_rows, k, task.prices, task.prefix);
         });
         potentials_block.fill(0.0);
         for (slots, prefix) in self.slots.iter().zip(scratch.tree_b.chunks(nk)) {
-            slots.add_potentials_from_slots_block(prefix, k, potentials_block);
+            slots.add_potentials_block(prefix, k, potentials_block);
         }
         Ok(())
     }
@@ -1359,39 +1126,75 @@ mod tests {
         assert_eq!(pot, approx.apply_transpose(&y).unwrap());
     }
 
+    /// `k` random demands packed lane-major (`block[v*k + l]`), with the
+    /// demands themselves.
+    fn random_demand_block(
+        n: usize,
+        k: usize,
+        rng: &mut impl rand::Rng,
+    ) -> (Vec<Demand>, Vec<f64>) {
+        let demands: Vec<Demand> = (0..k)
+            .map(|_| {
+                let mut b = Demand::zeros(n);
+                for v in 0..n {
+                    b.set(NodeId(v as u32), rand::Rng::gen_range(rng, -2.0..2.0));
+                }
+                b
+            })
+            .collect();
+        let mut block = vec![0.0; n * k];
+        for (l, b) in demands.iter().enumerate() {
+            for (v, &x) in b.values().iter().enumerate() {
+                block[v * k + l] = x;
+            }
+        }
+        (demands, block)
+    }
+
     #[test]
     fn parallel_operators_are_byte_identical_to_sequential() {
         use parallel::Parallelism;
         let g = gen::random_gnp(24, 0.25, (1.0, 5.0), 17);
         let approx = build(&g, 5, 3);
+        let (n, rows_n) = (approx.num_nodes(), approx.num_rows());
         let mut rng = gen::rng(23);
-        let mut b = Demand::zeros(24);
-        for v in 0..24 {
-            b.set(NodeId(v), rand::Rng::gen_range(&mut rng, -2.0..2.0));
-        }
-        let y: Vec<f64> = (0..approx.num_rows())
-            .map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0))
-            .collect();
-        let seq_rows = approx.apply(&b).unwrap();
-        let seq_pot = approx.apply_transpose(&y).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let par = Parallelism::with_threads(threads);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [1usize, 3] {
+            let (_, b_block) = random_demand_block(n, k, &mut rng);
+            let y_block: Vec<f64> = (0..rows_n * k)
+                .map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0))
+                .collect();
             let mut scratch = OperatorScratch::default();
-            let mut rows = vec![0.0; approx.num_rows()];
+            let mut seq_rows = vec![0.0; rows_n * k];
             approx
-                .apply_into_par(&b, &mut rows, &mut scratch, &par)
+                .apply_block_into(&b_block, k, &mut seq_rows, &mut scratch)
                 .unwrap();
-            let mut pot = vec![0.0; approx.num_nodes()];
+            let mut seq_pot = vec![0.0; n * k];
             approx
-                .apply_transpose_into_par(&y, &mut pot, &mut scratch, &par)
+                .apply_transpose_block_into(&y_block, k, &mut seq_pot, &mut scratch)
                 .unwrap();
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&rows), bits(&seq_rows), "apply at {threads} threads");
-            assert_eq!(
-                bits(&pot),
-                bits(&seq_pot),
-                "apply_transpose at {threads} threads"
-            );
+            for threads in [1usize, 2, 4, 8] {
+                let par = Parallelism::with_threads(threads);
+                let mut scratch = OperatorScratch::default();
+                let mut rows = vec![0.0; rows_n * k];
+                approx
+                    .apply_block_into_par(&b_block, k, &mut rows, &mut scratch, &par)
+                    .unwrap();
+                let mut pot = vec![0.0; n * k];
+                approx
+                    .apply_transpose_block_into_par(&y_block, k, &mut pot, &mut scratch, &par)
+                    .unwrap();
+                assert_eq!(
+                    bits(&rows),
+                    bits(&seq_rows),
+                    "apply k={k} at {threads} threads"
+                );
+                assert_eq!(
+                    bits(&pot),
+                    bits(&seq_pot),
+                    "apply_transpose k={k} at {threads} threads"
+                );
+            }
         }
     }
 
@@ -1404,7 +1207,7 @@ mod tests {
         let mut scratch = OperatorScratch::default();
         let mut rows = vec![0.0; approx.num_rows()];
         assert_eq!(
-            approx.apply_into_par(&Demand::zeros(4), &mut rows, &mut scratch, &par),
+            approx.apply_block_into_par(&[0.0; 4], 1, &mut rows, &mut scratch, &par),
             Err(GraphError::DemandMismatch {
                 expected: 9,
                 actual: 4
@@ -1412,7 +1215,7 @@ mod tests {
         );
         let mut pot = vec![0.0; approx.num_nodes()];
         assert_eq!(
-            approx.apply_transpose_into_par(&[0.0; 3], &mut pot, &mut scratch, &par),
+            approx.apply_transpose_block_into_par(&[0.0; 3], 1, &mut pot, &mut scratch, &par),
             Err(GraphError::DemandMismatch {
                 expected: approx.num_rows(),
                 actual: 3
@@ -1455,7 +1258,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_operators_match_k_scalar_applies_byte_for_byte() {
+    fn blocked_operator_lanes_match_one_lane_applies_byte_for_byte() {
         use parallel::Parallelism;
         let g = gen::random_gnp(23, 0.3, (1.0, 5.0), 31);
         let approx = build(&g, 4, 7);
@@ -1463,17 +1266,9 @@ mod tests {
         let rows_n = approx.num_rows();
         let mut rng = gen::rng(41);
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for k in [1usize, 2, 3, 8] {
+        for k in [1usize, 2, 3, 8, 9] {
             // k random demands + k random price vectors.
-            let demands: Vec<Demand> = (0..k)
-                .map(|_| {
-                    let mut b = Demand::zeros(n);
-                    for v in 0..n {
-                        b.set(NodeId(v as u32), rand::Rng::gen_range(&mut rng, -2.0..2.0));
-                    }
-                    b
-                })
-                .collect();
+            let (demands, b_block) = random_demand_block(n, k, &mut rng);
             let ys: Vec<Vec<f64>> = (0..k)
                 .map(|_| {
                     (0..rows_n)
@@ -1481,13 +1276,6 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            // Pack lane-major.
-            let mut b_block = vec![0.0; n * k];
-            for (l, b) in demands.iter().enumerate() {
-                for (v, &x) in b.values().iter().enumerate() {
-                    b_block[v * k + l] = x;
-                }
-            }
             let mut y_block = vec![0.0; rows_n * k];
             for (l, y) in ys.iter().enumerate() {
                 for (r, &x) in y.iter().enumerate() {
@@ -1503,19 +1291,16 @@ mod tests {
             approx
                 .apply_transpose_block_into(&y_block, k, &mut pot_block, &mut scratch)
                 .unwrap();
+            // Lane `l` of the block equals input `l` alone as one lane.
             for l in 0..k {
-                let scalar_rows = approx.apply(&demands[l]).unwrap();
+                let alone_rows = approx.apply(&demands[l]).unwrap();
                 let lane_rows: Vec<f64> = (0..rows_n).map(|r| rows_block[r * k + l]).collect();
-                assert_eq!(
-                    bits(&lane_rows),
-                    bits(&scalar_rows),
-                    "apply lane {l} of {k}"
-                );
-                let scalar_pot = approx.apply_transpose(&ys[l]).unwrap();
+                assert_eq!(bits(&lane_rows), bits(&alone_rows), "apply lane {l} of {k}");
+                let alone_pot = approx.apply_transpose(&ys[l]).unwrap();
                 let lane_pot: Vec<f64> = (0..n).map(|v| pot_block[v * k + l]).collect();
                 assert_eq!(
                     bits(&lane_pot),
-                    bits(&scalar_pot),
+                    bits(&alone_pot),
                     "transpose lane {l} of {k}"
                 );
             }

@@ -96,82 +96,150 @@ impl AlmostRouteConfig {
     }
 }
 
-/// Reusable buffers for the gradient descent: everything the inner loop
-/// needs, sized once per (graph, approximator) pair, so that the steady-state
-/// iteration allocates nothing on the heap.
+/// Dispatches a lane-blocked kernel to a monomorphized instantiation for the
+/// session block widths (`K = 1..=8`) and to the dynamic fallback (`K = 0`,
+/// meaning "read the runtime lane count") otherwise — the lane-inner loops
+/// only vectorize with a compile-time trip count. Same operations in the
+/// same order for every instantiation, so byte-identity is unaffected.
+macro_rules! lane_dispatch {
+    ($k:expr, $f:ident($($args:expr),* $(,)?)) => {
+        match $k {
+            1 => $f::<1>($($args),*),
+            2 => $f::<2>($($args),*),
+            3 => $f::<3>($($args),*),
+            4 => $f::<4>($($args),*),
+            5 => $f::<5>($($args),*),
+            6 => $f::<6>($($args),*),
+            7 => $f::<7>($($args),*),
+            8 => $f::<8>($($args),*),
+            _ => $f::<0>($($args),*),
+        }
+    };
+}
+
+/// Reusable lane-major buffers for the gradient descent: one set of
+/// edge/node/row buffers with `k` contiguous lanes per element (lane `l` of
+/// element `i` lives at `i*k + l`; a single demand is a block of one lane).
+/// The buffers grow to the widest block seen and are then reused, so the
+/// gradient loop allocates nothing on the heap in the steady state.
 ///
-/// A [`crate::PreparedMaxFlow`] session owns one of these across queries; the
-/// free-function wrappers allocate a fresh one per call.
+/// A [`crate::PreparedMaxFlow`] session owns one of these across queries;
+/// the free-function wrappers allocate a fresh one per call.
 #[derive(Debug, Clone, Default)]
 pub struct AlmostRouteScratch {
-    /// `C⁻¹ f`, one entry per edge.
-    scaled_flow: Vec<f64>,
-    /// Soft-max weights of the congestion term, one entry per edge.
-    w1: Vec<f64>,
-    /// Residual demand `b − Bf`, one entry per node.
-    residual: Demand,
-    /// `R (b − Bf)` scaled by 2α, one entry per approximator row; doubles as
-    /// the price vector after the weight computation.
-    rows: Vec<f64>,
-    /// Soft-max weights / prices of the demand term, one entry per row.
-    prices: Vec<f64>,
-    /// Node potentials `π = Rᵀ prices`.
-    potentials: Vec<f64>,
-    /// Gradient `∂φ/∂f`, one entry per edge.
-    grad: Vec<f64>,
-    /// Pre-step snapshot of the flow, used by the adaptive-step backtracking
-    /// to undo an overshooting step. Only allocated when adaptive steps are
-    /// enabled.
+    /// Working flows, `m × k` lane-major.
+    f: Vec<f64>,
+    /// Working demands `k_B · b` per lane, `n × k`.
+    b_work: Vec<f64>,
+    /// Pre-step flow snapshots for adaptive backtracking, `m × k`.
     flow_backup: Vec<f64>,
-    /// Node-sized scratch borrowed by the operator evaluations.
+    /// `C⁻¹ f` lanes, `m × k`.
+    scaled_flow: Vec<f64>,
+    /// Congestion-term soft-max weights, `m × k`.
+    w1: Vec<f64>,
+    /// Residual demands `b − Bf`, `n × k`.
+    residual: Vec<f64>,
+    /// `2α · R(b − Bf)` lanes, `rows × k`; doubles as the price input.
+    rows: Vec<f64>,
+    /// Demand-term soft-max weights / prices, `rows × k`.
+    prices: Vec<f64>,
+    /// Node potentials `Rᵀ prices`, `n × k`.
+    potentials: Vec<f64>,
+    /// Gradient lanes, `m × k`.
+    grad: Vec<f64>,
+    /// Per-lane `max |y|` (and, transiently, exponential sums), `k`.
+    maxes: Vec<f64>,
+    /// Per-lane split accumulators and their lane maxes, `4k` each.
+    acc: Vec<f64>,
+    /// Per-lane potentials φ = φ₁ + φ₂, `k`.
+    phis: Vec<f64>,
+    /// Per-lane φ₁ staging, `k`.
+    phi1: Vec<f64>,
+    /// Lane-major demand packing area for norm evaluations, `n × k`.
+    pack: Vec<f64>,
+    /// Per-lane `‖R·b‖_∞` results, `k`.
+    norms: Vec<f64>,
+    /// Node-sized scratch borrowed by the blocked operator evaluations.
     op: OperatorScratch,
 }
 
 impl AlmostRouteScratch {
-    /// Scratch pre-sized for `g` and `r` (also happens lazily on first use).
+    /// Scratch pre-sized for one lane of `g` and `r`; wider blocks grow it
+    /// lazily on first use.
     pub fn for_instance(g: &Graph, r: &CongestionApproximator) -> Self {
         let mut scratch = AlmostRouteScratch::default();
-        scratch.ensure(g, r);
+        scratch.ensure(g, r, 1);
         scratch
     }
 
-    fn ensure(&mut self, g: &Graph, r: &CongestionApproximator) {
+    fn ensure(&mut self, g: &Graph, r: &CongestionApproximator, k: usize) {
         let (n, m, rows) = (g.num_nodes(), g.num_edges(), r.num_rows());
         fn fit(buf: &mut Vec<f64>, len: usize) {
-            if buf.len() != len {
+            if buf.len() < len {
                 buf.resize(len, 0.0);
             }
         }
-        fit(&mut self.scaled_flow, m);
-        fit(&mut self.w1, m);
-        fit(&mut self.grad, m);
-        fit(&mut self.rows, rows);
-        fit(&mut self.prices, rows);
-        fit(&mut self.potentials, n);
-        if self.residual.len() != n {
-            self.residual = Demand::zeros(n);
-        }
-        self.op.ensure_nodes(n);
+        fit(&mut self.f, m * k);
+        fit(&mut self.b_work, n * k);
+        fit(&mut self.flow_backup, m * k);
+        fit(&mut self.scaled_flow, m * k);
+        fit(&mut self.w1, m * k);
+        fit(&mut self.residual, n * k);
+        fit(&mut self.rows, rows * k);
+        fit(&mut self.prices, rows * k);
+        fit(&mut self.potentials, n * k);
+        fit(&mut self.grad, m * k);
+        fit(&mut self.maxes, k);
+        fit(&mut self.acc, 8 * k);
+        fit(&mut self.phis, k);
+        fit(&mut self.phi1, k);
+        fit(&mut self.pack, n * k);
+        fit(&mut self.norms, k);
+        self.op.ensure_nodes(n * k);
     }
 
-    /// `‖R·b‖_∞` evaluated through the scratch buffers — the allocation-free
-    /// counterpart of [`CongestionApproximator::congestion_lower_bound`],
-    /// used at the phase boundaries of a session query. Deliberately
-    /// sequential: phase-boundary norm checks run once per phase, not once
-    /// per iteration, so they are off the hot path the parallel operators
-    /// accelerate.
+    /// `‖R·b‖_∞` for every demand in one blocked sweep: packs the demands
+    /// lane-major, applies `R` once, and folds each lane's rows in row order,
+    /// leaving the per-lane norms in the returned slice. Bit-identical per
+    /// lane to [`CongestionApproximator::congestion_lower_bound`] on that
+    /// demand.
     ///
     /// # Panics
     ///
-    /// Panics if `b.len()` does not match the approximator's node count.
-    pub fn congestion_lower_bound(&mut self, r: &CongestionApproximator, b: &Demand) -> f64 {
-        if self.rows.len() != r.num_rows() {
-            self.rows.resize(r.num_rows(), 0.0);
+    /// Panics if any demand's length does not match the approximator's node
+    /// count.
+    pub(crate) fn congestion_lower_bounds(
+        &mut self,
+        g: &Graph,
+        r: &CongestionApproximator,
+        demands: &[&Demand],
+        par: &Parallelism,
+    ) -> &[f64] {
+        let k = demands.len();
+        if k == 0 {
+            return &[];
         }
-        self.op.ensure_nodes(r.num_nodes());
-        r.apply_into(b, &mut self.rows, &mut self.op)
-            .expect("demand length mismatch");
-        self.rows.iter().map(|x| x.abs()).fold(0.0, f64::max)
+        let n = r.num_nodes();
+        self.ensure(g, r, k);
+        for (l, b) in demands.iter().enumerate() {
+            assert_eq!(b.len(), n, "demand length mismatch");
+            for (v, &x) in b.values().iter().enumerate() {
+                self.pack[v * k + l] = x;
+            }
+        }
+        let rows_len = r.num_rows() * k;
+        r.apply_block_into_par(
+            &self.pack[..n * k],
+            k,
+            &mut self.rows[..rows_len],
+            &mut self.op,
+            par,
+        )
+        .expect("packed demands match the approximator");
+        let norms = &mut self.norms[..k];
+        norms.fill(0.0);
+        lane_dispatch!(k, row_abs_max_impl(&self.rows[..rows_len], k, norms));
+        &self.norms[..k]
     }
 }
 
@@ -246,104 +314,34 @@ fn exp_nonpos(x: f64) -> f64 {
     p * pow2(half) * pow2(n - half)
 }
 
-/// Numerically stable soft-max `ln Σ_i (e^{y_i} + e^{-y_i})`.
+/// Fused soft-max + gradient weights: computes
+/// `smax(values) = ln Σ_i (e^{y_i} + e^{-y_i})` and writes the normalized
+/// weights `(e^{y_i} − e^{-y_i}) / Σ_j (e^{y_j} + e^{-y_j})` — the gradient of
+/// the soft-max — into `out`, in a single pass over the exponentials.
+///
+/// With `m = max_i |y_i|`, each `e^{±y_i - m}` is computed once, the weight
+/// is the scaled difference `(e1 − e2) / sum`, and the soft-max is
+/// `m + ln(sum)`, which keeps the evaluation stable for large `|y_i|`. This
+/// is the one-lane call of the kernel the gradient descent runs on every
+/// potential evaluation, where the row vector has `trees × nodes` entries.
 ///
 /// # Empty input
 ///
-/// `smax(&[])` returns `0.0` as a sentinel. The paper's potential
-/// `ln Σ_i e^{±y_i}` is **undefined** over an empty congestion vector (the
-/// sum is empty, so the logarithm diverges); an empty row or edge vector can
-/// only arise from a graph with no edges, which every solver entry point
-/// rejects with [`flowgraph::GraphError::NoEdges`] before the potential is
-/// ever evaluated. The sentinel exists so this low-level helper stays total;
-/// do not build new callers that rely on it.
-pub fn smax(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let m = values.iter().fold(0.0f64, |acc, &y| acc.max(y.abs()));
-    // Four independent accumulators so the exponential pass is not serialized
-    // behind one floating-point add chain (and can be vectorized).
-    let mut acc = [0.0f64; 4];
-    let mut chunks = values.chunks_exact(4);
-    for c in &mut chunks {
-        acc[0] += exp_nonpos(c[0] - m) + exp_nonpos(-c[0] - m);
-        acc[1] += exp_nonpos(c[1] - m) + exp_nonpos(-c[1] - m);
-        acc[2] += exp_nonpos(c[2] - m) + exp_nonpos(-c[2] - m);
-        acc[3] += exp_nonpos(c[3] - m) + exp_nonpos(-c[3] - m);
-    }
-    for &y in chunks.remainder() {
-        acc[0] += exp_nonpos(y - m) + exp_nonpos(-y - m);
-    }
-    let sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    m + sum.ln()
-}
-
-/// The normalized soft-max gradient weights
-/// `(e^{y_i} − e^{-y_i}) / Σ_j (e^{y_j} + e^{-y_j})`, computed stably given
-/// `smax_value = smax(values)`.
-pub fn smax_weights(values: &[f64], smax_value: f64) -> Vec<f64> {
-    let mut out = vec![0.0; values.len()];
-    smax_weights_into(values, smax_value, &mut out);
-    out
-}
-
-/// Allocation-free form of [`smax_weights`]: writes the weights into `out`.
-///
-/// # Panics
-///
-/// Panics if `out.len() != values.len()`.
-pub fn smax_weights_into(values: &[f64], smax_value: f64, out: &mut [f64]) {
-    assert_eq!(out.len(), values.len(), "weight buffer length mismatch");
-    for (w, &y) in out.iter_mut().zip(values) {
-        *w = exp_nonpos(y - smax_value) - exp_nonpos(-y - smax_value);
-    }
-}
-
-/// Fused soft-max + gradient weights: computes `smax(values)` and writes the
-/// normalized weights `(e^{y_i} − e^{-y_i}) / Σ_j (e^{y_j} + e^{-y_j})` into
-/// `out` in a single pass over the exponentials.
-///
-/// Where [`smax`] followed by [`smax_weights_into`] evaluates four
-/// exponentials per entry, the fused form evaluates two: with
-/// `m = max_i |y_i|`, each `e^{±y_i - m}` is computed once, the weight is the
-/// scaled difference `(e1 − e2) / sum`, and the soft-max is `m + ln(sum)`.
-/// This is the gradient descent's hot path — the row vector has
-/// `trees × nodes` entries and is re-weighted on every potential evaluation.
+/// An empty `values` returns `0.0` as a sentinel. The paper's potential is
+/// **undefined** over an empty vector (the sum is empty, so the logarithm
+/// diverges); an empty row or edge vector can only arise from a graph with
+/// no edges, which every solver entry point rejects with
+/// [`flowgraph::GraphError::NoEdges`] before the potential is ever
+/// evaluated. The sentinel keeps this low-level helper total; do not build
+/// new callers that rely on it.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != values.len()`.
 pub fn smax_and_weights_into(values: &[f64], out: &mut [f64]) -> f64 {
-    assert_eq!(out.len(), values.len(), "weight buffer length mismatch");
-    if values.is_empty() {
-        return 0.0;
-    }
-    let m = values.iter().fold(0.0f64, |acc, &y| acc.max(y.abs()));
-    // Same split-accumulator trick as [`smax`]: the weight store has no loop
-    // dependence, and the sum is spread over four chains.
-    let mut acc = [0.0f64; 4];
-    let mut vchunks = values.chunks_exact(4);
-    let mut wchunks = out.chunks_exact_mut(4);
-    for (c, w) in (&mut vchunks).zip(&mut wchunks) {
-        for lane in 0..4 {
-            let e1 = exp_nonpos(c[lane] - m);
-            let e2 = exp_nonpos(-c[lane] - m);
-            acc[lane] += e1 + e2;
-            w[lane] = e1 - e2;
-        }
-    }
-    for (&y, w) in vchunks.remainder().iter().zip(wchunks.into_remainder()) {
-        let e1 = exp_nonpos(y - m);
-        let e2 = exp_nonpos(-y - m);
-        acc[0] += e1 + e2;
-        *w = e1 - e2;
-    }
-    let sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for w in out.iter_mut() {
-        *w /= sum;
-    }
-    m + sum.ln()
+    let (mut max, mut acc, mut phi) = ([0.0], [0.0; 8], [0.0]);
+    smax_and_weights_block_into(values, 1, 1.0, 1.0, out, &mut max, &mut acc, &mut phi);
+    phi[0]
 }
 
 /// Runs Algorithm 2 for the demand `b` on graph `g` with congestion
@@ -367,10 +365,10 @@ pub fn almost_route(
     almost_route_with(g, r, b, config, &mut scratch)
 }
 
-/// [`almost_route`] with caller-owned scratch buffers: after the buffers are
-/// warm (first call per instance shape), the gradient loop performs zero heap
-/// allocations per iteration. This is the entry point the
-/// [`crate::PreparedMaxFlow`] session uses for every query.
+/// [`almost_route`] with caller-owned scratch buffers: a one-lane call of
+/// the blocked driver [`almost_route_block_warm`]. After the buffers are
+/// warm (first call per instance shape), the gradient loop performs zero
+/// heap allocations per iteration.
 ///
 /// # Panics
 ///
@@ -382,229 +380,22 @@ pub fn almost_route_with(
     config: &AlmostRouteConfig,
     scratch: &mut AlmostRouteScratch,
 ) -> AlmostRouteResult {
-    almost_route_warm_with(g, r, b, config, scratch, None)
+    almost_route_block_warm(g, r, &[b], &[None], config, scratch)
+        .pop()
+        .expect("one lane in, one result out")
 }
 
-/// [`almost_route_with`] with an optional warm-start flow.
-///
-/// `warm` is a flow in the scale of the input demand `b` — typically a
-/// previous query's answer for the same (or reversed) terminal pair, rescaled
-/// to the new target. The descent starts from that flow instead of zero: the
-/// demand term of the potential then starts near its minimum, so queries
-/// whose answer is close to the warm flow converge in a handful of
-/// iterations. Any flow is a valid starting point (the descent converges from
-/// anywhere); a bad one merely wastes the head start.
-///
-/// With `warm = None` this is **byte-for-byte identical** to
-/// [`almost_route_with`] — the cold-start path executes exactly the same
-/// floating-point operations.
-///
-/// # Panics
-///
-/// Panics if `b` does not match the graph's node count, or if `warm` does not
-/// match the graph's edge count.
-pub fn almost_route_warm_with(
-    g: &Graph,
-    r: &CongestionApproximator,
-    b: &Demand,
-    config: &AlmostRouteConfig,
-    scratch: &mut AlmostRouteScratch,
-    warm: Option<&FlowVec>,
-) -> AlmostRouteResult {
-    assert_eq!(b.len(), g.num_nodes(), "demand length mismatch");
-    scratch.ensure(g, r);
-    let n = g.num_nodes().max(2) as f64;
-    let m = g.num_edges();
-    let eps = config.epsilon.clamp(1e-3, 1.0);
-    // Practical default: the provable bound clamped to a small constant.
-    // Sherman's analysis wants a valid upper bound on the approximator
-    // quality, but large α values slow the descent quadratically; the
-    // top-level solver certifies the final quality independently (the
-    // value/upper-bound bracket), so a smaller working α is safe and the
-    // experiments report the measured quality. Pass `alpha` explicitly to
-    // use the theoretical schedule.
-    let alpha = config
-        .alpha
-        .unwrap_or_else(|| r.provable_alpha().clamp(1.0, 6.0))
-        .max(1.0);
-
-    // Degenerate cases: zero demand or an edgeless graph.
-    let base_norm = scratch.congestion_lower_bound(r, b);
-    if base_norm <= 0.0 || m == 0 {
-        return AlmostRouteResult {
-            flow: FlowVec::zeros(m),
-            iterations: 0,
-            scaling_steps: 0,
-            final_potential: 0.0,
-            hit_iteration_cap: false,
-        };
-    }
-
-    // Line 1 of Algorithm 2: scale the demand so that the congestion term of
-    // the potential starts at Θ(ε⁻¹ log n).
-    let target = 16.0 * n.ln() / eps;
-    let kb = target / (2.0 * alpha * base_norm);
-    let mut b_work = b.clone();
-    b_work.scale(kb);
-    let mut total_scale = kb;
-
-    // Warm start: begin the descent at the supplied flow (brought into the
-    // working scale) instead of zero.
-    let mut f = match warm {
-        Some(w) => {
-            assert_eq!(w.len(), m, "warm-start flow length mismatch");
-            let mut f = w.clone();
-            f.scale(kb);
-            f
-        }
-        None => FlowVec::zeros(m),
-    };
-    let mut iterations = 0usize;
-    let mut scaling_steps = 0usize;
-    #[allow(unused_assignments)]
-    let mut potential = 0.0;
-    let mut hit_cap = false;
-
-    // Adaptive step-size state. `step_scale` stays exactly 1.0 when the knob
-    // is off, and `x * 1.0` is an IEEE-754 identity, so the disabled path is
-    // byte-identical to the fixed schedule.
-    let adaptive = config.adaptive_steps;
-    let mut step_scale = 1.0f64;
-    let mut last_accepted: Option<f64> = None;
-
-    loop {
-        // Evaluate the potential and its gradient into the scratch buffers.
-        let phi =
-            potential_and_gradient_scratch(g, r, &b_work, &f, alpha, scratch, &config.parallelism);
-
-        // Backtracking: if the last adaptive step overshot (the potential
-        // went up), undo it and retry from the snapshot with half the scale.
-        if adaptive {
-            if let Some(prev) = last_accepted {
-                if phi > prev {
-                    f.values_mut().copy_from_slice(&scratch.flow_backup);
-                    step_scale = (step_scale * 0.5).max(1.0 / 1024.0);
-                    last_accepted = None;
-                    iterations += 1;
-                    if iterations >= config.max_iterations {
-                        potential = prev;
-                        hit_cap = true;
-                        break;
-                    }
-                    continue;
-                }
-            }
-        }
-        potential = phi;
-
-        // Lines 4–5: while φ(f) < 16 ε⁻¹ log n, scale f and b up by 17/16.
-        if phi < target && scaling_steps < 10_000 {
-            // A warm start routes the demand almost exactly, so its potential
-            // begins far below the target and the one-step-per-evaluation
-            // schedule would burn one full gradient evaluation per 17/16
-            // factor. All potential arguments scale linearly with the flow
-            // and demand, so jump most of the remaining distance in a single
-            // multiplication (deliberately undershooting by one step) and let
-            // the regular steps finish; re-entering this branch jumps again,
-            // which converges in a handful of evaluations. Cold starts never
-            // take this path, keeping the fixed schedule byte-identical.
-            if warm.is_some() && phi.is_finite() && phi > 0.0 {
-                let jump = ((target / phi).ln() / (17.0f64 / 16.0).ln() - 1.0).floor();
-                let remaining = (10_000 - scaling_steps) as f64 - 1.0;
-                let jump = jump.min(remaining).max(0.0) as usize;
-                if jump > 0 {
-                    let factor = (17.0f64 / 16.0).powi(jump as i32);
-                    f.scale(factor);
-                    b_work.scale(factor);
-                    total_scale *= factor;
-                    scaling_steps += jump;
-                }
-            }
-            f.scale(17.0 / 16.0);
-            b_work.scale(17.0 / 16.0);
-            total_scale *= 17.0 / 16.0;
-            scaling_steps += 1;
-            // Rescaling moves the potential; the acceptance reference with it.
-            last_accepted = None;
-            continue;
-        }
-
-        // Line 6: δ = Σ_e |cap(e) · ∂φ/∂f_e|.
-        let delta: f64 = g
-            .edge_ids()
-            .map(|e| (g.capacity(e) * scratch.grad[e.index()]).abs())
-            .sum();
-
-        if delta < eps / 4.0 {
-            break;
-        }
-        if iterations >= config.max_iterations {
-            hit_cap = true;
-            break;
-        }
-
-        // Line 8: f_e ← f_e − sgn(∂φ/∂f_e) · cap(e) · δ / (1 + 4α²),
-        // stretched by the adaptive scale when enabled.
-        let step = delta / (1.0 + 4.0 * alpha * alpha) * step_scale;
-        if adaptive {
-            if scratch.flow_backup.len() != m {
-                scratch.flow_backup.resize(m, 0.0);
-            }
-            scratch.flow_backup.copy_from_slice(f.values());
-            last_accepted = Some(phi);
-            step_scale = (step_scale * 1.25).min(8.0);
-        }
-        for e in g.edge_ids() {
-            let gd = scratch.grad[e.index()];
-            if gd != 0.0 {
-                f.add(e, -gd.signum() * g.capacity(e) * step);
-            }
-        }
-        iterations += 1;
-    }
-
-    // Lines 10–11: undo the scaling so the flow matches the original demand.
-    f.scale(1.0 / total_scale);
-    AlmostRouteResult {
-        flow: f,
-        iterations,
-        scaling_steps,
-        final_potential: potential,
-        hit_iteration_cap: hit_cap,
-    }
-}
-
-/// Dispatches a lane-blocked kernel to a monomorphized instantiation for the
-/// session block widths (`K = 1..=8`) and to the dynamic fallback (`K = 0`,
-/// meaning "read the runtime lane count") otherwise — the lane-inner loops
-/// only vectorize with a compile-time trip count. Same operations in the
-/// same order for every instantiation, so byte-identity is unaffected.
-macro_rules! lane_dispatch {
-    ($k:expr, $f:ident($($args:expr),* $(,)?)) => {
-        match $k {
-            1 => $f::<1>($($args),*),
-            2 => $f::<2>($($args),*),
-            3 => $f::<3>($($args),*),
-            4 => $f::<4>($($args),*),
-            5 => $f::<5>($($args),*),
-            6 => $f::<6>($($args),*),
-            7 => $f::<7>($($args),*),
-            8 => $f::<8>($($args),*),
-            _ => $f::<0>($($args),*),
-        }
-    };
-}
-
-/// Fused soft-max + gradient weights over `k` lane-major vectors — the
-/// blocked counterpart of [`smax_and_weights_into`]. `values[i*k + l]` is
+/// Fused soft-max + gradient weights over `k` lane-major vectors (see
+/// [`smax_and_weights_into`], its one-lane call). `values[i*k + l]` is
 /// element `i` of lane `l`; the soft-max of lane `l` lands in `phis[l]` and
 /// its normalized weights in `out[i*k + l]`.
 ///
-/// Byte-identity: the scalar kernel accumulates element `i` into split
-/// accumulator `i % 4` (remainder elements into accumulator 0) and reduces
-/// `(a0 + a1) + (a2 + a3)`; this kernel keeps four accumulators **per lane**
-/// and assigns element `i` of every lane to the same accumulator index, so
-/// each lane's additions happen in the scalar order on the scalar values.
+/// Byte-identity: every lane keeps four split accumulators, element `i`
+/// folds into accumulator `i % 4` (the trailing `len % 4` elements into
+/// accumulator 0), and the sum is reduced as `(a0 + a1) + (a2 + a3)`. The
+/// assignment depends only on `i`, so each lane performs the same additions
+/// in the same order whatever the block width: lane `l` of a `k`-lane call
+/// is bit-identical to a one-lane call on that lane's values.
 ///
 /// `in_scale`/`out_scale` fuse an element-wise pre-multiply of the input and
 /// post-multiply of the weights into the soft-max sweeps. The products are
@@ -618,7 +409,7 @@ macro_rules! lane_dispatch {
 /// # Panics
 ///
 /// Panics if the buffer lengths disagree with `k` (`out` must match
-/// `values`, `maxes`/`phis` must hold `k` entries, `acc` must hold `4k`).
+/// `values`, `maxes`/`phis` must hold `k` entries, `acc` must hold `8k`).
 #[allow(clippy::too_many_arguments)]
 fn smax_and_weights_block_into(
     values: &[f64],
@@ -633,7 +424,7 @@ fn smax_and_weights_block_into(
     assert_eq!(out.len(), values.len(), "weight block length mismatch");
     assert!(values.len().is_multiple_of(k), "value block not lane-major");
     assert_eq!(maxes.len(), k, "max buffer length mismatch");
-    assert_eq!(acc.len(), 4 * k, "accumulator buffer length mismatch");
+    assert_eq!(acc.len(), 8 * k, "accumulator buffer length mismatch");
     assert_eq!(phis.len(), k, "soft-max buffer length mismatch");
     lane_dispatch!(
         k,
@@ -663,35 +454,52 @@ fn smax_and_weights_block_impl<const K: usize>(
         phis.fill(0.0);
         return;
     }
+    let maxes = &mut maxes[..k];
     maxes.fill(0.0);
     for chunk in values.chunks_exact(k) {
         for (m, &y) in maxes.iter_mut().zip(chunk) {
             *m = m.max((in_scale * y).abs());
         }
     }
-    acc.fill(0.0);
-    let main = (len / 4) * 4;
-    for i in 0..len {
-        // The scalar kernel's chunks_exact(4) lanes; trailing elements fold
-        // into accumulator 0 exactly like its remainder loop. Accumulators
-        // are slot-major (`acc[slot*k + l]`) so every stream this loop
-        // touches — values, weights and the accumulator row — is a
-        // contiguous k-wide window, keeping the exp-heavy body vectorized.
-        let slot = if i < main { i % 4 } else { 0 };
-        let row = &mut acc[slot * k..slot * k + k];
-        let src = &values[i * k..i * k + k];
-        let dst = &mut out[i * k..i * k + k];
+    // Element `i` of every lane folds into accumulator `i % 4`, and the
+    // trailing `len % 4` elements into accumulator 0. In a group of four
+    // elements, value `j` of the flat `4k`-wide window is element `j / k` of
+    // lane `j % k`, so it folds into accumulator `sums[j]` (slot-major,
+    // `sums[slot*k + l]`) against the lane max `group_max[j]`: one flat,
+    // contiguous loop whose add chains stay independent at every lane
+    // count, one lane included.
+    let (sums, group_max) = acc[..8 * k].split_at_mut(4 * k);
+    sums.fill(0.0);
+    for (j, m) in group_max.iter_mut().enumerate() {
+        *m = maxes[j % k];
+    }
+    let main = (len / 4) * 4 * k;
+    let (body, tail) = values.split_at(main);
+    let (out_body, out_tail) = out.split_at_mut(main);
+    for (src, dst) in body
+        .chunks_exact(4 * k)
+        .zip(out_body.chunks_exact_mut(4 * k))
+    {
+        for (((&x, w), s), &m) in src.iter().zip(dst).zip(sums.iter_mut()).zip(&*group_max) {
+            let y = in_scale * x;
+            let e1 = exp_nonpos(y - m);
+            let e2 = exp_nonpos(-y - m);
+            *s += e1 + e2;
+            *w = e1 - e2;
+        }
+    }
+    for (src, dst) in tail.chunks_exact(k).zip(out_tail.chunks_exact_mut(k)) {
         for l in 0..k {
             let y = in_scale * src[l];
             let m = maxes[l];
             let e1 = exp_nonpos(y - m);
             let e2 = exp_nonpos(-y - m);
-            row[l] += e1 + e2;
+            sums[l] += e1 + e2;
             dst[l] = e1 - e2;
         }
     }
     for l in 0..k {
-        let sum = (acc[l] + acc[k + l]) + (acc[2 * k + l] + acc[3 * k + l]);
+        let sum = (sums[l] + sums[k + l]) + (sums[2 * k + l] + sums[3 * k + l]);
         phis[l] = maxes[l] + sum.ln();
         // Carry the sum for the divide pass in the freed max slot.
         maxes[l] = sum;
@@ -700,130 +508,6 @@ fn smax_and_weights_block_impl<const K: usize>(
         for (w, &s) in chunk.iter_mut().zip(&*maxes) {
             *w = *w / s * out_scale;
         }
-    }
-}
-
-/// Reusable lane-major buffers for the blocked multi-demand driver
-/// [`almost_route_block`]: one set of edge/node/row buffers with `k`
-/// contiguous lanes per element, sized once per (graph, approximator, lane
-/// count) shape so the blocked gradient loop allocates nothing in the steady
-/// state. A `maxflow::PreparedMaxFlow` session owns these across batched
-/// queries.
-#[derive(Debug, Clone, Default)]
-pub struct BlockScratch {
-    /// Working flows, `m × k` lane-major.
-    f: Vec<f64>,
-    /// Working demands `k_B · b` per lane, `n × k`.
-    b_work: Vec<f64>,
-    /// Pre-step flow snapshots for adaptive backtracking, `m × k`.
-    flow_backup: Vec<f64>,
-    /// `C⁻¹ f` lanes, `m × k`.
-    scaled_flow: Vec<f64>,
-    /// Congestion-term soft-max weights, `m × k`.
-    w1: Vec<f64>,
-    /// Residual demands `b − Bf`, `n × k`.
-    residual: Vec<f64>,
-    /// `2α · R(b − Bf)` lanes, `rows × k`; doubles as the price input.
-    rows: Vec<f64>,
-    /// Demand-term soft-max weights / prices, `rows × k`.
-    prices: Vec<f64>,
-    /// Node potentials `Rᵀ prices`, `n × k`.
-    potentials: Vec<f64>,
-    /// Gradient lanes, `m × k`.
-    grad: Vec<f64>,
-    /// Per-lane `max |y|` (and, transiently, exponential sums), `k`.
-    maxes: Vec<f64>,
-    /// Per-lane split accumulators, `4k`.
-    acc: Vec<f64>,
-    /// Per-lane potentials φ = φ₁ + φ₂, `k`.
-    phis: Vec<f64>,
-    /// Per-lane φ₁ staging, `k`.
-    phi1: Vec<f64>,
-    /// Lane-major demand packing area for norm evaluations, `n × k`.
-    pack: Vec<f64>,
-    /// Per-lane `‖R·b‖_∞` results, `k`.
-    norms: Vec<f64>,
-    /// Node-sized scratch borrowed by the blocked operator evaluations.
-    op: OperatorScratch,
-}
-
-impl BlockScratch {
-    /// Scratch pre-sized for `g`, `r` and `k` lanes (also happens lazily on
-    /// first use).
-    pub fn for_instance(g: &Graph, r: &CongestionApproximator, k: usize) -> Self {
-        let mut scratch = BlockScratch::default();
-        scratch.ensure(g, r, k.max(1));
-        scratch
-    }
-
-    fn ensure(&mut self, g: &Graph, r: &CongestionApproximator, k: usize) {
-        let (n, m, rows) = (g.num_nodes(), g.num_edges(), r.num_rows());
-        fn fit(buf: &mut Vec<f64>, len: usize) {
-            if buf.len() < len {
-                buf.resize(len, 0.0);
-            }
-        }
-        fit(&mut self.f, m * k);
-        fit(&mut self.b_work, n * k);
-        fit(&mut self.flow_backup, m * k);
-        fit(&mut self.scaled_flow, m * k);
-        fit(&mut self.w1, m * k);
-        fit(&mut self.residual, n * k);
-        fit(&mut self.rows, rows * k);
-        fit(&mut self.prices, rows * k);
-        fit(&mut self.potentials, n * k);
-        fit(&mut self.grad, m * k);
-        fit(&mut self.maxes, k);
-        fit(&mut self.acc, 4 * k);
-        fit(&mut self.phis, k);
-        fit(&mut self.phi1, k);
-        fit(&mut self.pack, n * k);
-        fit(&mut self.norms, k);
-        self.op.ensure_nodes(n * k);
-    }
-
-    /// `‖R·b‖_∞` for every demand in one blocked sweep: packs the demands
-    /// lane-major, applies `R` once, and folds each lane's rows in row order
-    /// (the scalar fold order), leaving the per-lane norms in the returned
-    /// slice. Bit-identical per lane to
-    /// [`AlmostRouteScratch::congestion_lower_bound`] on that demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any demand's length does not match the approximator's node
-    /// count.
-    pub(crate) fn congestion_lower_bounds(
-        &mut self,
-        g: &Graph,
-        r: &CongestionApproximator,
-        demands: &[&Demand],
-        par: &Parallelism,
-    ) -> &[f64] {
-        let k = demands.len();
-        if k == 0 {
-            return &[];
-        }
-        let n = r.num_nodes();
-        self.ensure(g, r, k);
-        for (l, b) in demands.iter().enumerate() {
-            assert_eq!(b.len(), n, "demand length mismatch");
-            for (v, &x) in b.values().iter().enumerate() {
-                self.pack[v * k + l] = x;
-            }
-        }
-        let rows_len = r.num_rows() * k;
-        r.apply_block_into_par(
-            &self.pack[..n * k],
-            k,
-            &mut self.rows[..rows_len],
-            &mut self.op,
-            par,
-        )
-        .expect("packed demands match the approximator");
-        let norms = &mut self.norms[..k];
-        norms.fill(0.0);
-        lane_dispatch!(k, row_abs_max_impl(&self.rows[..rows_len], k, norms));
-        &self.norms[..k]
     }
 }
 
@@ -845,8 +529,7 @@ struct LaneState {
 }
 
 /// Runs Algorithm 2 for `k` demands in lockstep through one set of blocked
-/// operator sweeps — the multi-right-hand-side counterpart of
-/// [`almost_route_with`].
+/// operator sweeps; [`almost_route_with`] is its one-lane call.
 ///
 /// Every gradient iteration evaluates the potential and gradient of **all
 /// still-active lanes** with a single walk over the tree slots, edge list and
@@ -855,10 +538,11 @@ struct LaneState {
 /// and termination test independently. Lanes that converge are compacted out,
 /// so finished demands stop paying for sweeps.
 ///
-/// The per-lane floating-point sequence replicates the scalar driver exactly:
-/// `results[l]` is **byte-for-byte identical** to
-/// `almost_route_with(g, r, &demands[l], config, ..)` for every lane, every
-/// batch size and every thread count of `config.parallelism`.
+/// Every sweep is element-outer / lane-inner, so a lane's floating-point
+/// sequence does not depend on its neighbours: `results[l]` is
+/// **byte-for-byte identical** to `almost_route_with(g, r, &demands[l],
+/// config, ..)`, the same demand alone as one lane, for every batch size and
+/// every thread count of `config.parallelism`.
 ///
 /// # Panics
 ///
@@ -868,16 +552,24 @@ pub fn almost_route_block(
     r: &CongestionApproximator,
     demands: &[Demand],
     config: &AlmostRouteConfig,
-    scratch: &mut BlockScratch,
+    scratch: &mut AlmostRouteScratch,
 ) -> Vec<AlmostRouteResult> {
     let refs: Vec<&Demand> = demands.iter().collect();
     let warms: Vec<Option<&FlowVec>> = vec![None; demands.len()];
     almost_route_block_warm(g, r, &refs, &warms, config, scratch)
 }
 
-/// [`almost_route_block`] with an optional warm-start flow per lane — the
-/// blocked counterpart of [`almost_route_warm_with`], with the same per-lane
-/// byte-identity guarantee.
+/// [`almost_route_block`] with an optional warm-start flow per lane, with
+/// the same per-lane byte-identity guarantee.
+///
+/// `warms[l]` is a flow in the scale of `demands[l]` — typically a previous
+/// query's answer for the same (or reversed) terminal pair, rescaled to the
+/// new target. The lane's descent starts from that flow instead of zero: the
+/// demand term of the potential then starts near its minimum, so queries
+/// whose answer is close to the warm flow converge in a handful of
+/// iterations. Any flow is a valid starting point (the descent converges from
+/// anywhere); a bad one merely wastes the head start. A `None` lane is a cold
+/// start and runs exactly the operations of [`almost_route_with`].
 ///
 /// # Panics
 ///
@@ -889,7 +581,7 @@ pub fn almost_route_block_warm(
     demands: &[&Demand],
     warms: &[Option<&FlowVec>],
     config: &AlmostRouteConfig,
-    scratch: &mut BlockScratch,
+    scratch: &mut AlmostRouteScratch,
 ) -> Vec<AlmostRouteResult> {
     let base_norms: Vec<f64> = scratch
         .congestion_lower_bounds(g, r, demands, &config.parallelism)
@@ -907,7 +599,7 @@ pub(crate) fn almost_route_block_with_norms(
     warms: &[Option<&FlowVec>],
     base_norms: &[f64],
     config: &AlmostRouteConfig,
-    scratch: &mut BlockScratch,
+    scratch: &mut AlmostRouteScratch,
 ) -> Vec<AlmostRouteResult> {
     assert_eq!(demands.len(), warms.len(), "one warm slot per demand");
     assert_eq!(demands.len(), base_norms.len(), "one base norm per demand");
@@ -922,16 +614,28 @@ pub(crate) fn almost_route_block_with_norms(
     let n = g.num_nodes().max(2) as f64;
     let m = g.num_edges();
     let eps = config.epsilon.clamp(1e-3, 1.0);
+    // Practical default: the provable bound clamped to a small constant.
+    // Sherman's analysis wants a valid upper bound on the approximator
+    // quality, but large α values slow the descent quadratically; the
+    // top-level solver certifies the final quality independently (the
+    // value/upper-bound bracket), so a smaller working α is safe and the
+    // experiments report the measured quality. Pass `alpha` explicitly to
+    // use the theoretical schedule.
     let alpha = config
         .alpha
         .unwrap_or_else(|| r.provable_alpha().clamp(1.0, 6.0))
         .max(1.0);
     let par = &config.parallelism;
+    // Adaptive step-size state. A lane's `step_scale` stays exactly 1.0 when
+    // the knob is off, and `x * 1.0` is an IEEE-754 identity, so the disabled
+    // path is the fixed `δ/(1+4α²)` schedule of Algorithm 2.
     let adaptive = config.adaptive_steps;
+    // Line 1 of Algorithm 2: scale each demand so that the congestion term
+    // of the potential starts at Θ(ε⁻¹ log n).
     let target = 16.0 * n.ln() / eps;
 
     // Degenerate lanes (zero demand or edgeless graph) return the zero flow
-    // immediately, like the scalar driver.
+    // immediately.
     let mut lanes: Vec<LaneState> = Vec::with_capacity(k_total);
     for (idx, &base_norm) in base_norms.iter().enumerate() {
         if base_norm <= 0.0 || m == 0 {
@@ -961,8 +665,8 @@ pub(crate) fn almost_route_block_with_norms(
     let mut k = lanes.len();
     scratch.ensure(g, r, k.max(1));
     // Lines 1–2 per lane: working demand `k_B · b` and the starting flow
-    // (warm flow in the working scale, zero otherwise). Per-element op
-    // sequence matches the scalar `clone()` + `scale(kb)`.
+    // (warm flow in the working scale, zero otherwise), one multiplication
+    // per element.
     for (j, lane) in lanes.iter().enumerate() {
         let kb = lane.total_scale;
         for (v, &x) in demands[lane.idx].values().iter().enumerate() {
@@ -984,17 +688,17 @@ pub(crate) fn almost_route_block_with_norms(
     }
 
     // What one round does to one lane's edge- and node-indexed arrays. The
-    // decision is made from scalar state (potential, δ, iteration counts)
+    // decision is made from per-lane state (potential, δ, iteration counts)
     // first, so the array updates can run as single fused element-outer
     // passes below — a per-lane strided pass would touch every cache line of
-    // the k-wide buffers to update one lane, paying k× the bandwidth of the
-    // scalar driver's contiguous loops and forfeiting the blocked win.
+    // the k-wide buffers to update one lane, paying k× the bandwidth and
+    // forfeiting the blocked win.
     #[derive(Clone, Copy)]
     enum LaneAction {
         /// Adaptive backtrack: restore the lane's flow from its snapshot.
         Restore,
         /// One 17/16 scaling round, preceded by an optional warm-start jump
-        /// (two separate multiplies, exactly like the scalar driver).
+        /// (two separate multiplies).
         Scale { jump: Option<f64> },
         /// Gradient step of this magnitude (snapshotting first when adaptive).
         Step { step: f64 },
@@ -1019,8 +723,9 @@ pub(crate) fn almost_route_block_with_norms(
             let phi = scratch.phis[j];
             let lane = &mut lanes[j];
 
-            // Backtracking: undo an overshooting adaptive step, like the
-            // scalar driver's snapshot restore.
+            // Backtracking: if the lane's last adaptive step overshot (the
+            // potential went up), undo it and retry from the snapshot with
+            // half the scale.
             if adaptive {
                 if let Some(prev) = lane.last_accepted {
                     if phi > prev {
@@ -1040,9 +745,16 @@ pub(crate) fn almost_route_block_with_norms(
             }
             lane.potential = phi;
 
-            // Lines 4–5: the 17/16 scaling schedule, with the warm-start
-            // jump on warm lanes (cold lanes never take it, exactly like the
-            // scalar driver).
+            // Lines 4–5: while φ(f) < 16 ε⁻¹ log n, scale f and b up by
+            // 17/16. A warm start routes the demand almost exactly, so its
+            // potential begins far below the target and the one-step-per-
+            // evaluation schedule would burn one full gradient evaluation per
+            // 17/16 factor. All potential arguments scale linearly with the
+            // flow and demand, so a warm lane jumps most of the remaining
+            // distance in a single multiplication (deliberately undershooting
+            // by one step) and lets the regular steps finish; re-entering
+            // this branch jumps again, which converges in a handful of
+            // evaluations. Cold lanes never jump, keeping the fixed schedule.
             if phi < target && lane.scaling_steps < 10_000 {
                 let mut jump_factor = None;
                 if lane.warm && phi.is_finite() && phi > 0.0 {
@@ -1059,15 +771,17 @@ pub(crate) fn almost_route_block_with_norms(
                 actions[j] = LaneAction::Scale { jump: jump_factor };
                 lane.total_scale *= 17.0 / 16.0;
                 lane.scaling_steps += 1;
+                // Rescaling moves the potential; the acceptance reference
+                // with it.
                 lane.last_accepted = None;
                 continue;
             }
             needs_delta = true;
         }
 
-        // Line 6: δ over each undecided lane's gradient — one walk over the
-        // gradient block, each lane accumulating in edge order like the
-        // scalar sum.
+        // Line 6: δ = Σ_e |cap(e) · ∂φ/∂f_e| over each undecided lane's
+        // gradient — one walk over the gradient block, each lane
+        // accumulating in edge order.
         if needs_delta {
             for d in deltas[..k].iter_mut() {
                 *d = 0.0;
@@ -1097,8 +811,8 @@ pub(crate) fn almost_route_block_with_norms(
                 continue;
             }
 
-            // Line 8: the signed capacity step, stretched by the adaptive
-            // scale when enabled.
+            // Line 8: f_e ← f_e − sgn(∂φ/∂f_e) · cap(e) · δ / (1 + 4α²),
+            // stretched by the adaptive scale when enabled.
             let step = delta / (1.0 + 4.0 * alpha * alpha) * lane.step_scale;
             if adaptive {
                 lane.last_accepted = Some(lane.potential);
@@ -1109,8 +823,8 @@ pub(crate) fn almost_route_block_with_norms(
         }
 
         // One fused pass over the edge-indexed buffers applies every lane's
-        // action; lanes own disjoint strides, so per lane the writes are
-        // exactly the scalar driver's, in the scalar order.
+        // action; lanes own disjoint strides, so per lane the writes happen
+        // in edge order whatever the block width.
         let any_edge_work = actions[..k].iter().any(|a| !matches!(a, LaneAction::Hold));
         if any_edge_work {
             for (e, &cap) in capacities.iter().enumerate() {
@@ -1217,17 +931,21 @@ fn compact_lanes(buf: &mut [f64], elems: usize, old_k: usize, keep: &[usize]) {
     }
 }
 
-/// Blocked counterpart of [`potential_and_gradient_scratch`]: evaluates
-/// `φ(f)` of every lane into `scratch.phis[..k]` and the gradients into
-/// `scratch.grad` (lane-major), walking the edge list, tree slots and
-/// soft-max buffers once for all `k` lanes. Element-outer / lane-inner
-/// throughout, so each lane's floating-point sequence is the scalar one.
+/// Evaluates `φ(f)` of every lane into `scratch.phis[..k]` and `∂φ/∂f` into
+/// `scratch.grad` (lane-major) for the working demands `scratch.b_work` and
+/// flows `scratch.f`, walking the edge list, tree slots and soft-max buffers
+/// once for all `k` lanes. Element-outer / lane-inner throughout, so each
+/// lane's floating-point sequence is independent of the block width.
+///
+/// The second term's gradient is computed through node potentials, exactly
+/// as in §9.1: prices on the tree cuts (one per row of `R`) are pushed down
+/// the trees by `Rᵀ`, and `∂φ₂/∂f_e = π_u − π_v` for the edge `e = (u, v)`.
 fn potential_and_gradient_block(
     g: &Graph,
     r: &CongestionApproximator,
     k: usize,
     alpha: f64,
-    scratch: &mut BlockScratch,
+    scratch: &mut AlmostRouteScratch,
     par: &Parallelism,
 ) {
     let m = g.num_edges();
@@ -1246,7 +964,7 @@ fn potential_and_gradient_block(
         1.0,
         &mut scratch.w1[..m * k],
         &mut scratch.maxes[..k],
-        &mut scratch.acc[..4 * k],
+        &mut scratch.acc[..8 * k],
         &mut scratch.phi1[..k],
     );
 
@@ -1276,7 +994,7 @@ fn potential_and_gradient_block(
         2.0 * alpha,
         &mut scratch.prices[..rows_len],
         &mut scratch.maxes[..k],
-        &mut scratch.acc[..4 * k],
+        &mut scratch.acc[..8 * k],
         &mut scratch.phis[..k],
     );
     r.apply_transpose_block_into_par(
@@ -1326,7 +1044,10 @@ fn scaled_flow_block_impl<const K: usize>(g: &Graph, f: &[f64], k_dyn: usize, ou
 }
 
 /// `grad[e*k + l] = w1[e*k + l]/cap(e) + π[tail] − π[head]` with a
-/// monomorphized lane count (see [`lane_dispatch!`]).
+/// monomorphized lane count (see [`lane_dispatch!`]). Increasing `f_e` moves
+/// one unit of excess from tail to head, so the residual `b − Bf` decreases
+/// at the head and increases at the tail; differentiating the second
+/// soft-max yields `π_tail − π_head`.
 #[inline(always)]
 fn gradient_block_impl<const K: usize>(
     g: &Graph,
@@ -1351,76 +1072,6 @@ fn gradient_block_impl<const K: usize>(
     }
 }
 
-/// Evaluates `φ(f)` and `∂φ/∂f` for the working demand `b`.
-///
-/// The second term's gradient is computed through node potentials, exactly as
-/// in §9.1: prices on the tree cuts (one per row of `R`) are pushed down the
-/// trees by `Rᵀ`, and `∂φ₂/∂f_e = π_u − π_v` for the edge `e = (u, v)`.
-pub fn potential_and_gradient(
-    g: &Graph,
-    r: &CongestionApproximator,
-    b: &Demand,
-    f: &FlowVec,
-    alpha: f64,
-) -> (f64, Vec<f64>) {
-    let mut scratch = AlmostRouteScratch::for_instance(g, r);
-    let phi =
-        potential_and_gradient_scratch(g, r, b, f, alpha, &mut scratch, &Parallelism::sequential());
-    (phi, scratch.grad)
-}
-
-/// Evaluates `φ(f)` into the return value and `∂φ/∂f` into `scratch.grad`,
-/// touching no heap memory beyond the pre-sized scratch buffers (at
-/// `Parallelism::sequential()`; parallel evaluations additionally use the
-/// scratch's tree-major workspaces, warmed on first use).
-fn potential_and_gradient_scratch(
-    g: &Graph,
-    r: &CongestionApproximator,
-    b: &Demand,
-    f: &FlowVec,
-    alpha: f64,
-    scratch: &mut AlmostRouteScratch,
-    par: &Parallelism,
-) -> f64 {
-    // φ1 = smax(C⁻¹ f), weights fused into the same exponential pass.
-    for (x, e) in scratch.scaled_flow.iter_mut().zip(g.edge_ids()) {
-        *x = f.get(e) / g.capacity(e);
-    }
-    let phi1 = smax_and_weights_into(&scratch.scaled_flow, &mut scratch.w1);
-
-    // φ2 = smax(2α R (b − Bf)).
-    b.residual_into(g, f, &mut scratch.residual);
-    r.apply_into_par(&scratch.residual, &mut scratch.rows, &mut scratch.op, par)
-        .expect("scratch demand matches the approximator");
-    // Doubling is exact in IEEE-754, so `y * (2α)` rounds identically to the
-    // original `2α · y` evaluation order.
-    for y in scratch.rows.iter_mut() {
-        *y *= 2.0 * alpha;
-    }
-    let phi2 = smax_and_weights_into(&scratch.rows, &mut scratch.prices);
-    // Prices per row: q_i · 2α (the 1/cap_i factor is applied inside Rᵀ).
-    for q in scratch.prices.iter_mut() {
-        *q *= 2.0 * alpha;
-    }
-    r.apply_transpose_into_par(
-        &scratch.prices,
-        &mut scratch.potentials,
-        &mut scratch.op,
-        par,
-    )
-    .expect("scratch prices match the approximator rows");
-
-    for (id, e) in g.edges() {
-        let g1 = scratch.w1[id.index()] / g.capacity(id);
-        // Increasing f_e moves one unit of excess from tail to head, so the
-        // residual (b − Bf) decreases at the head and increases at the tail;
-        // differentiating the second soft-max yields π_tail − π_head.
-        let g2 = scratch.potentials[e.tail.index()] - scratch.potentials[e.head.index()];
-        scratch.grad[id.index()] = g1 + g2;
-    }
-    phi1 + phi2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1429,6 +1080,11 @@ mod tests {
 
     fn approximator(g: &Graph, trees: usize) -> CongestionApproximator {
         CongestionApproximator::build(g, &RackeConfig::default().with_num_trees(trees)).unwrap()
+    }
+
+    /// `smax(values)` through the fused kernel, weights discarded.
+    fn smax(values: &[f64]) -> f64 {
+        smax_and_weights_into(values, &mut vec![0.0; values.len()])
     }
 
     #[test]
@@ -1445,6 +1101,13 @@ mod tests {
         let big = [500.0, -600.0];
         assert!(smax(&big).is_finite());
         assert!((smax(&big) - 600.0).abs() < 1.0);
+        // The weights are the normalized gradient (e^y − e^-y) / Σ(e^y + e^-y).
+        let mut w = [0.0; 3];
+        smax_and_weights_into(&y, &mut w);
+        let sum: f64 = y.iter().map(|&v: &f64| v.exp() + (-v).exp()).sum();
+        for (&wi, &v) in w.iter().zip(&y) {
+            assert!((wi - (v.exp() - (-v).exp()) / sum).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -1454,6 +1117,21 @@ mod tests {
         let s = smax(&y);
         assert!(s >= max_abs);
         assert!(s <= max_abs + (2.0 * y.len() as f64).ln());
+    }
+
+    /// `φ(f)` and `∂φ/∂f` of one lane, through the blocked evaluation.
+    fn potential_and_gradient(
+        g: &Graph,
+        r: &CongestionApproximator,
+        b: &Demand,
+        f: &FlowVec,
+        alpha: f64,
+    ) -> (f64, Vec<f64>) {
+        let mut scratch = AlmostRouteScratch::for_instance(g, r);
+        scratch.b_work[..b.len()].copy_from_slice(b.values());
+        scratch.f[..f.len()].copy_from_slice(f.values());
+        potential_and_gradient_block(g, r, 1, alpha, &mut scratch, &Parallelism::sequential());
+        (scratch.phis[0], scratch.grad[..f.len()].to_vec())
     }
 
     #[test]
@@ -1561,33 +1239,39 @@ mod tests {
         assert!(result.hit_iteration_cap);
     }
 
-    fn assert_results_bit_identical(blocked: &AlmostRouteResult, scalar: &AlmostRouteResult) {
-        assert_eq!(blocked.iterations, scalar.iterations);
-        assert_eq!(blocked.scaling_steps, scalar.scaling_steps);
-        assert_eq!(blocked.hit_iteration_cap, scalar.hit_iteration_cap);
+    fn assert_results_bit_identical(a: &AlmostRouteResult, b: &AlmostRouteResult) {
+        assert_eq!(a.iterations, b.iterations);
+        assert_eq!(a.scaling_steps, b.scaling_steps);
+        assert_eq!(a.hit_iteration_cap, b.hit_iteration_cap);
         assert_eq!(
-            blocked.final_potential.to_bits(),
-            scalar.final_potential.to_bits(),
+            a.final_potential.to_bits(),
+            b.final_potential.to_bits(),
             "final potential differs"
         );
-        for (e, (b, s)) in blocked
-            .flow
-            .values()
-            .iter()
-            .zip(scalar.flow.values())
-            .enumerate()
-        {
-            assert_eq!(b.to_bits(), s.to_bits(), "flow differs at edge {e}");
+        for (e, (x, y)) in a.flow.values().iter().zip(b.flow.values()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "flow differs at edge {e}");
         }
     }
 
     #[test]
-    fn blocked_driver_matches_scalar_lanes_byte_for_byte() {
+    fn blocked_driver_lanes_match_one_lane_runs_byte_for_byte() {
         let g = gen::grid(4, 4, 1.0);
         let r = approximator(&g, 4);
         // Demands with different convergence speeds (exercises compaction)
         // plus a zero demand (exercises the degenerate lane path).
-        let pairs = [(0, 15), (3, 12), (5, 10), (1, 1), (0, 15), (2, 13), (4, 11)];
+        // Ten demands also cover block widths past the monomorphized ones.
+        let pairs = [
+            (0, 15),
+            (3, 12),
+            (5, 10),
+            (1, 1),
+            (0, 15),
+            (2, 13),
+            (4, 11),
+            (6, 9),
+            (7, 8),
+            (12, 3),
+        ];
         let demands: Vec<Demand> = pairs
             .iter()
             .map(|&(s, t)| {
@@ -1595,8 +1279,8 @@ mod tests {
                 Demand::st(&g, NodeId(s), NodeId(t), amount)
             })
             .collect();
-        let mut scalar_scratch = AlmostRouteScratch::for_instance(&g, &r);
-        let mut block_scratch = BlockScratch::default();
+        let mut lane_scratch = AlmostRouteScratch::for_instance(&g, &r);
+        let mut block_scratch = AlmostRouteScratch::default();
         for adaptive in [false, true] {
             for warm_on in [false, true] {
                 let config = AlmostRouteConfig::default()
@@ -1607,25 +1291,26 @@ mod tests {
                 // serving warm start).
                 let warm_flows: Vec<FlowVec> = demands
                     .iter()
-                    .map(|b| almost_route_with(&g, &r, b, &config, &mut scalar_scratch).flow)
+                    .map(|b| almost_route_with(&g, &r, b, &config, &mut lane_scratch).flow)
                     .collect();
-                for k in [1usize, 2, 7] {
+                for k in [1usize, 2, 7, 10] {
                     let refs: Vec<&Demand> = demands.iter().take(k).collect();
                     let warms: Vec<Option<&FlowVec>> =
                         (0..k).map(|l| warm_on.then(|| &warm_flows[l])).collect();
                     let blocked =
                         almost_route_block_warm(&g, &r, &refs, &warms, &config, &mut block_scratch);
                     assert_eq!(blocked.len(), k);
+                    // Lane `l` of the block equals demand `l` alone as one lane.
                     for (l, blocked_result) in blocked.iter().enumerate() {
-                        let scalar = almost_route_warm_with(
+                        let alone = almost_route_block_warm(
                             &g,
                             &r,
-                            refs[l],
+                            &refs[l..=l],
+                            &warms[l..=l],
                             &config,
-                            &mut scalar_scratch,
-                            warms[l],
+                            &mut lane_scratch,
                         );
-                        assert_results_bit_identical(blocked_result, &scalar);
+                        assert_results_bit_identical(blocked_result, &alone[0]);
                     }
                 }
             }
@@ -1643,13 +1328,13 @@ mod tests {
         let seq_config = AlmostRouteConfig::default()
             .with_epsilon(0.4)
             .with_max_iterations(200);
-        let mut scratch = BlockScratch::default();
+        let mut scratch = AlmostRouteScratch::default();
         let baseline = almost_route_block(&g, &r, &demands, &seq_config, &mut scratch);
         for threads in [2, 4] {
             let par_config = seq_config
                 .clone()
                 .with_parallelism(Parallelism::with_threads(threads));
-            let mut par_scratch = BlockScratch::default();
+            let mut par_scratch = AlmostRouteScratch::default();
             let par_results = almost_route_block(&g, &r, &demands, &par_config, &mut par_scratch);
             for (b, s) in par_results.iter().zip(&baseline) {
                 assert_results_bit_identical(b, s);
@@ -1662,7 +1347,7 @@ mod tests {
         let g = gen::grid(3, 3, 1.0);
         let r = approximator(&g, 3);
         let empty: Vec<Demand> = Vec::new();
-        let mut scratch = BlockScratch::for_instance(&g, &r, 4);
+        let mut scratch = AlmostRouteScratch::for_instance(&g, &r);
         assert!(
             almost_route_block(&g, &r, &empty, &AlmostRouteConfig::default(), &mut scratch)
                 .is_empty()

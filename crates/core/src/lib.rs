@@ -105,5 +105,5 @@ pub use parallel::Parallelism;
 pub use session::{PreparedMaxFlow, PreparedParts};
 pub use solver::{
     approx_max_flow, approx_max_flow_with, route_demand, MaxFlowConfig, MaxFlowResult,
-    RoutingResult,
+    RoutingResult, DEMAND_BALANCE_TOLERANCE,
 };

@@ -23,11 +23,11 @@ use capprox::{
 use flowgraph::{max_weight_spanning_tree, Demand, Graph, GraphError, NodeId, RootedTree};
 use parallel::Parallelism;
 
-use crate::almost_route::{AlmostRouteScratch, BlockScratch};
+use crate::almost_route::AlmostRouteScratch;
 use crate::distributed::DistributedPlan;
 use crate::solver::{
-    max_flow_block_engine, max_flow_engine, route_demand_block_engine, route_demand_engine,
-    MaxFlowConfig, MaxFlowResult, RoutingResult, WarmCache,
+    max_flow_block_engine, route_demand_block_engine, MaxFlowConfig, MaxFlowResult, RoutingResult,
+    WarmCache,
 };
 
 /// Lanes advanced in lockstep per blocked gradient engine call: every batched
@@ -118,14 +118,13 @@ pub struct PreparedParts {
     approximator: CongestionApproximator,
     ensemble_stats: EnsembleStats,
     repair_tree: RootedTree,
+    /// Lane-major gradient scratch of the sequential entry points: presized
+    /// for one lane at prepare, grown lazily to the widest block and reused.
     scratch: AlmostRouteScratch,
-    /// Lane-major scratch for the blocked batch entry points, grown lazily
-    /// and reused across batches.
-    block_scratch: BlockScratch,
-    /// Per-worker blocked scratch buffers for
+    /// Per-worker scratch buffers for
     /// [`PreparedMaxFlow::par_max_flow_batch`], grown lazily to the
     /// configured thread count and reused across batches.
-    block_pool: Vec<BlockScratch>,
+    scratch_pool: Vec<AlmostRouteScratch>,
     /// The last answered query, kept to warm-start the next one when
     /// [`MaxFlowConfig::warm_start`] is enabled (always `None` otherwise).
     warm_cache: Option<WarmCache>,
@@ -155,7 +154,7 @@ impl PreparedParts {
         if graph.num_edges() == 0 {
             // A connected graph without edges is a single node; there is
             // nothing to route and the gradient potential is undefined on an
-            // empty edge set (see `almost_route::smax`).
+            // empty edge set (see `almost_route::smax_and_weights_into`).
             return Err(GraphError::NoEdges);
         }
         // The scalable preparation path assembles the ensemble level by
@@ -182,8 +181,7 @@ impl PreparedParts {
             ensemble_stats,
             repair_tree,
             scratch,
-            block_scratch: BlockScratch::default(),
-            block_pool: Vec::new(),
+            scratch_pool: Vec::new(),
             warm_cache: None,
             plan: None,
         })
@@ -290,6 +288,9 @@ impl<'g> PreparedMaxFlow<'g> {
     /// Computes a `(1+ε)`-approximate maximum s–t flow using the prepared
     /// structures (Theorem 1.1, centralized execution).
     ///
+    /// The query runs as a block of one lane through the same gradient
+    /// engine as the batched entry points.
+    ///
     /// With [`MaxFlowConfig::warm_start`] enabled, the session additionally
     /// remembers this query's routing and seeds the next query's descent with
     /// it when the terminal pair repeats (in either orientation).
@@ -299,20 +300,26 @@ impl<'g> PreparedMaxFlow<'g> {
     /// Returns [`GraphError::NodeOutOfRange`] / [`GraphError::SelfLoop`] for
     /// invalid terminals.
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> Result<MaxFlowResult, GraphError> {
-        max_flow_engine(
+        let parts = &mut self.parts;
+        let (mut results, mut warm_out) = max_flow_block_engine(
             self.graph,
-            &self.parts.approximator,
-            &self.parts.repair_tree,
-            s,
-            t,
-            &self.parts.config,
-            &mut self.parts.scratch,
-            Some(&mut self.parts.warm_cache),
-        )
+            &parts.approximator,
+            &parts.repair_tree,
+            &[(s, t)],
+            &parts.config,
+            &mut parts.scratch,
+            &[parts.warm_cache.as_ref()],
+            &[true],
+        )?;
+        // The engine hands back a cache entry only under warm starts.
+        parts.warm_cache = warm_out.pop().flatten();
+        results.pop().ok_or(GraphError::Internal {
+            invariant: "one pair in, one answer out",
+        })
     }
 
     /// Answers a batch of s–t queries through the blocked multi-demand
-    /// gradient engine: the pairs are split into blocks of up to 8 lanes and
+    /// gradient engine: the pairs are split into blocks of a few lanes and
     /// every gradient iteration of a block walks the operator structures
     /// (tree slots, edge lists, soft-max buffers) **once for all lanes**,
     /// which is what makes large-graph serving memory-bandwidth-efficient.
@@ -406,7 +413,10 @@ impl<'g> PreparedMaxFlow<'g> {
     /// # Errors
     ///
     /// Returns [`GraphError::DemandMismatch`] for the earliest demand that
-    /// does not cover exactly the graph's nodes.
+    /// does not cover exactly the graph's nodes, and
+    /// [`GraphError::NonFiniteDemand`] / [`GraphError::UnbalancedDemand`] for
+    /// the earliest one that cannot be routed (see
+    /// [`crate::solver::DEMAND_BALANCE_TOLERANCE`]).
     pub fn route_many(&mut self, demands: &[Demand]) -> Result<Vec<RoutingResult>, GraphError> {
         let mut results = Vec::with_capacity(demands.len());
         for chunk in demands.chunks(block_lanes(self.graph.num_nodes())) {
@@ -418,7 +428,7 @@ impl<'g> PreparedMaxFlow<'g> {
                 &self.parts.repair_tree,
                 &refs,
                 &self.parts.config,
-                &mut self.parts.block_scratch,
+                &mut self.parts.scratch,
                 &warms,
             )?);
         }
@@ -503,88 +513,79 @@ impl<'g> PreparedMaxFlow<'g> {
             // fast on its earliest lane, so the earliest failing block holds
             // the batch's earliest error.
             type BlockAnswers = Vec<(usize, MaxFlowResult, Option<WarmCache>)>;
-            let mut answered: Vec<(usize, BlockAnswers)> = Vec::with_capacity(blocks.len());
-            if workers <= 1 {
-                for (bi, (block, block_pairs, warm_in, block_store)) in blocks.iter().enumerate() {
-                    let (results, warm_out) = max_flow_block_engine(
-                        self.graph,
-                        &self.parts.approximator,
-                        &self.parts.repair_tree,
+            // Worker `w` answers blocks `w, w + T, w + 2T, …` with its own
+            // scratch. A lone worker runs inline on the session scratch with
+            // the configured operator parallelism; fanned-out workers
+            // evaluate their operators sequentially, so query fan-out and
+            // operator fan-out do not nest.
+            let fanned_config;
+            let (worker_config, tasks): (&MaxFlowConfig, Vec<&mut AlmostRouteScratch>) =
+                if workers <= 1 {
+                    (&self.parts.config, vec![&mut self.parts.scratch])
+                } else {
+                    while self.parts.scratch_pool.len() < workers {
+                        self.parts.scratch_pool.push(AlmostRouteScratch::default());
+                    }
+                    fanned_config = self
+                        .parts
+                        .config
+                        .clone()
+                        .with_parallelism(Parallelism::sequential());
+                    (
+                        &fanned_config,
+                        self.parts.scratch_pool[..workers].iter_mut().collect(),
+                    )
+                };
+            let stride = tasks.len();
+            let graph = self.graph;
+            let approximator = &self.parts.approximator;
+            let repair_tree = &self.parts.repair_tree;
+            let blocks = &blocks;
+            type WorkerStripe = Result<Vec<(usize, BlockAnswers)>, (usize, GraphError)>;
+            let partials: Vec<WorkerStripe> = parallel::join_workers(tasks, |w, scratch| {
+                let mut mine = Vec::with_capacity(blocks.len().div_ceil(stride));
+                for (bi, (block, block_pairs, warm_in, block_store)) in
+                    blocks.iter().enumerate().skip(w).step_by(stride)
+                {
+                    match max_flow_block_engine(
+                        graph,
+                        approximator,
+                        repair_tree,
                         block_pairs,
-                        &self.parts.config,
-                        &mut self.parts.block_scratch,
+                        worker_config,
+                        scratch,
                         warm_in,
                         block_store,
-                    )?;
-                    answered.push((
-                        bi,
-                        block
-                            .iter()
-                            .zip(results.into_iter().zip(warm_out))
-                            .map(|(&i, (result, warm))| (i, result, warm))
-                            .collect(),
-                    ));
-                }
-            } else {
-                let worker_config = self
-                    .parts
-                    .config
-                    .clone()
-                    .with_parallelism(Parallelism::sequential());
-                while self.parts.block_pool.len() < workers {
-                    self.parts.block_pool.push(BlockScratch::default());
-                }
-                let graph = self.graph;
-                let approximator = &self.parts.approximator;
-                let repair_tree = &self.parts.repair_tree;
-                let blocks = &blocks;
-                type WorkerStripe = Result<Vec<(usize, BlockAnswers)>, (usize, GraphError)>;
-                let tasks: Vec<&mut BlockScratch> =
-                    self.parts.block_pool[..workers].iter_mut().collect();
-                let partials: Vec<WorkerStripe> = parallel::join_workers(tasks, |w, scratch| {
-                    let mut mine = Vec::with_capacity(blocks.len().div_ceil(workers));
-                    for (bi, (block, block_pairs, warm_in, block_store)) in
-                        blocks.iter().enumerate().skip(w).step_by(workers)
-                    {
-                        match max_flow_block_engine(
-                            graph,
-                            approximator,
-                            repair_tree,
-                            block_pairs,
-                            &worker_config,
-                            scratch,
-                            warm_in,
-                            block_store,
-                        ) {
-                            Ok((results, warm_out)) => mine.push((
-                                bi,
-                                block
-                                    .iter()
-                                    .zip(results.into_iter().zip(warm_out))
-                                    .map(|(&i, (result, warm))| (i, result, warm))
-                                    .collect(),
-                            )),
-                            Err(err) => return Err((bi, err)),
-                        }
+                    ) {
+                        Ok((results, warm_out)) => mine.push((
+                            bi,
+                            block
+                                .iter()
+                                .zip(results.into_iter().zip(warm_out))
+                                .map(|(&i, (result, warm))| (i, result, warm))
+                                .collect(),
+                        )),
+                        Err(err) => return Err((bi, err)),
                     }
-                    Ok(mine)
-                });
-                if let Some((_, err)) = partials
-                    .iter()
-                    .filter_map(|p| p.as_ref().err())
-                    .min_by_key(|(bi, _)| *bi)
-                {
-                    return Err(err.clone());
                 }
-                for partial in partials {
-                    // The error scan above returned on any Err stripe; a
-                    // stripe that still fails here is a bookkeeping bug,
-                    // reported as a typed error so a daemon worker thread
-                    // fails the request instead of aborting the process.
-                    answered.extend(partial.map_err(|_| GraphError::Internal {
-                        invariant: "parallel batch stripe failed after the error scan",
-                    })?);
-                }
+                Ok(mine)
+            });
+            if let Some((_, err)) = partials
+                .iter()
+                .filter_map(|p| p.as_ref().err())
+                .min_by_key(|(bi, _)| *bi)
+            {
+                return Err(err.clone());
+            }
+            let mut answered: Vec<(usize, BlockAnswers)> = Vec::with_capacity(blocks.len());
+            for partial in partials {
+                // The error scan above returned on any Err stripe; a stripe
+                // that still fails here is a bookkeeping bug, reported as a
+                // typed error so a daemon worker thread fails the request
+                // instead of aborting the process.
+                answered.extend(partial.map_err(|_| GraphError::Internal {
+                    invariant: "parallel batch stripe failed after the error scan",
+                })?);
             }
 
             for (_, block_answers) in answered {
@@ -621,22 +622,27 @@ impl<'g> PreparedMaxFlow<'g> {
 
     /// Routes an arbitrary balanced demand vector with near-optimal
     /// congestion (Algorithm 1 without the max-flow scaling), using the
-    /// prepared structures.
+    /// prepared structures; a one-lane [`Self::route_many`].
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::DemandMismatch`] if `b` does not cover exactly
-    /// the graph's nodes.
+    /// the graph's nodes, and [`GraphError::NonFiniteDemand`] /
+    /// [`GraphError::UnbalancedDemand`] if it cannot be routed (see
+    /// [`crate::solver::DEMAND_BALANCE_TOLERANCE`]).
     pub fn route(&mut self, b: &Demand) -> Result<RoutingResult, GraphError> {
-        route_demand_engine(
+        let mut routed = route_demand_block_engine(
             self.graph,
             &self.parts.approximator,
             &self.parts.repair_tree,
-            b,
+            &[b],
             &self.parts.config,
             &mut self.parts.scratch,
-            None,
-        )
+            &[None],
+        )?;
+        routed.pop().ok_or(GraphError::Internal {
+            invariant: "one demand in, one routing out",
+        })
     }
 
     /// The graph this session was prepared for.

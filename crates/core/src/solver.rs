@@ -15,10 +15,7 @@ use flowgraph::{max_weight_spanning_tree, Demand, FlowVec, Graph, GraphError, No
 use parallel::Parallelism;
 use serde::{Deserialize, Serialize};
 
-use crate::almost_route::{
-    almost_route_block_with_norms, almost_route_warm_with, AlmostRouteConfig, AlmostRouteScratch,
-    BlockScratch,
-};
+use crate::almost_route::{almost_route_block_with_norms, AlmostRouteConfig, AlmostRouteScratch};
 
 /// A session's memory of its last answered query, used to warm-start the next
 /// one when [`MaxFlowConfig::warm_start`] is enabled.
@@ -263,6 +260,36 @@ impl MaxFlowConfig {
     }
 }
 
+/// Largest accepted imbalance of a demand, relative to its total magnitude:
+/// the routing entry points accept `b` when
+/// `|Σ_v b_v| ≤ DEMAND_BALANCE_TOLERANCE · Σ_v |b_v|`.
+///
+/// A flow's excess always sums to zero, so only a balanced demand can be
+/// met exactly; the relative slack absorbs the rounding of demands that are
+/// balanced in exact arithmetic (summing `n` doubles errs by at most about
+/// `n · 1.1e-16` of the magnitude, well below the tolerance up to millions
+/// of nodes). Anything larger is rejected with
+/// [`GraphError::UnbalancedDemand`].
+pub const DEMAND_BALANCE_TOLERANCE: f64 = 1e-9;
+
+/// Checks that `b` is routable: every entry finite
+/// ([`GraphError::NonFiniteDemand`]) and the entries summing to zero within
+/// [`DEMAND_BALANCE_TOLERANCE`] ([`GraphError::UnbalancedDemand`]).
+fn validate_demand(b: &Demand) -> Result<(), GraphError> {
+    if let Some((node, &value)) = b.values().iter().enumerate().find(|(_, x)| !x.is_finite()) {
+        return Err(GraphError::NonFiniteDemand { node, value });
+    }
+    let imbalance = b.total();
+    let magnitude: f64 = b.values().iter().map(|x| x.abs()).sum();
+    if imbalance.abs() > DEMAND_BALANCE_TOLERANCE * magnitude {
+        return Err(GraphError::UnbalancedDemand {
+            imbalance,
+            magnitude,
+        });
+    }
+    Ok(())
+}
+
 /// Result of routing a demand with near-optimal congestion (Algorithm 1
 /// without the final scaling).
 #[derive(Debug, Clone)]
@@ -318,8 +345,10 @@ impl MaxFlowResult {
 /// # Errors
 ///
 /// Returns [`GraphError::DemandMismatch`] if `b` does not match the graph's
-/// node count, and [`GraphError::Empty`] / [`GraphError::NotConnected`] for
-/// degenerate graphs.
+/// node count, [`GraphError::NonFiniteDemand`] /
+/// [`GraphError::UnbalancedDemand`] if it cannot be routed (see
+/// [`DEMAND_BALANCE_TOLERANCE`]), and [`GraphError::Empty`] /
+/// [`GraphError::NotConnected`] for degenerate graphs.
 pub fn route_demand(
     g: &Graph,
     r: &CongestionApproximator,
@@ -332,7 +361,8 @@ pub fn route_demand(
     }
     if g.num_edges() == 0 {
         // The soft-max potential is undefined over an empty edge set (see
-        // `almost_route::smax`); reject before the descent ever evaluates it.
+        // `almost_route::smax_and_weights_into`); reject before the descent
+        // ever evaluates it.
         return Err(GraphError::NoEdges);
     }
     if b.len() != g.num_nodes() {
@@ -343,103 +373,40 @@ pub fn route_demand(
     }
     let repair_tree = max_weight_spanning_tree(g, NodeId(0))?;
     let mut scratch = AlmostRouteScratch::default();
-    route_demand_engine(g, r, &repair_tree, b, config, &mut scratch, None)
-}
-
-/// The shared routing engine behind [`route_demand`] and
-/// [`crate::PreparedMaxFlow::route`]: the repair tree and the gradient
-/// scratch are supplied by the caller, so a session amortizes both. `warm`
-/// optionally seeds the first `AlmostRoute` phase (whose residual is `b`
-/// itself) with a previous flow; later phases route what the earlier ones
-/// left behind, for which no cached flow applies.
-pub(crate) fn route_demand_engine(
-    g: &Graph,
-    r: &CongestionApproximator,
-    repair_tree: &RootedTree,
-    b: &Demand,
-    config: &MaxFlowConfig,
-    scratch: &mut AlmostRouteScratch,
-    warm: Option<&FlowVec>,
-) -> Result<RoutingResult, GraphError> {
-    if b.len() != g.num_nodes() {
-        return Err(GraphError::DemandMismatch {
-            expected: g.num_nodes(),
-            actual: b.len(),
-        });
-    }
-    if g.num_nodes() == 0 {
-        return Err(GraphError::Empty);
-    }
-    let m = g.num_edges().max(2);
-    let phases = config
-        .phases
-        .unwrap_or((m as f64).log2().ceil() as usize + 1);
-    let ar_config = AlmostRouteConfig {
-        // Algorithm 1 calls AlmostRoute with ε = 1/2 in every phase; the
-        // outer ε only controls the final scaling accuracy. We pass the outer
-        // ε through when it is smaller to tighten the last phases.
-        epsilon: config.epsilon.min(0.5),
-        alpha: config.alpha,
-        max_iterations: config.max_iterations_per_phase,
-        adaptive_steps: config.warm_start,
-        parallelism: config.parallelism,
-    };
-
-    let mut total = FlowVec::zeros(g.num_edges());
-    let mut iterations = 0usize;
-    let mut executed_phases = 0usize;
-    let initial_norm = scratch.congestion_lower_bound(r, b).max(f64::MIN_POSITIVE);
-    // Once the residual is this small relative to the original demand, the
-    // exact tree repair contributes only a negligible amount of congestion,
-    // so further AlmostRoute phases would be wasted work.
-    let stop_norm = initial_norm * (config.epsilon * 1e-2).max(1e-6);
-    // One residual buffer for the whole query instead of a fresh allocation
-    // per phase.
-    let mut residual = Demand::zeros(g.num_nodes());
-    for phase in 0..phases {
-        b.residual_into(g, &total, &mut residual);
-        let norm = scratch.congestion_lower_bound(r, &residual);
-        if norm <= stop_norm {
-            break;
-        }
-        let phase_warm = if phase == 0 { warm } else { None };
-        let ar = almost_route_warm_with(g, r, &residual, &ar_config, scratch, phase_warm);
-        iterations += ar.iterations;
-        executed_phases += 1;
-        total.add_assign(&ar.flow);
-    }
-
-    // Steps 5–6 of Algorithm 1: repair the remaining residual exactly on the
-    // maximum-weight spanning tree.
-    b.residual_into(g, &total, &mut residual);
-    let repair = repair_tree.route_demand_on_graph(g, &residual)?;
-    total.add_assign(&repair);
-
-    let congestion = total.max_congestion(g);
-    Ok(RoutingResult {
-        flow: total,
-        congestion,
-        iterations,
-        phases: executed_phases,
+    let mut routed =
+        route_demand_block_engine(g, r, &repair_tree, &[b], config, &mut scratch, &[None])?;
+    routed.pop().ok_or(GraphError::Internal {
+        invariant: "one demand in, one routing out",
     })
 }
 
-/// Blocked counterpart of [`route_demand_engine`]: routes `k` demands in
-/// lockstep through the multi-right-hand-side gradient driver, advancing the
-/// phase schedule per lane (a lane whose residual drops below its stop norm
-/// leaves the batch and stops paying for sweeps). `results[l]` is
-/// byte-identical to `route_demand_engine` on `demands[l]` with `warms[l]`.
+/// The routing engine behind [`route_demand`],
+/// [`crate::PreparedMaxFlow::route`] and
+/// [`crate::PreparedMaxFlow::route_many`] (and, through
+/// [`max_flow_block_engine`], every max-flow query): routes `k` demands in
+/// lockstep through the blocked gradient driver, advancing the phase
+/// schedule per lane (a lane whose residual drops below its stop norm leaves
+/// the batch and stops paying for sweeps). A single demand is a block of one
+/// lane, and `results[l]` is byte-identical to routing `demands[l]` with
+/// `warms[l]` alone.
 ///
-/// Fails fast on the earliest (by lane index) invalid demand; per-lane
-/// validation happens before any gradient work, so an error never discards
-/// finished lanes.
+/// The repair tree and the gradient scratch are supplied by the caller, so a
+/// session amortizes both. `warms[l]` optionally seeds lane `l`'s first
+/// `AlmostRoute` phase (whose residual is the demand itself) with a previous
+/// flow; later phases route what the earlier ones left behind, for which no
+/// cached flow applies.
+///
+/// Fails fast on the earliest (by lane index) invalid demand — wrong length,
+/// a non-finite entry, or an imbalance beyond [`DEMAND_BALANCE_TOLERANCE`];
+/// per-lane validation happens before any gradient work, so an error never
+/// discards finished lanes.
 pub(crate) fn route_demand_block_engine(
     g: &Graph,
     r: &CongestionApproximator,
     repair_tree: &RootedTree,
     demands: &[&Demand],
     config: &MaxFlowConfig,
-    scratch: &mut BlockScratch,
+    scratch: &mut AlmostRouteScratch,
     warms: &[Option<&FlowVec>],
 ) -> Result<Vec<RoutingResult>, GraphError> {
     debug_assert_eq!(demands.len(), warms.len());
@@ -453,6 +420,7 @@ pub(crate) fn route_demand_block_engine(
                 actual: b.len(),
             });
         }
+        validate_demand(b)?;
     }
     let k = demands.len();
     if k == 0 {
@@ -463,6 +431,9 @@ pub(crate) fn route_demand_block_engine(
         .phases
         .unwrap_or((m2 as f64).log2().ceil() as usize + 1);
     let ar_config = AlmostRouteConfig {
+        // Algorithm 1 calls AlmostRoute with ε = 1/2 in every phase; the
+        // outer ε only controls the final scaling accuracy. We pass the outer
+        // ε through when it is smaller to tighten the last phases.
         epsilon: config.epsilon.min(0.5),
         alpha: config.alpha,
         max_iterations: config.max_iterations_per_phase,
@@ -484,10 +455,12 @@ pub(crate) fn route_demand_block_engine(
         for &l in &active {
             demands[l].residual_into(g, &totals[l], &mut residuals[l]);
         }
-        // One blocked sweep computes every active lane's residual norm; the
-        // scalar engine's `initial_norm` is the phase-0 norm bit-for-bit
-        // (the residual of the zero flow is the demand itself), so the stop
-        // norms come for free here.
+        // One blocked sweep computes every active lane's residual norm. The
+        // phase-0 residual of the zero flow is the demand itself, so its
+        // norm is the lane's initial norm, and the stop norms come for free:
+        // once the residual is this small relative to the original demand,
+        // the exact tree repair contributes only a negligible amount of
+        // congestion, so further AlmostRoute phases would be wasted work.
         let refs: Vec<&Demand> = active.iter().map(|&l| &residuals[l]).collect();
         let norms = scratch
             .congestion_lower_bounds(g, r, &refs, &config.parallelism)
@@ -532,6 +505,8 @@ pub(crate) fn route_demand_block_engine(
         }
     }
 
+    // Steps 5–6 of Algorithm 1: repair each lane's remaining residual
+    // exactly on the maximum-weight spanning tree.
     let mut results = Vec::with_capacity(k);
     for (l, total) in totals.into_iter().enumerate() {
         demands[l].residual_into(g, &total, &mut residuals[l]);
@@ -602,107 +577,24 @@ pub fn approx_max_flow_with(
     }
     let repair_tree = max_weight_spanning_tree(g, NodeId(0))?;
     let mut scratch = AlmostRouteScratch::default();
-    max_flow_engine(g, r, &repair_tree, s, t, config, &mut scratch, None)
-}
-
-/// The shared query engine behind [`approx_max_flow`],
-/// [`approx_max_flow_with`] and [`crate::PreparedMaxFlow::max_flow`]. The
-/// graph is assumed non-empty and connected (validated when the session is
-/// prepared); terminals are validated here, per query.
-///
-/// `warm_cache` is the session's previous-answer slot: read to seed the
-/// descent when [`MaxFlowConfig::warm_start`] is enabled and the terminal
-/// pair matches, written with this query's routing afterwards. One-shot
-/// callers pass `None` and behave history-free.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn max_flow_engine(
-    g: &Graph,
-    r: &CongestionApproximator,
-    repair_tree: &RootedTree,
-    s: NodeId,
-    t: NodeId,
-    config: &MaxFlowConfig,
-    scratch: &mut AlmostRouteScratch,
-    warm_cache: Option<&mut Option<WarmCache>>,
-) -> Result<MaxFlowResult, GraphError> {
-    for v in [s, t] {
-        if v.index() >= g.num_nodes() {
-            return Err(GraphError::NodeOutOfRange {
-                node: v.index(),
-                num_nodes: g.num_nodes(),
-            });
-        }
-    }
-    if s == t {
-        return Err(GraphError::SelfLoop { node: s.index() });
-    }
-
-    // Target flow value: the smallest s-t cut among the approximator's rows.
-    // Every row is an actual cut of G, so this is a certified upper bound on
-    // the maximum flow (max-flow min-cut).
-    let unit = Demand::st(g, s, t, 1.0);
-    let unit_congestion = scratch.congestion_lower_bound(r, &unit);
-    if unit_congestion <= 0.0 {
-        // No cut of the ensemble separates s and t — impossible for spanning
-        // trees of a connected graph, treat as malformed input.
-        return Err(GraphError::NotConnected);
-    }
-    // The singleton cuts around s and t are always available to every node
-    // locally (they are just the incident capacities), so the target never
-    // needs to exceed them.
-    let degree_cut = g.weighted_degree(s).min(g.weighted_degree(t));
-    let target = (1.0 / unit_congestion).min(degree_cut);
-
-    let demand = Demand::st(g, s, t, target);
-    let warm_flow = match (&warm_cache, config.warm_start) {
-        (Some(cache), true) => cache
-            .as_ref()
-            .and_then(|state| state.scaled_for(s, t, target)),
-        _ => None,
-    };
-    let routing = route_demand_engine(
+    let (mut results, _) = max_flow_block_engine(
         g,
         r,
-        repair_tree,
-        &demand,
+        &repair_tree,
+        &[(s, t)],
         config,
-        scratch,
-        warm_flow.as_ref(),
+        &mut scratch,
+        &[None],
+        &[false],
     )?;
-    if config.warm_start {
-        if let Some(cache) = warm_cache {
-            *cache = Some(WarmCache {
-                s,
-                t,
-                target,
-                flow: routing.flow.clone(),
-            });
-        }
-    }
-
-    // Scale down to feasibility. If the congestion is below 1 the flow is
-    // already feasible and ships the full upper bound (then it is exactly
-    // optimal, since value ≤ maxflow ≤ upper bound = value).
-    let rho = routing.congestion.max(1.0);
-    let mut flow = routing.flow;
-    flow.scale(1.0 / rho);
-    let value = target / rho;
-
-    let (flow, value) = apply_tree_safety_net(g, r, s, t, &unit, flow, value)?;
-
-    Ok(MaxFlowResult {
-        flow,
-        value,
-        upper_bound: target,
-        iterations: routing.iterations,
-        phases: routing.phases,
-        approximator: r.stats(),
+    results.pop().ok_or(GraphError::Internal {
+        invariant: "one pair in, one answer out",
     })
 }
 
-/// Safety net shared by the scalar and blocked query engines: routing the
-/// unit demand over the best single tree of the ensemble and scaling it to
-/// feasibility is another feasible flow; keep whichever is better. This
+/// The max-flow query's safety net: routing the unit demand over the best
+/// single tree of the ensemble and scaling it to feasibility is another
+/// feasible flow; keep whichever is better. This
 /// keeps the result sane even if the gradient descent was stopped early by
 /// the iteration cap. One pass computes each tree's routing congestion
 /// exactly once — through the sparse s–t path walk
@@ -745,16 +637,19 @@ fn apply_tree_safety_net(
     Ok((flow, value))
 }
 
-/// Blocked counterpart of [`max_flow_engine`]: answers `k` terminal pairs in
-/// lockstep through [`route_demand_block_engine`]. `results[l]` is
-/// byte-identical to `max_flow_engine` on `pairs[l]` warm-started from
-/// `warm_in[l]`.
+/// The query engine behind [`approx_max_flow`], [`approx_max_flow_with`]
+/// and every [`crate::PreparedMaxFlow`] max-flow entry point: answers `k`
+/// terminal pairs in lockstep through [`route_demand_block_engine`]. A single
+/// query is a block of one lane, and `results[l]` is byte-identical to
+/// answering `pairs[l]` alone, warm-started from `warm_in[l]`. The graph is
+/// assumed non-empty and connected (validated when the session is prepared);
+/// terminals are validated here, per query.
 ///
-/// Warm state flows through explicitly instead of through the session slot:
-/// `warm_in[l]` seeds lane `l` (when [`MaxFlowConfig::warm_start`] is on and
-/// the cached pair matches), and the second return value carries a fresh
-/// [`WarmCache`] for every lane the caller flagged in `store` — the session
-/// layer decides which answers are worth keeping for later waves.
+/// Warm state flows through explicitly: `warm_in[l]` seeds lane `l` (when
+/// [`MaxFlowConfig::warm_start`] is on and the cached pair matches), and the
+/// second return value carries a fresh [`WarmCache`] for every lane the
+/// caller flagged in `store` — the session layer decides which answers are
+/// worth keeping (its single-query slot, or a batch's later waves).
 ///
 /// Fails fast on the earliest (by lane index) invalid pair; all per-lane
 /// validation happens before any gradient work.
@@ -765,7 +660,7 @@ pub(crate) fn max_flow_block_engine(
     repair_tree: &RootedTree,
     pairs: &[(NodeId, NodeId)],
     config: &MaxFlowConfig,
-    scratch: &mut BlockScratch,
+    scratch: &mut AlmostRouteScratch,
     warm_in: &[Option<&WarmCache>],
     store: &[bool],
 ) -> Result<(Vec<MaxFlowResult>, Vec<Option<WarmCache>>), GraphError> {
@@ -789,7 +684,10 @@ pub(crate) fn max_flow_block_engine(
         }
     }
 
-    // Per-lane targets from one blocked sweep over the unit demands.
+    // Target flow value per lane: the smallest s-t cut among the
+    // approximator's rows, from one blocked sweep over the unit demands.
+    // Every row is an actual cut of G, so this is a certified upper bound on
+    // the maximum flow (max-flow min-cut).
     let units: Vec<Demand> = pairs
         .iter()
         .map(|&(s, t)| Demand::st(g, s, t, 1.0))
@@ -800,9 +698,14 @@ pub(crate) fn max_flow_block_engine(
         .to_vec();
     for &c in &unit_congestions {
         if c <= 0.0 {
+            // No cut of the ensemble separates s and t — impossible for
+            // spanning trees of a connected graph, treat as malformed input.
             return Err(GraphError::NotConnected);
         }
     }
+    // The singleton cuts around s and t are always available to every node
+    // locally (they are just the incident capacities), so a target never
+    // needs to exceed them.
     let targets: Vec<f64> = pairs
         .iter()
         .zip(&unit_congestions)
@@ -846,6 +749,9 @@ pub(crate) fn max_flow_block_engine(
                 flow: routing.flow.clone(),
             });
         }
+        // Scale down to feasibility. If the congestion is below 1 the flow
+        // is already feasible and ships the full upper bound (then it is
+        // exactly optimal, since value ≤ maxflow ≤ upper bound = value).
         let rho = routing.congestion.max(1.0);
         let mut flow = routing.flow;
         flow.scale(1.0 / rho);

@@ -5,10 +5,12 @@
 //!
 //! Measured with a counting global allocator (the only place in the
 //! repository that needs `unsafe`; the library crates all
-//! `forbid(unsafe_code)`).
+//! `forbid(unsafe_code)`). The count is kept per thread: the test harness
+//! runs the tests of this file concurrently, and a process-wide counter
+//! would charge each test with the other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use capprox::{CongestionApproximator, RackeConfig};
 use flowgraph::{gen, Demand, NodeId};
@@ -16,11 +18,24 @@ use maxflow::{almost_route_with, AlmostRouteConfig, AlmostRouteScratch, Prepared
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialization: no lazy-init allocation inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down, when there
+    // is nothing left to measure.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+fn allocations_so_far() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,9 +53,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations_so_far();
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (allocations_so_far() - before, out)
 }
 
 fn descent_config(max_iterations: usize) -> AlmostRouteConfig {

@@ -102,8 +102,8 @@ pub enum GraphError {
     /// The graph has nodes but no edges. Solvers reject this up front: with
     /// an empty edge set the paper's soft-max potential
     /// `ln Σ_i (e^{y_i} + e^{-y_i})` is an empty sum whose logarithm is
-    /// undefined (see `maxflow::almost_route::smax`), and no flow can route
-    /// anything anyway.
+    /// undefined (see `maxflow::almost_route::smax_and_weights_into`), and
+    /// no flow can route anything anyway.
     NoEdges,
     /// A demand / price vector did not match the dimension the operator was
     /// built for (demand entries per node, prices per operator row).
@@ -112,6 +112,23 @@ pub enum GraphError {
         expected: usize,
         /// The dimension that was supplied.
         actual: usize,
+    },
+    /// A demand's entries do not sum to zero beyond rounding: the routing
+    /// entry points accept `|Σ_v b_v| ≤ tol · Σ_v |b_v|` with the relative
+    /// tolerance `maxflow::solver::DEMAND_BALANCE_TOLERANCE`. A flow's excess
+    /// always sums to zero, so no flow meets such a demand.
+    UnbalancedDemand {
+        /// The sum of the demand's entries.
+        imbalance: f64,
+        /// The sum of their absolute values.
+        magnitude: f64,
+    },
+    /// A demand entry was NaN or infinite.
+    NonFiniteDemand {
+        /// The node whose entry is not finite.
+        node: usize,
+        /// The offending entry.
+        value: f64,
     },
     /// A solver configuration contained a value that can never produce a
     /// meaningful run (e.g. `epsilon <= 0`, `NaN`, or a zero iteration
@@ -173,6 +190,22 @@ impl std::fmt::Display for GraphError {
                 write!(
                     f,
                     "vector of length {actual} does not match the expected dimension {expected}"
+                )
+            }
+            GraphError::UnbalancedDemand {
+                imbalance,
+                magnitude,
+            } => {
+                write!(
+                    f,
+                    "demand is unbalanced: entries sum to {imbalance} (total magnitude \
+                     {magnitude}); a routable demand sums to zero"
+                )
+            }
+            GraphError::NonFiniteDemand { node, value } => {
+                write!(
+                    f,
+                    "demand entry {value} at node {node} is not a finite number"
                 )
             }
             GraphError::InvalidConfig { parameter, reason } => {

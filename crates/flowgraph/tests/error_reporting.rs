@@ -42,6 +42,20 @@ fn display_cases() -> Vec<(GraphError, Vec<&'static str>)> {
             vec!["25", "9"],
         ),
         (
+            GraphError::UnbalancedDemand {
+                imbalance: 1.5,
+                magnitude: 3.5,
+            },
+            vec!["unbalanced", "1.5", "3.5"],
+        ),
+        (
+            GraphError::NonFiniteDemand {
+                node: 4,
+                value: f64::NAN,
+            },
+            vec!["NaN", "4", "finite"],
+        ),
+        (
             GraphError::InvalidConfig {
                 parameter: "epsilon",
                 reason: "must be a finite number > 0",

@@ -199,6 +199,34 @@ fn load_query_update_round_trip_with_certified_brackets() {
 }
 
 #[test]
+fn unbalanced_route_demands_get_a_graph_error() {
+    let (config_value, _) = fast_config();
+    let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let graph = load(&mut client, 6, &path_edges(6, 4.0), &config_value);
+
+    // One unit leaves node 0 but two are asked for at node 5: no flow meets
+    // that demand, and the reply says why instead of answering `ok`.
+    let reply = client
+        .route(&graph, &[-1.0, 0.0, 0.0, 0.0, 0.0, 2.0])
+        .unwrap();
+    assert!(is_error(&reply, ErrorCode::GraphError), "{reply:?}");
+    let message = reply.get("error").and_then(Value::as_str).unwrap();
+    assert!(message.contains("unbalanced"), "{message}");
+
+    // The connection survives, and a balanced demand still routes.
+    let reply = client
+        .route(&graph, &[-1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        .unwrap();
+    assert_eq!(
+        reply.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{reply:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn bulk_updates_fall_back_to_a_full_rebuild() {
     let (config_value, _) = fast_config();
     let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();

@@ -5,10 +5,10 @@
 //! pinned across the seeded workload families at threads ∈ {1, 2, 4, 8}:
 //!
 //! 1. `capprox` — the fanned-out operator evaluations `R·b`
-//!    (`apply_into_par`) and `Rᵀ·y` (`apply_transpose_into_par`) match the
-//!    sequential operators bit for bit (the `Rᵀ` reduction folds tree
-//!    contributions in fixed tree order, so even the floating-point error is
-//!    identical).
+//!    (`apply_block_into_par`) and `Rᵀ·y` (`apply_transpose_block_into_par`),
+//!    at one and at three lanes, match the sequential operators bit for bit
+//!    (the `Rᵀ` reduction folds tree contributions in fixed tree order, so
+//!    even the floating-point error is identical).
 //! 2. `maxflow` — `PreparedMaxFlow::par_max_flow_batch` (query fan-out) and
 //!    single queries under a parallel config (operator fan-out inside the
 //!    gradient loop) match the sequential session bit for bit.
@@ -20,7 +20,7 @@ use capprox::{CongestionApproximator, OperatorScratch, RackeConfig};
 use congest::engine::{reference_run_traced, Network, Simulator};
 use congest::primitives::BfsProtocol;
 use congest::Parallelism;
-use flowgraph::{Demand, NodeId};
+use flowgraph::NodeId;
 use maxflow::{MaxFlowConfig, PreparedMaxFlow};
 use proptest::prelude::*;
 use testkit::families;
@@ -54,32 +54,39 @@ proptest! {
             )
             .expect("families are connected");
             let mut rng = flowgraph::gen::rng(seed ^ 0xabc);
-            let mut b = Demand::zeros(inst.graph.num_nodes());
-            for v in inst.graph.nodes() {
-                b.set(v, rand::Rng::gen_range(&mut rng, -2.0..2.0));
-            }
-            let y: Vec<f64> = (0..r.num_rows())
-                .map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0))
-                .collect();
-            let seq_rows = r.apply(&b).expect("dimensions match");
-            let seq_pot = r.apply_transpose(&y).expect("dimensions match");
-            for threads in THREAD_COUNTS {
-                let par = Parallelism::with_threads(threads);
+            for k in [1usize, 3] {
+                // `k` lane-major demands and price vectors.
+                let b_block: Vec<f64> = (0..r.num_nodes() * k)
+                    .map(|_| rand::Rng::gen_range(&mut rng, -2.0..2.0))
+                    .collect();
+                let y_block: Vec<f64> = (0..r.num_rows() * k)
+                    .map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0))
+                    .collect();
                 let mut scratch = OperatorScratch::default();
-                let mut rows = vec![0.0; r.num_rows()];
-                r.apply_into_par(&b, &mut rows, &mut scratch, &par)
+                let mut seq_rows = vec![0.0; r.num_rows() * k];
+                r.apply_block_into(&b_block, k, &mut seq_rows, &mut scratch)
                     .expect("dimensions match");
-                prop_assert_eq!(
-                    bits(&rows), bits(&seq_rows),
-                    "family {} apply at {} threads", inst.name, threads
-                );
-                let mut pot = vec![0.0; r.num_nodes()];
-                r.apply_transpose_into_par(&y, &mut pot, &mut scratch, &par)
+                let mut seq_pot = vec![0.0; r.num_nodes() * k];
+                r.apply_transpose_block_into(&y_block, k, &mut seq_pot, &mut scratch)
                     .expect("dimensions match");
-                prop_assert_eq!(
-                    bits(&pot), bits(&seq_pot),
-                    "family {} apply_transpose at {} threads", inst.name, threads
-                );
+                for threads in THREAD_COUNTS {
+                    let par = Parallelism::with_threads(threads);
+                    let mut scratch = OperatorScratch::default();
+                    let mut rows = vec![0.0; r.num_rows() * k];
+                    r.apply_block_into_par(&b_block, k, &mut rows, &mut scratch, &par)
+                        .expect("dimensions match");
+                    prop_assert_eq!(
+                        bits(&rows), bits(&seq_rows),
+                        "family {} apply k={} at {} threads", inst.name, k, threads
+                    );
+                    let mut pot = vec![0.0; r.num_nodes() * k];
+                    r.apply_transpose_block_into_par(&y_block, k, &mut pot, &mut scratch, &par)
+                        .expect("dimensions match");
+                    prop_assert_eq!(
+                        bits(&pot), bits(&seq_pot),
+                        "family {} apply_transpose k={} at {} threads", inst.name, k, threads
+                    );
+                }
             }
         }
     }

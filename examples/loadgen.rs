@@ -11,10 +11,11 @@
 //! as the CI smoke job). The stream is deterministic in `--seed`: each of
 //! the `T` client threads replays `N/T` events drawn from its own
 //! `splitmix64` stream — ~69% max-flow queries, ~30% demand routings, ~1%
-//! capacity updates, all against one small path graph, so answers stay
-//! microsecond-cheap and the measurement is dominated by serving overhead
-//! (framing, dispatch, coalescing), which is what `flowd` adds over the
-//! engine.
+//! capacity updates, all against one small path graph. Even on that graph
+//! each answer is a full gradient descent costing hundreds of microseconds,
+//! so the recorded latency is mostly engine time, with the serving layer
+//! (framing, dispatch, coalescing) on top of it — not serving overhead
+//! alone.
 //!
 //! Every reply is checked: an `"ok": false` reply or a wire failure counts
 //! as a protocol error, and the gate in CI requires zero.
