@@ -28,6 +28,7 @@
 use capprox::{HierarchyConfig, RackeConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flowgraph::{gen, Graph, NodeId};
+use maxflow::json::Value;
 use maxflow::{MaxFlowConfig, PreparedMaxFlow};
 use rand::Rng;
 use std::io::Write as _;
@@ -130,17 +131,23 @@ fn emit_memory_record(name: &str, g: &Graph) {
         .append(true)
         .open(path)
     {
-        let _ = writeln!(
-            f,
-            "{{\"group\":\"hierarchy_scale_mem\",\"id\":\"footprint/{name}\",\
-             \"min_ns\":0,\"mean_ns\":0,\"max_ns\":0,\"samples\":1,\
-             \"peak_rss_bytes\":{rss},\"graph_bytes\":{graph},\
-             \"bytes_per_edge\":{bpe:.3},\"num_nodes\":{n},\"num_edges\":{m}}}",
-            graph = mem.total(),
-            bpe = mem.bytes_per_edge(g.num_edges()),
-            n = g.num_nodes(),
-            m = g.num_edges(),
-        );
+        let record = Value::obj(vec![
+            ("group", Value::Str("hierarchy_scale_mem".into())),
+            ("id", Value::Str(format!("footprint/{name}"))),
+            ("min_ns", Value::index(0)),
+            ("mean_ns", Value::index(0)),
+            ("max_ns", Value::index(0)),
+            ("samples", Value::index(1)),
+            ("peak_rss_bytes", Value::index(rss)),
+            ("graph_bytes", Value::index(mem.total() as u64)),
+            (
+                "bytes_per_edge",
+                Value::Num(mem.bytes_per_edge(g.num_edges())),
+            ),
+            ("num_nodes", Value::index(g.num_nodes() as u64)),
+            ("num_edges", Value::index(g.num_edges() as u64)),
+        ]);
+        let _ = writeln!(f, "{}", record.to_json().expect("every number is finite"));
     }
 }
 

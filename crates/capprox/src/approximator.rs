@@ -44,7 +44,6 @@
 
 use flowgraph::{Demand, EdgeId, Graph, GraphError};
 use parallel::Parallelism;
-use serde::{Deserialize, Serialize};
 
 use crate::hierarchy::{build_hierarchical_ensemble, HierarchyConfig, HierarchyStats};
 use crate::racke::{build_tree_ensemble, CapacitatedTree, RackeConfig, TreeEnsemble};
@@ -347,7 +346,7 @@ impl OperatorScratch {
 }
 
 /// Summary statistics describing an approximator instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApproximatorStats {
     /// Number of trees in the ensemble.
     pub num_trees: usize,

@@ -56,7 +56,6 @@
 //! ```
 
 use flowgraph::{EdgeId, Graph, GraphError, NodeId, RootedTree};
-use serde::{Deserialize, Serialize};
 
 use crate::jtree::{build_jtree_top_loaded, CoreEdgeOrigin};
 use crate::racke::{
@@ -65,7 +64,7 @@ use crate::racke::{
 use crate::sparsify::{sparsify, SparsifyConfig};
 
 /// Configuration of the recursive hierarchy construction (Theorem 8.10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyConfig {
     /// Per-level shrink target: each level extracts a `⌈n/β⌉`-tree, so the
     /// core has at most `4⌈n/β⌉ + 1` portals (worst-case shrink factor
@@ -200,7 +199,7 @@ impl HierarchyConfig {
 }
 
 /// Per-level quality bookkeeping of one recursion chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyLevelStats {
     /// Nodes of the level graph.
     pub num_nodes: usize,
@@ -223,7 +222,7 @@ pub struct HierarchyLevelStats {
 }
 
 /// Statistics of one recursion chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainStats {
     /// Per-level bookkeeping, outermost level first.
     pub levels: Vec<HierarchyLevelStats>,
@@ -238,7 +237,7 @@ pub struct ChainStats {
 /// Quality bookkeeping of a full hierarchical construction, threaded into
 /// [`crate::CongestionApproximator`] by
 /// [`crate::CongestionApproximator::build_hierarchical`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyStats {
     /// One entry per recursion chain.
     pub chains: Vec<ChainStats>,

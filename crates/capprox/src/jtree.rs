@@ -16,13 +16,12 @@
 //! recurse on the core) is provided by [`build_hierarchy`].
 
 use flowgraph::{EdgeId, Graph, GraphError, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::racke::{build_tree_ensemble, CapacitatedTree, RackeConfig};
 use crate::sparsify::{sparsify, SparsifyConfig};
 
 /// Where a core edge comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreEdgeOrigin {
     /// A graph edge between two different forest components; in the
     /// distributed representation communication over this core edge uses the
@@ -406,7 +405,7 @@ fn components_of_forest(tree: &CapacitatedTree, removed: &[bool]) -> Vec<usize> 
 }
 
 /// One level of the recursive construction of Theorem 8.10.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HierarchyLevel {
     /// Nodes of the graph at this level (clusters of the previous level).
     pub num_nodes: usize,
@@ -425,7 +424,7 @@ pub struct HierarchyLevel {
 /// Statistics of a full recursive hierarchy construction (used by experiment
 /// E7; the congestion approximator itself uses the flat `O(log n)`-tree
 /// ensemble, which Lemma 3.3 shows is sufficient).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Hierarchy {
     /// Per-level statistics, outermost level first.
     pub levels: Vec<HierarchyLevel>,

@@ -11,7 +11,6 @@
 
 use flowgraph::{Demand, EdgeId, Graph, GraphError, NodeId, RootedTree};
 use lowstretch::{low_stretch_spanning_tree, LowStretchConfig};
-use serde::{Deserialize, Serialize};
 
 /// A spanning tree together with, for every non-root node, the capacity of
 /// the cut its parent edge induces in `G`.
@@ -102,7 +101,7 @@ pub fn tree_loads(g: &Graph, tree: &RootedTree) -> Vec<f64> {
 }
 
 /// Configuration of the multiplicative-weight tree-ensemble construction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RackeConfig {
     /// Number of trees to build. `None` selects `2·⌈log2 n⌉ + 1`
     /// (the `O(log n)` samples of Lemma 3.3).
@@ -186,7 +185,7 @@ impl RackeConfig {
 }
 
 /// Statistics of the ensemble construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleStats {
     /// Number of trees built.
     pub num_trees: usize,

@@ -7,11 +7,9 @@
 //! composition (independent operations that can share rounds) takes the
 //! maximum.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost of a distributed computation: rounds, messages and the largest
 /// message payload (in machine words of `O(log n)` bits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundCost {
     /// Number of synchronous rounds.
     pub rounds: u64,
@@ -26,7 +24,6 @@ pub struct RoundCost {
     /// Clique, `BCAST`); under the lossy model the retransmit-with-ack
     /// wrapper flags its resends so round bills separate useful traffic from
     /// recovery traffic.
-    #[serde(default)]
     pub retransmissions: u64,
 }
 

@@ -18,10 +18,9 @@
 use capprox::{CongestionApproximator, OperatorScratch};
 use flowgraph::{Demand, FlowVec, Graph};
 use parallel::Parallelism;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the gradient descent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AlmostRouteConfig {
     /// Target accuracy ε of the routing step.
     pub epsilon: f64,
@@ -34,14 +33,10 @@ pub struct AlmostRouteConfig {
     /// decreasing, backtrack (restore the flow and halve the scale) when a
     /// step overshoots. Off by default — the fixed `δ/(1+4α²)` schedule of
     /// Algorithm 2 is byte-for-byte preserved when this is `false`.
-    #[serde(default)]
     pub adaptive_steps: bool,
     /// Worker pool for the per-iteration operator evaluations (`R·b`, `Rᵀ·y`
     /// fan per-tree aggregations across threads). Purely a performance knob:
     /// results are byte-identical to sequential for any thread count.
-    /// Machine-specific, so never serialized (deserialized configs run
-    /// sequentially).
-    #[serde(skip, default)]
     pub parallelism: Parallelism,
 }
 

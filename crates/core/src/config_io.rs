@@ -1,362 +1,270 @@
-//! Textual round-trip for [`MaxFlowConfig`].
+//! JSON round-trip for [`MaxFlowConfig`] over the workspace's one codec,
+//! [`crate::json`]: [`MaxFlowConfig::to_value`] and
+//! [`MaxFlowConfig::from_value`] map a config to and from a [`Value`], and
+//! [`MaxFlowConfig::to_json`] / [`MaxFlowConfig::from_json`] add the text.
 //!
-//! The workspace's `serde` is an offline compile-surface shim (no registry
-//! access), so the derives on [`MaxFlowConfig`] emit nothing. Deployments
-//! still need configs in files, and the `#[serde(skip, default)]` contract
-//! on the machine-specific parallelism knob needs an executable pin — so
-//! this module implements the round-trip the real derive would provide, for
-//! exactly the annotated surface:
+//! * Every field is written except `parallelism`: thread counts are
+//!   machine-specific and never travel between machines. A document that
+//!   names it is rejected, and a config read back runs sequentially until the
+//!   deployment opts back in.
+//! * Absent fields take their [`MaxFlowConfig::default`] values; `null` is an
+//!   explicit `None` for the optional ones.
+//! * Unknown fields are rejected, in the nested `racke` and `hierarchy`
+//!   objects too.
+//! * Writing refuses what would not read back as the same config: a NaN or
+//!   infinite float, or an integer of 2⁵³ or more (a JSON number carries
+//!   integers exactly only below that).
 //!
-//! * [`MaxFlowConfig::to_json`] writes every serializable field and **omits
-//!   the `#[serde(skip)]` `parallelism` field** — thread counts never travel
-//!   between machines;
-//! * [`MaxFlowConfig::from_json`] restores skipped fields to their defaults
-//!   (a deserialized config runs sequentially until the deployment opts back
-//!   in), treats absent fields as their [`MaxFlowConfig::default`] values,
-//!   and rejects unknown fields — including an explicit `parallelism` key.
-//!
-//! Swap this module for real serde once a registry is reachable; the tests
-//! in `crates/core/tests/config_roundtrip.rs` pin the semantics either way.
+//! The tests in `crates/core/tests/config_roundtrip.rs` pin these rules.
 
 use capprox::{HierarchyConfig, RackeConfig};
 use flowgraph::GraphError;
 
+use crate::json::{self, Value};
 use crate::solver::MaxFlowConfig;
 
 impl MaxFlowConfig {
-    /// Serializes the config to a JSON object string. The
-    /// `#[serde(skip)]`-annotated `parallelism` field is omitted, matching
-    /// the derive contract.
+    /// The config as a JSON object, without the machine-specific
+    /// `parallelism` field.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidConfig`] naming the offending field if
-    /// any float in the config is NaN or infinite. Such values have no JSON
-    /// representation — an earlier revision emitted `null` for them (the
-    /// `serde_json` convention), which produced a *valid* document that
-    /// [`MaxFlowConfig::from_json`] then rejected for the required float
-    /// fields. Refusing to emit up front keeps the round-trip guarantee
-    /// unconditional: every document `to_json` returns parses back.
-    pub fn to_json(&self) -> Result<String, GraphError> {
-        let finite = |parameter: &'static str, x: f64| -> Result<(), GraphError> {
-            if x.is_finite() {
-                Ok(())
-            } else {
-                Err(GraphError::InvalidConfig {
-                    parameter,
-                    reason: "is not finite: NaN/infinite floats have no JSON representation \
-                             and would emit a document from_json rejects",
-                })
+    /// Returns [`GraphError::InvalidConfig`] naming the offending field if a
+    /// float is NaN or infinite, or an integer is 2⁵³ or more: neither has a
+    /// JSON form that parses back to the same value, and every document this
+    /// returns does.
+    pub fn to_value(&self) -> Result<Value, GraphError> {
+        Ok(Value::obj(vec![
+            ("epsilon", float("epsilon", self.epsilon)?),
+            ("racke", racke_to_value(&self.racke)?),
+            ("alpha", nullable(self.alpha, |a| float("alpha", a))?),
+            (
+                "max_iterations_per_phase",
+                count("max_iterations_per_phase", self.max_iterations_per_phase)?,
+            ),
+            ("phases", nullable(self.phases, |p| count("phases", p))?),
+            ("warm_start", Value::Bool(self.warm_start)),
+            (
+                "hierarchy",
+                nullable(self.hierarchy.as_ref(), hierarchy_to_value)?,
+            ),
+        ]))
+    }
+
+    /// Reads a config from a JSON object such as [`MaxFlowConfig::to_value`]
+    /// returns. Absent fields keep their [`MaxFlowConfig::default`] values,
+    /// so `parallelism` comes back sequential.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::InvalidConfig`] for a non-object, an unknown or
+    /// skipped (`parallelism`) field, and a value of the wrong type or out of
+    /// range, naming the field. The config is *not* validated — call
+    /// [`MaxFlowConfig::validate`] before use, exactly as with a hand-built
+    /// config.
+    pub fn from_value(doc: &Value) -> Result<MaxFlowConfig, GraphError> {
+        let mut config = MaxFlowConfig::default();
+        for (key, v) in object("json", doc)? {
+            match key.as_str() {
+                "epsilon" => config.epsilon = read_float("epsilon", v)?,
+                "racke" => config.racke = racke_from_value(v)?,
+                "alpha" => config.alpha = read_nullable(v, |v| read_float("alpha", v))?,
+                "max_iterations_per_phase" => {
+                    config.max_iterations_per_phase = read_count("max_iterations_per_phase", v)?
+                }
+                "phases" => config.phases = read_nullable(v, |v| read_count("phases", v))?,
+                "warm_start" => {
+                    config.warm_start = v
+                        .as_bool()
+                        .ok_or_else(|| invalid("warm_start", "must be true or false"))?
+                }
+                "hierarchy" => config.hierarchy = read_nullable(v, hierarchy_from_value)?,
+                "parallelism" => {
+                    return Err(invalid(
+                        "parallelism",
+                        "is skipped: machine-specific thread counts never travel in config \
+                         files (a config read back runs sequentially until the deployment \
+                         opts back in)",
+                    ))
+                }
+                _ => return Err(invalid("json", "has an unknown field")),
             }
-        };
-        finite("epsilon", self.epsilon)?;
-        finite("racke.mwu_step", self.racke.mwu_step)?;
-        finite("racke.lowstretch_z", self.racke.lowstretch_z)?;
-        if let Some(q) = self.racke.target_quality {
-            finite("racke.target_quality", q)?;
         }
-        if let Some(a) = self.alpha {
-            finite("alpha", a)?;
-        }
-        if let Some(h) = &self.hierarchy {
-            finite("hierarchy.beta", h.beta)?;
-            finite("hierarchy.sparsify_epsilon", h.sparsify_epsilon)?;
-        }
-        Ok(format!(
-            "{{\"epsilon\":{},\"racke\":{{\"num_trees\":{},\"mwu_step\":{},\"seed\":{},\
-             \"lowstretch_z\":{},\"target_quality\":{}}},\"alpha\":{},\
-             \"max_iterations_per_phase\":{},\"phases\":{},\"warm_start\":{},\
-             \"hierarchy\":{}}}",
-            json_f64(self.epsilon),
-            opt_usize(self.racke.num_trees),
-            json_f64(self.racke.mwu_step),
-            self.racke.seed,
-            json_f64(self.racke.lowstretch_z),
-            self.racke
-                .target_quality
-                .map_or_else(|| "null".to_string(), json_f64),
-            self.alpha.map_or_else(|| "null".to_string(), json_f64),
-            self.max_iterations_per_phase,
-            opt_usize(self.phases),
-            self.warm_start,
-            hierarchy_json(self.hierarchy.as_ref()),
-        ))
+        Ok(config)
+    }
+
+    /// Serializes the config to a JSON object string: the text of
+    /// [`MaxFlowConfig::to_value`].
+    ///
+    /// # Errors
+    ///
+    /// As [`MaxFlowConfig::to_value`].
+    pub fn to_json(&self) -> Result<String, GraphError> {
+        Ok(self
+            .to_value()?
+            .to_json()
+            .expect("to_value emits only finite numbers"))
     }
 
     /// Parses a config previously written by [`MaxFlowConfig::to_json`] (or
-    /// by hand). Absent fields keep their [`MaxFlowConfig::default`] values;
-    /// skipped fields (`parallelism`) deserialize to their defaults and may
-    /// not appear in the document.
+    /// by hand), with the rules of [`MaxFlowConfig::from_value`].
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidConfig`] for malformed JSON, unknown or
-    /// skipped fields, and out-of-range values. The parsed config is *not*
-    /// validated — call [`MaxFlowConfig::validate`] before use, exactly as
-    /// with a hand-built config.
+    /// Returns [`GraphError::InvalidConfig`] for malformed JSON and for every
+    /// document [`MaxFlowConfig::from_value`] rejects.
     pub fn from_json(text: &str) -> Result<MaxFlowConfig, GraphError> {
-        let mut config = MaxFlowConfig::default();
-        let mut p = Parser::new(text);
-        p.expect_object_start()?;
-        while let Some(key) = p.next_key()? {
-            match key.as_str() {
-                "epsilon" => config.epsilon = p.f64_value()?,
-                "alpha" => config.alpha = p.opt_f64_value()?,
-                "max_iterations_per_phase" => config.max_iterations_per_phase = p.usize_value()?,
-                "phases" => config.phases = p.opt_usize_value()?,
-                "warm_start" => config.warm_start = p.bool_value()?,
-                "racke" => config.racke = parse_racke(&mut p)?,
-                "hierarchy" => config.hierarchy = parse_hierarchy(&mut p)?,
-                "parallelism" => {
-                    return Err(GraphError::InvalidConfig {
-                        parameter: "parallelism",
-                        reason: "is #[serde(skip)]: machine-specific thread counts never \
-                                 travel in config files (deserialized configs run \
-                                 sequentially until the deployment opts back in)",
-                    })
-                }
-                _ => {
-                    return Err(GraphError::InvalidConfig {
-                        parameter: "json",
-                        reason: "unknown field in MaxFlowConfig document",
-                    })
-                }
-            }
-        }
-        p.expect_end()?;
-        Ok(config)
+        let doc =
+            json::parse(text).map_err(|_| invalid("json", "is not a well-formed JSON document"))?;
+        MaxFlowConfig::from_value(&doc)
     }
 }
 
-fn parse_racke(p: &mut Parser<'_>) -> Result<RackeConfig, GraphError> {
+fn racke_to_value(r: &RackeConfig) -> Result<Value, GraphError> {
+    Ok(Value::obj(vec![
+        (
+            "num_trees",
+            nullable(r.num_trees, |k| count("racke.num_trees", k))?,
+        ),
+        ("mwu_step", float("racke.mwu_step", r.mwu_step)?),
+        ("seed", int("racke.seed", r.seed)?),
+        ("lowstretch_z", float("racke.lowstretch_z", r.lowstretch_z)?),
+        (
+            "target_quality",
+            nullable(r.target_quality, |q| float("racke.target_quality", q))?,
+        ),
+    ]))
+}
+
+fn hierarchy_to_value(h: &HierarchyConfig) -> Result<Value, GraphError> {
+    Ok(Value::obj(vec![
+        ("beta", float("hierarchy.beta", h.beta)?),
+        (
+            "direct_threshold",
+            count("hierarchy.direct_threshold", h.direct_threshold)?,
+        ),
+        ("chains", count("hierarchy.chains", h.chains)?),
+        (
+            "trees_per_chain",
+            nullable(h.trees_per_chain, |k| count("hierarchy.trees_per_chain", k))?,
+        ),
+        (
+            "sparsify_epsilon",
+            float("hierarchy.sparsify_epsilon", h.sparsify_epsilon)?,
+        ),
+        ("seed", int("hierarchy.seed", h.seed)?),
+        ("max_levels", count("hierarchy.max_levels", h.max_levels)?),
+    ]))
+}
+
+fn racke_from_value(doc: &Value) -> Result<RackeConfig, GraphError> {
     let mut racke = RackeConfig::default();
-    p.expect_object_start()?;
-    while let Some(key) = p.next_key()? {
+    for (key, v) in object("racke", doc)? {
         match key.as_str() {
-            "num_trees" => racke.num_trees = p.opt_usize_value()?,
-            "mwu_step" => racke.mwu_step = p.f64_value()?,
-            "seed" => racke.seed = p.u64_value()?,
-            "lowstretch_z" => racke.lowstretch_z = p.f64_value()?,
-            "target_quality" => racke.target_quality = p.opt_f64_value()?,
-            _ => {
-                return Err(GraphError::InvalidConfig {
-                    parameter: "json",
-                    reason: "unknown field in RackeConfig document",
-                })
+            "num_trees" => {
+                racke.num_trees = read_nullable(v, |v| read_count("racke.num_trees", v))?
             }
+            "mwu_step" => racke.mwu_step = read_float("racke.mwu_step", v)?,
+            "seed" => racke.seed = read_int("racke.seed", v)?,
+            "lowstretch_z" => racke.lowstretch_z = read_float("racke.lowstretch_z", v)?,
+            "target_quality" => {
+                racke.target_quality = read_nullable(v, |v| read_float("racke.target_quality", v))?
+            }
+            _ => return Err(invalid("racke", "has an unknown field")),
         }
     }
     Ok(racke)
 }
 
-fn hierarchy_json(h: Option<&HierarchyConfig>) -> String {
-    let Some(h) = h else {
-        return "null".to_string();
-    };
-    format!(
-        "{{\"beta\":{},\"direct_threshold\":{},\"chains\":{},\"trees_per_chain\":{},\
-         \"sparsify_epsilon\":{},\"seed\":{},\"max_levels\":{}}}",
-        json_f64(h.beta),
-        h.direct_threshold,
-        h.chains,
-        opt_usize(h.trees_per_chain),
-        json_f64(h.sparsify_epsilon),
-        h.seed,
-        h.max_levels,
-    )
-}
-
-/// `null` or a nested [`HierarchyConfig`] object.
-fn parse_hierarchy(p: &mut Parser<'_>) -> Result<Option<HierarchyConfig>, GraphError> {
-    if !p.value_is_object() {
-        return match p.scalar()? {
-            "null" => Ok(None),
-            _ => Err(MALFORMED),
-        };
-    }
+fn hierarchy_from_value(doc: &Value) -> Result<HierarchyConfig, GraphError> {
     let mut hierarchy = HierarchyConfig::default();
-    p.expect_object_start()?;
-    while let Some(key) = p.next_key()? {
+    for (key, v) in object("hierarchy", doc)? {
         match key.as_str() {
-            "beta" => hierarchy.beta = p.f64_value()?,
-            "direct_threshold" => hierarchy.direct_threshold = p.usize_value()?,
-            "chains" => hierarchy.chains = p.usize_value()?,
-            "trees_per_chain" => hierarchy.trees_per_chain = p.opt_usize_value()?,
-            "sparsify_epsilon" => hierarchy.sparsify_epsilon = p.f64_value()?,
-            "seed" => hierarchy.seed = p.u64_value()?,
-            "max_levels" => hierarchy.max_levels = p.usize_value()?,
-            _ => {
-                return Err(GraphError::InvalidConfig {
-                    parameter: "json",
-                    reason: "unknown field in HierarchyConfig document",
-                })
+            "beta" => hierarchy.beta = read_float("hierarchy.beta", v)?,
+            "direct_threshold" => {
+                hierarchy.direct_threshold = read_count("hierarchy.direct_threshold", v)?
             }
+            "chains" => hierarchy.chains = read_count("hierarchy.chains", v)?,
+            "trees_per_chain" => {
+                hierarchy.trees_per_chain =
+                    read_nullable(v, |v| read_count("hierarchy.trees_per_chain", v))?
+            }
+            "sparsify_epsilon" => {
+                hierarchy.sparsify_epsilon = read_float("hierarchy.sparsify_epsilon", v)?
+            }
+            "seed" => hierarchy.seed = read_int("hierarchy.seed", v)?,
+            "max_levels" => hierarchy.max_levels = read_count("hierarchy.max_levels", v)?,
+            _ => return Err(invalid("hierarchy", "has an unknown field")),
         }
     }
-    Ok(Some(hierarchy))
+    Ok(hierarchy)
 }
 
-fn opt_usize(v: Option<usize>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
+fn invalid(parameter: &'static str, reason: &'static str) -> GraphError {
+    GraphError::InvalidConfig { parameter, reason }
 }
 
-/// JSON rendering of an `f64`: `{:?}` round-trips finite values exactly.
-/// Non-finite values never reach this point — [`MaxFlowConfig::to_json`]
-/// rejects them up front so every emitted document round-trips.
-fn json_f64(x: f64) -> String {
-    debug_assert!(x.is_finite(), "to_json validated all floats");
-    format!("{x:?}")
+fn float(parameter: &'static str, x: f64) -> Result<Value, GraphError> {
+    if x.is_finite() {
+        Ok(Value::Num(x))
+    } else {
+        Err(invalid(
+            parameter,
+            "is not finite: NaN/infinite floats have no JSON representation",
+        ))
+    }
 }
 
-const MALFORMED: GraphError = GraphError::InvalidConfig {
-    parameter: "json",
-    reason: "malformed MaxFlowConfig document",
-};
-
-/// A minimal recursive-descent reader for the flat JSON subset
-/// [`MaxFlowConfig::to_json`] emits: objects with string keys and number /
-/// null values. Object-valued fields recurse through their own key loop.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Object-nesting bookkeeping: whether the parser is before the first
-    /// key of the current object (no comma expected).
-    fresh_object: bool,
+fn int(parameter: &'static str, x: u64) -> Result<Value, GraphError> {
+    if x < 1 << 53 {
+        Ok(Value::index(x))
+    } else {
+        Err(invalid(
+            parameter,
+            "is 2^53 or more: a JSON number carries integers exactly only below 2^53",
+        ))
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            fresh_object: false,
-        }
-    }
+fn count(parameter: &'static str, x: usize) -> Result<Value, GraphError> {
+    int(parameter, x as u64)
+}
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
+fn nullable<T>(
+    x: Option<T>,
+    write: impl FnOnce(T) -> Result<Value, GraphError>,
+) -> Result<Value, GraphError> {
+    x.map_or(Ok(Value::Null), write)
+}
 
-    fn eat(&mut self, byte: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+fn object<'a>(parameter: &'static str, v: &'a Value) -> Result<&'a [(String, Value)], GraphError> {
+    match v {
+        Value::Obj(pairs) => Ok(pairs),
+        _ => Err(invalid(parameter, "must be a JSON object")),
     }
+}
 
-    /// Whether the upcoming value starts an object (`{`) rather than a
-    /// scalar; consumes nothing.
-    fn value_is_object(&mut self) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&b'{')
-    }
+fn read_float(parameter: &'static str, v: &Value) -> Result<f64, GraphError> {
+    v.as_f64()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| invalid(parameter, "must be a finite number"))
+}
 
-    fn expect_object_start(&mut self) -> Result<(), GraphError> {
-        if self.eat(b'{') {
-            self.fresh_object = true;
-            Ok(())
-        } else {
-            Err(MALFORMED)
-        }
-    }
+fn read_int(parameter: &'static str, v: &Value) -> Result<u64, GraphError> {
+    v.as_index()
+        .ok_or_else(|| invalid(parameter, "must be a non-negative integer below 2^53"))
+}
 
-    /// The next `"key":` of the current object, or `None` at its `}`.
-    fn next_key(&mut self) -> Result<Option<String>, GraphError> {
-        if self.eat(b'}') {
-            self.fresh_object = false;
-            return Ok(None);
-        }
-        if !self.fresh_object && !self.eat(b',') {
-            return Err(MALFORMED);
-        }
-        self.fresh_object = false;
-        if !self.eat(b'"') {
-            return Err(MALFORMED);
-        }
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|&b| b != b'"') {
-            self.pos += 1;
-        }
-        let key = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| MALFORMED)?
-            .to_string();
-        self.pos += 1; // closing quote
-        if !self.eat(b':') {
-            return Err(MALFORMED);
-        }
-        Ok(Some(key))
-    }
+fn read_count(parameter: &'static str, v: &Value) -> Result<usize, GraphError> {
+    usize::try_from(read_int(parameter, v)?).map_err(|_| invalid(parameter, "does not fit a usize"))
+}
 
-    /// The raw characters of a number / null scalar.
-    fn scalar(&mut self) -> Result<&'a str, GraphError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| !matches!(b, b',' | b'}' | b'{') && !b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(MALFORMED);
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| MALFORMED)
-    }
-
-    fn f64_value(&mut self) -> Result<f64, GraphError> {
-        self.scalar()?.parse().map_err(|_| MALFORMED)
-    }
-
-    fn u64_value(&mut self) -> Result<u64, GraphError> {
-        self.scalar()?.parse().map_err(|_| MALFORMED)
-    }
-
-    fn usize_value(&mut self) -> Result<usize, GraphError> {
-        self.scalar()?.parse().map_err(|_| MALFORMED)
-    }
-
-    fn bool_value(&mut self) -> Result<bool, GraphError> {
-        match self.scalar()? {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            _ => Err(MALFORMED),
-        }
-    }
-
-    fn opt_f64_value(&mut self) -> Result<Option<f64>, GraphError> {
-        let s = self.scalar()?;
-        if s == "null" {
-            Ok(None)
-        } else {
-            s.parse().map(Some).map_err(|_| MALFORMED)
-        }
-    }
-
-    fn opt_usize_value(&mut self) -> Result<Option<usize>, GraphError> {
-        let s = self.scalar()?;
-        if s == "null" {
-            Ok(None)
-        } else {
-            s.parse().map(Some).map_err(|_| MALFORMED)
-        }
-    }
-
-    fn expect_end(&mut self) -> Result<(), GraphError> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(MALFORMED)
-        }
+fn read_nullable<T>(
+    v: &Value,
+    read: impl FnOnce(&Value) -> Result<T, GraphError>,
+) -> Result<Option<T>, GraphError> {
+    match v {
+        Value::Null => Ok(None),
+        v => read(v).map(Some),
     }
 }

@@ -39,13 +39,12 @@ use congest::{Network, RoundCost};
 use flowgraph::{Graph, GraphError, NodeId, RootedTree};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::session::PreparedMaxFlow;
 use crate::solver::{MaxFlowConfig, MaxFlowResult};
 
 /// Round costs of the individual phases of the distributed execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundBreakdown {
     /// Building the global BFS tree (measured protocol run).
     pub bfs_construction: RoundCost,
@@ -98,7 +97,7 @@ impl DistributedMaxFlowResult {
 /// The amortized CONGEST bill of a prepared session: what a network pays
 /// *once* when the session is prepared, and what every subsequent query pays
 /// on top (per-iteration aggregations plus one repair aggregation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionBill {
     /// Building the global BFS tree (measured protocol run; charged once).
     pub bfs_construction: RoundCost,

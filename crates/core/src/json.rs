@@ -1,6 +1,8 @@
-//! A hand-rolled JSON value codec for the wire protocol — the dynamic
-//! counterpart of the flat parser in `maxflow`'s `config_io` (same
-//! recursive-descent style, zero dependencies).
+//! A hand-rolled JSON value codec (recursive descent, zero dependencies) —
+//! the workspace's only one. Config files go through it
+//! ([`MaxFlowConfig::to_value`](crate::MaxFlowConfig::to_value) /
+//! [`from_value`](crate::MaxFlowConfig::from_value)), and so does `flowd`'s
+//! wire protocol, which re-exports this module as `service::json`.
 //!
 //! Scope: full JSON values (objects, arrays, strings with escapes, numbers,
 //! booleans, null), bounded nesting depth, strict trailing-garbage rejection.
@@ -16,6 +18,10 @@ use std::fmt::Write as _;
 /// overflow the parser's stack.
 const MAX_DEPTH: usize = 64;
 
+/// 2⁵³: every non-negative integer below it is exact in an `f64`, and no
+/// integer at or above it can be told apart from its neighbours after parsing.
+const EXACT_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -23,8 +29,8 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as `f64`; every node index and
-    /// counter the protocol uses fits `f64` exactly, being below 2⁵³).
+    /// Any JSON number (always carried as `f64`; every node index, counter
+    /// and seed that travels as one fits `f64` exactly, being below 2⁵³).
     Num(f64),
     /// A string.
     Str(String),
@@ -55,9 +61,12 @@ impl Value {
 
     /// The value as a non-negative integer below 2⁵³ (the exact-in-`f64`
     /// range), if it is one — the shape of every index and count on the wire.
+    ///
+    /// 2⁵³ itself is refused: it is also what the document integers 2⁵³ + 1
+    /// (and a few more) round to, so it cannot be read back exactly.
     pub fn as_index(&self) -> Option<u64> {
         match self {
-            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9_007_199_254_740_992.0 => {
+            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < EXACT_INTEGER_LIMIT => {
                 Some(*x as u64)
             }
             _ => None,
@@ -92,8 +101,7 @@ impl Value {
     ///
     /// Non-finite numbers have no JSON representation; they are emitted as
     /// `null` **never** — constructing a `Value::Num` from a non-finite float
-    /// is a caller bug, caught here by returning an error (the same contract
-    /// `config_io::to_json` adopted).
+    /// is a caller bug, caught here by returning an error.
     pub fn to_json(&self) -> Result<String, JsonError> {
         let mut out = String::new();
         self.write(&mut out)?;
@@ -109,13 +117,13 @@ impl Value {
                 if !x.is_finite() {
                     return Err(JsonError::at(0, "non-finite number has no JSON form"));
                 }
-                // Exact small integers print in integer form (strict
-                // integer-field parsers like config_io's reject "3.0");
+                // Exact small integers print in integer form (integer
+                // decoders in many JSON libraries reject "3.0");
                 // everything else uses `{:?}`, Rust's shortest
                 // representation that parses back to the same bits. `-0.0`
                 // stays on the float path to keep its sign bit.
                 if x.fract() == 0.0
-                    && x.abs() <= 9_007_199_254_740_992.0
+                    && x.abs() <= EXACT_INTEGER_LIMIT
                     && !(*x == 0.0 && x.is_sign_negative())
                 {
                     let _ = write!(out, "{}", *x as i64);
@@ -151,16 +159,17 @@ impl Value {
     }
 }
 
-/// Convenience constructors for protocol emission.
+/// Convenience constructors for building documents.
 impl Value {
     /// An object from key–value pairs.
     pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// A number from an exact-in-`f64` unsigned integer.
+    /// A number from an exact-in-`f64` unsigned integer (below 2⁵³, the
+    /// range [`Value::as_index`] reads back).
     pub fn index(x: u64) -> Value {
-        debug_assert!(x <= 9_007_199_254_740_992, "index exceeds exact f64 range");
+        debug_assert!(x < 1 << 53, "index exceeds exact f64 range");
         Value::Num(x as f64)
     }
 }
@@ -516,6 +525,18 @@ mod tests {
             let back = parse(&doc).unwrap().as_f64().unwrap();
             assert_eq!(x.to_bits(), back.to_bits(), "{x} via {doc}");
         }
+    }
+
+    #[test]
+    fn integers_read_back_exactly_or_not_at_all() {
+        // 2⁵³ + 1 parses to the f64 2⁵³; reading that as 2⁵³ would silently
+        // change the number, so only integers below 2⁵³ are indices.
+        assert_eq!(parse("9007199254740993").unwrap().as_index(), None);
+        assert_eq!(parse("9007199254740992").unwrap().as_index(), None);
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_index(),
+            Some(9_007_199_254_740_991)
+        );
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! * [`distributed`] — execution of the same pipeline with CONGEST round
 //!   accounting driven by the real message-passing primitives of the
 //!   `congest` crate (BFS trees, tree decompositions, subtree aggregations),
-//!   including the amortized [`SessionBill`] of a prepared session.
+//!   including the amortized [`SessionBill`] of a prepared session;
+//! * [`json`] — the workspace's one JSON codec: [`MaxFlowConfig`] files
+//!   ([`config_io`]) and `flowd`'s wire protocol both go through its
+//!   [`json::Value`].
 //!
 //! # Quickstart
 //!
@@ -89,6 +92,7 @@
 pub mod almost_route;
 pub mod config_io;
 pub mod distributed;
+pub mod json;
 pub mod session;
 pub mod solver;
 

@@ -13,7 +13,6 @@
 use capprox::{CongestionApproximator, HierarchyConfig, RackeConfig};
 use flowgraph::{max_weight_spanning_tree, Demand, FlowVec, Graph, GraphError, NodeId, RootedTree};
 use parallel::Parallelism;
-use serde::{Deserialize, Serialize};
 
 use crate::almost_route::{almost_route_block_with_norms, AlmostRouteConfig, AlmostRouteScratch};
 
@@ -54,7 +53,7 @@ impl WarmCache {
 }
 
 /// Configuration for the approximate max-flow solver.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaxFlowConfig {
     /// Target approximation parameter ε.
     pub epsilon: f64,
@@ -75,22 +74,20 @@ pub struct MaxFlowConfig {
     /// adaptively while the potential keeps decreasing. Defaults to **off**;
     /// when off, every entry point is byte-identical to the history-free
     /// solver. See [`MaxFlowConfig::with_warm_start`].
-    #[serde(default)]
     pub warm_start: bool,
     /// Worker pool for the parallel execution paths: per-iteration operator
     /// evaluations inside a query and query fan-out in
     /// [`crate::PreparedMaxFlow::par_max_flow_batch`]. Strictly a performance
     /// knob — every entry point is byte-identical to
     /// [`Parallelism::sequential`] for any thread count. Machine-specific,
-    /// so never serialized: a deserialized config runs sequentially until
-    /// the deployment opts back in.
-    #[serde(skip, default)]
+    /// so [`MaxFlowConfig::to_json`] never writes it: a config read back
+    /// with [`MaxFlowConfig::from_json`] runs sequentially until the
+    /// deployment opts back in.
     pub parallelism: Parallelism,
     /// Build the congestion approximator through the recursive j-tree
     /// hierarchy of Theorem 8.10 instead of the direct Räcke construction —
     /// the million-node preparation path (see `capprox::hierarchy`). `None`
     /// (the default) keeps the direct build.
-    #[serde(default)]
     pub hierarchy: Option<HierarchyConfig>,
 }
 
@@ -205,8 +202,11 @@ impl MaxFlowConfig {
 
     /// Rejects configurations that can never produce a meaningful run —
     /// non-positive or NaN `epsilon`, a zero iteration budget, zero phases,
-    /// an empty tree ensemble, or a non-finite / sub-unit α override — before
-    /// they turn into endless loops or NaN flows deep inside the descent.
+    /// an empty tree ensemble, a negative or non-finite MWU step, a
+    /// low-stretch growth factor that is non-finite or below 2, or a
+    /// non-finite / sub-unit α override — before they turn into endless
+    /// loops, NaN flows or silently adjusted parameters deep inside the
+    /// build or the descent.
     /// Called by every solver entry point that takes the config.
     ///
     /// # Errors
@@ -235,6 +235,18 @@ impl MaxFlowConfig {
             return Err(GraphError::InvalidConfig {
                 parameter: "racke.num_trees",
                 reason: "must be at least 1 (or None for the O(log n) schedule)",
+            });
+        }
+        if !self.racke.mwu_step.is_finite() || self.racke.mwu_step < 0.0 {
+            return Err(GraphError::InvalidConfig {
+                parameter: "racke.mwu_step",
+                reason: "must be a finite number >= 0 (0 keeps every tree's edge lengths)",
+            });
+        }
+        if !self.racke.lowstretch_z.is_finite() || self.racke.lowstretch_z < 2.0 {
+            return Err(GraphError::InvalidConfig {
+                parameter: "racke.lowstretch_z",
+                reason: "must be a finite number >= 2 (the low-stretch length-class growth factor)",
             });
         }
         if let Some(alpha) = self.alpha {

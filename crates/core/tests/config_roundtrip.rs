@@ -1,9 +1,9 @@
-//! `MaxFlowConfig` coverage: the serde-shaped round-trip (including the
-//! `#[serde(skip)]` contract on the machine-specific parallelism fields) and
-//! a table-driven `validate()` suite covering every
-//! `GraphError::InvalidConfig` arm.
+//! `MaxFlowConfig` coverage: the JSON round-trip of `config_io` (including
+//! the rule that the machine-specific parallelism field never travels) and a
+//! table-driven `validate()` suite covering every `GraphError::InvalidConfig`
+//! arm.
 
-use capprox::RackeConfig;
+use capprox::{HierarchyConfig, RackeConfig};
 use flowgraph::GraphError;
 use maxflow::{MaxFlowConfig, Parallelism};
 
@@ -21,6 +21,20 @@ fn sample_config() -> MaxFlowConfig {
         .with_phases(Some(4))
         .with_warm_start(true)
         .with_parallelism(Parallelism::with_threads(8))
+}
+
+fn mwu_step(step: f64) -> RackeConfig {
+    RackeConfig {
+        mwu_step: step,
+        ..RackeConfig::default()
+    }
+}
+
+fn lowstretch_z(z: f64) -> RackeConfig {
+    RackeConfig {
+        lowstretch_z: z,
+        ..RackeConfig::default()
+    }
 }
 
 #[test]
@@ -58,7 +72,7 @@ fn round_trip_preserves_every_serialized_field() {
 
 #[test]
 fn skipped_parallelism_deserializes_to_the_sequential_default() {
-    // The #[serde(skip)] fields never travel: an 8-thread config serializes
+    // The skipped field never travels: an 8-thread config serializes
     // without any parallelism key and comes back sequential.
     let config = sample_config();
     assert_eq!(config.parallelism.threads(), 8);
@@ -156,6 +170,49 @@ fn non_finite_floats_are_rejected_at_serialization_time() {
 }
 
 #[test]
+fn seeds_must_be_exact_json_integers() {
+    // A JSON number carries integers exactly only below 2^53, so a larger
+    // seed is refused by name instead of being written rounded.
+    let big = RackeConfig::default().with_seed(1 << 53);
+    match sample_config().with_racke(big).to_json() {
+        Err(GraphError::InvalidConfig { parameter, .. }) => assert_eq!(parameter, "racke.seed"),
+        other => panic!("seed=2^53: expected InvalidConfig, got {other:?}"),
+    }
+    let hierarchy = HierarchyConfig {
+        seed: u64::MAX,
+        ..HierarchyConfig::default()
+    };
+    match sample_config().with_hierarchy(Some(hierarchy)).to_json() {
+        Err(GraphError::InvalidConfig { parameter, .. }) => {
+            assert_eq!(parameter, "hierarchy.seed")
+        }
+        other => panic!("hierarchy seed=u64::MAX: expected InvalidConfig, got {other:?}"),
+    }
+    // The largest exact seed survives the round trip, and reading refuses
+    // what it cannot hold exactly rather than rounding it.
+    let largest = (1u64 << 53) - 1;
+    let config = sample_config().with_racke(RackeConfig::default().with_seed(largest));
+    let restored = MaxFlowConfig::from_json(&config.to_json().unwrap()).unwrap();
+    assert_eq!(restored.racke.seed, largest);
+    assert!(MaxFlowConfig::from_json(r#"{"racke":{"seed":9007199254740993}}"#).is_err());
+}
+
+#[test]
+fn hierarchy_round_trips_through_value() {
+    let hierarchy = HierarchyConfig::default()
+        .with_beta(12.5)
+        .with_chains(3)
+        .with_direct_threshold(64);
+    let config = sample_config().with_hierarchy(Some(hierarchy.clone()));
+    let value = config.to_value().unwrap();
+    let restored = MaxFlowConfig::from_value(&value).unwrap();
+    assert_eq!(restored.hierarchy, Some(hierarchy));
+    // The text form is exactly the value's text.
+    assert_eq!(config.to_json().unwrap(), value.to_json().unwrap());
+    assert!(MaxFlowConfig::from_json(r#"{"hierarchy":{"beta":8,"extra":1}}"#).is_err());
+}
+
+#[test]
 fn malformed_documents_are_rejected() {
     for bad in [
         "",
@@ -172,6 +229,11 @@ fn malformed_documents_are_rejected() {
         r#"{"epsilon":0.1 "alpha":null}"#,
         r#"{"warm_start":1}"#,
         r#"{"warm_start":"yes"}"#,
+        // Not JSON numbers, even though `str::parse::<f64>` accepts them.
+        r#"{"racke":{"mwu_step":NaN}}"#,
+        r#"{"racke":{"lowstretch_z":inf}}"#,
+        // A repeated key is ambiguous; neither occurrence silently wins.
+        r#"{"epsilon":0.1,"epsilon":0.2}"#,
     ] {
         assert!(
             MaxFlowConfig::from_json(bad).is_err(),
@@ -225,6 +287,46 @@ fn validate_rejects_every_invalid_config_arm() {
             "racke.target_quality",
             "finite",
         ),
+        (
+            base().with_racke(mwu_step(-5.0)),
+            "racke.mwu_step",
+            "finite",
+        ),
+        (
+            base().with_racke(mwu_step(f64::NAN)),
+            "racke.mwu_step",
+            "finite",
+        ),
+        (
+            base().with_racke(mwu_step(f64::INFINITY)),
+            "racke.mwu_step",
+            "finite",
+        ),
+        (
+            base().with_racke(lowstretch_z(f64::NAN)),
+            "racke.lowstretch_z",
+            "finite",
+        ),
+        (
+            base().with_racke(lowstretch_z(f64::INFINITY)),
+            "racke.lowstretch_z",
+            "finite",
+        ),
+        (
+            base().with_racke(lowstretch_z(0.0)),
+            "racke.lowstretch_z",
+            ">= 2",
+        ),
+        (
+            base().with_racke(lowstretch_z(-3.0)),
+            "racke.lowstretch_z",
+            ">= 2",
+        ),
+        (
+            base().with_racke(lowstretch_z(1.0)),
+            "racke.lowstretch_z",
+            ">= 2",
+        ),
     ];
     for (config, parameter, reason_word) in cases {
         match config.validate() {
@@ -258,6 +360,8 @@ fn validate_rejects_every_invalid_config_arm() {
         base().with_max_iterations_per_phase(1),
         base().with_phases(Some(1)),
         base().with_racke(RackeConfig::default().with_target_quality(1.0)),
+        base().with_racke(mwu_step(0.0)),
+        base().with_racke(lowstretch_z(2.0)),
         base().with_warm_start(false),
     ] {
         ok.validate().unwrap();

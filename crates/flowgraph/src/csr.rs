@@ -42,13 +42,12 @@
 //! ascending edge-id order).
 
 use crate::graph::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Flat compressed-sparse-row incidence index over a node set `0..n`.
 ///
 /// See the [module docs](self) for the memory layout and the per-node
 /// ordering guarantee.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     /// `offsets[v]..offsets[v+1]` is the slot range of node `v`.
     offsets: Vec<u32>,

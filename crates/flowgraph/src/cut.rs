@@ -5,14 +5,12 @@
 //! capacity. [`Cut`] represents one side `S ⊆ V` of a cut and answers
 //! capacity, crossing-edge and demand-congestion queries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::{Demand, FlowVec};
 use crate::graph::{EdgeId, Graph, NodeId};
 
 /// One side of an edge cut: the set `S` of nodes, stored as a membership
 /// bitmap over the graph's node set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cut {
     side: Vec<bool>,
 }

@@ -5,8 +5,6 @@
 //! minimizing `‖C⁻¹ f‖_∞`. [`FlowVec`] is the signed edge vector `f` (signs
 //! follow each edge's fixed orientation), [`Demand`] is `b`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::{GraphError, Result};
 
@@ -17,7 +15,7 @@ pub const FLOW_EPS: f64 = 1e-9;
 ///
 /// Positive values flow in the direction of the edge's fixed orientation
 /// (`tail -> head`), negative values in the opposite direction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowVec {
     values: Vec<f64>,
 }
@@ -193,7 +191,7 @@ impl FlowVec {
 ///
 /// Positive entries are sources of demand, negative entries are sinks; the
 /// congestion-minimization problem asks for a flow whose excess equals `b`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Demand {
     values: Vec<f64>,
 }

@@ -26,13 +26,11 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::{Csr, IncidentSlots};
 use crate::{GraphError, Result};
 
 /// Identifier of a node, an index into `0..graph.num_nodes()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -56,7 +54,7 @@ impl From<usize> for NodeId {
 }
 
 /// Identifier of an (oriented) edge, an index into `0..graph.num_edges()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -85,7 +83,7 @@ impl From<usize> for EdgeId {
 ///
 /// This is a by-value *view* assembled on demand from the graph's
 /// struct-of-arrays storage — cheap to copy, never stored per edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Tail of the fixed orientation.
     pub tail: NodeId,
@@ -168,7 +166,7 @@ impl GraphMemory {
 /// the empty graph are allowed, self-loops are not. Incidence queries are
 /// answered from a flat CSR index ([`Graph::csr`]) that lists every node's
 /// incident `(edge, neighbor)` slots contiguously and in insertion order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     /// Tail endpoint of each edge (fixed orientation).
     tails: Vec<u32>,
@@ -177,9 +175,8 @@ pub struct Graph {
     /// Capacity of each edge, parallel to `tails`.
     capacities: Vec<f64>,
     num_nodes: usize,
-    /// Lazily built CSR incidence index; cleared on topology mutation.
-    /// Derived state — excluded from serialization (rebuilt on demand).
-    #[serde(skip)]
+    /// Lazily built CSR incidence index; cleared on topology mutation and
+    /// rebuilt on demand.
     csr: OnceLock<Csr>,
 }
 

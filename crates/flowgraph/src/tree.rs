@@ -7,8 +7,6 @@
 //! aggregation, least common ancestors, tree-induced cuts and the trivial
 //! routing of a demand vector over a tree.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cut::Cut;
 use crate::flow::{Demand, FlowVec};
 use crate::graph::{EdgeId, Graph, NodeId};
@@ -19,7 +17,7 @@ use crate::{GraphError, Result};
 /// The tree may be a spanning subtree of a [`Graph`] (then every non-root node
 /// records the graph edge to its parent) or a purely *virtual* tree whose
 /// edges carry their own capacities (the j-trees of §8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RootedTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,

@@ -77,8 +77,9 @@ impl Client {
 
     /// Loads a graph; on success the reply's `"graph"` field is the session
     /// fingerprint to pass to [`Self::max_flow`] / [`Self::route`] /
-    /// [`Self::update`]. `config` is an optional solver-config object in
-    /// `config_io` field names (e.g. `{"epsilon": 0.5}`).
+    /// [`Self::update`]. `config` is an optional solver-config object in the
+    /// field names of [`maxflow::MaxFlowConfig::to_value`] (e.g.
+    /// `{"epsilon": 0.5}`); absent fields take their defaults.
     pub fn load_graph(
         &mut self,
         nodes: u64,

@@ -10,7 +10,8 @@
 //! The wire format is deliberately boring: each frame is a 4-byte
 //! big-endian length prefix followed by one UTF-8 JSON document (see
 //! [`wire`] and [`protocol`]). No external dependencies, no registry —
-//! a client fits in a page of any language.
+//! a client fits in a page of any language. The JSON codec is [`json`], a
+//! re-export of `maxflow::json`, which solver config files use too.
 //!
 //! Concurrent queries against the same graph are **coalesced**: each cached
 //! graph has one worker thread, and whatever queued up while the previous
@@ -57,10 +58,10 @@
 
 pub mod cache;
 pub mod client;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError};
+pub use maxflow::json;
 pub use server::{start, ServerHandle, ServerOptions};

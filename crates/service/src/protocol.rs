@@ -1,5 +1,5 @@
 //! Typed requests and responses of the `flowd` wire protocol, and their
-//! mapping to and from [`json::Value`] documents.
+//! mapping to and from [`json::Value`](crate::json::Value) documents.
 //!
 //! Every frame is one JSON object. Requests carry an `"op"` discriminator;
 //! responses carry `"ok": true` plus op-specific fields, or `"ok": false`
@@ -23,10 +23,10 @@ pub enum Request {
         nodes: u64,
         /// Undirected capacitated edges `(u, v, capacity)`.
         edges: Vec<(u32, u32, f64)>,
-        /// Optional solver config as a `config_io`-shaped JSON document
-        /// (re-serialized from the request's `"config"` object); `None`
-        /// means the server default.
-        config: Option<String>,
+        /// Optional solver config: the request's `"config"` object, read
+        /// with [`maxflow::MaxFlowConfig::from_value`]; `None` means the
+        /// server default.
+        config: Option<Value>,
     },
     /// `(1+ε)` max-flow between two terminals of a loaded graph.
     MaxFlow {
@@ -114,9 +114,9 @@ pub fn is_ok(response: &Value) -> bool {
     response.get("ok").and_then(Value::as_bool) == Some(true)
 }
 
-/// Parses one request frame. Error strings name the offending field, in the
-/// `config_io` tradition: an operator should be able to fix the frame from
-/// the message alone.
+/// Parses one request frame. Error strings name the offending field, as the
+/// solver's config errors do: an operator should be able to fix the frame
+/// from the message alone.
 pub fn parse_request(doc: &Value) -> Result<Request, String> {
     let op = doc
         .get("op")
@@ -157,10 +157,7 @@ pub fn parse_request(doc: &Value) -> Result<Request, String> {
             }
             let config = match doc.get("config") {
                 None | Some(Value::Null) => None,
-                Some(obj @ Value::Obj(_)) => Some(
-                    obj.to_json()
-                        .map_err(|e| format!("load_graph: \"config\" is unserializable: {e}"))?,
-                ),
+                Some(obj @ Value::Obj(_)) => Some(obj.clone()),
                 Some(_) => return Err("load_graph: \"config\" must be an object".into()),
             };
             Ok(Request::LoadGraph {
@@ -316,7 +313,7 @@ mod tests {
                 Request::LoadGraph {
                     nodes: 3,
                     edges: vec![(0, 1, 1.0), (1, 2, 2.0)],
-                    config: Some(r#"{"epsilon":0.5}"#.to_string()),
+                    config: Some(Value::obj(vec![("epsilon", Value::Num(0.5))])),
                 },
             ),
         ];

@@ -283,7 +283,7 @@ fn handle_frame(shared: &Arc<Shared>, payload: &str) -> (Value, bool) {
             nodes,
             edges,
             config,
-        } => (load_graph(shared, nodes, &edges, config.as_deref()), false),
+        } => (load_graph(shared, nodes, &edges, config.as_ref()), false),
         Request::MaxFlow {
             graph,
             s,
@@ -376,12 +376,12 @@ fn load_graph(
     shared: &Arc<Shared>,
     nodes: u64,
     edges: &[(u32, u32, f64)],
-    config_json: Option<&str>,
+    config: Option<&Value>,
 ) -> Value {
     shared.loads.fetch_add(1, Ordering::Relaxed);
-    let config = match config_json {
+    let config = match config {
         None => shared.options.default_config.clone(),
-        Some(j) => match MaxFlowConfig::from_json(j) {
+        Some(doc) => match MaxFlowConfig::from_value(doc) {
             Ok(c) => c,
             Err(e) => return error_response(ErrorCode::InvalidRequest, &format!("config: {e}")),
         },

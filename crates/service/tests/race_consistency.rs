@@ -21,7 +21,7 @@ use maxflow::{MaxFlowConfig, PreparedMaxFlow, PreparedParts};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use service::client::Client;
-use service::json::{parse, Value};
+use service::json::Value;
 use service::protocol::collapse_changes;
 use service::server::{start, ServerOptions};
 
@@ -121,7 +121,7 @@ proptest! {
         let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
         let addr = server.local_addr();
         let mut client = Client::connect(addr).unwrap();
-        let config_value = parse(&config.to_json().unwrap()).unwrap();
+        let config_value = config.to_value().unwrap();
         let edges: Vec<(u32, u32, f64)> = graph
             .edge_ids()
             .map(|e| {

@@ -21,7 +21,7 @@ fn fast_config() -> (Value, MaxFlowConfig) {
         phases: Some(2),
         ..Default::default()
     };
-    let value = parse(&config.to_json().unwrap()).unwrap();
+    let value = config.to_value().unwrap();
     (value, config)
 }
 
@@ -223,6 +223,26 @@ fn unbalanced_route_demands_get_a_graph_error() {
         Some(true),
         "{reply:?}"
     );
+    server.shutdown();
+}
+
+#[test]
+fn config_seeds_past_exact_integers_are_invalid_requests() {
+    // The document integer 2^53 + 1 parses to the f64 2^53. A server that
+    // read it as 2^53 would prepare with a seed the client never sent and
+    // report success; it must refuse the config instead.
+    let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
+    {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let frame = r#"{"op":"load_graph","nodes":2,"edges":[[0,1,1.0]],
+            "config":{"epsilon":0.5,"racke":{"seed":9007199254740993}}}"#;
+        service::wire::write_frame(&mut raw, frame).unwrap();
+        let reply = service::wire::read_frame(&mut raw).unwrap().unwrap();
+        let reply = parse(&reply).unwrap();
+        assert!(is_error(&reply, ErrorCode::InvalidRequest), "{reply:?}");
+        let message = reply.get("error").and_then(Value::as_str).unwrap();
+        assert!(message.contains("racke.seed"), "{message}");
+    }
     server.shutdown();
 }
 

@@ -24,7 +24,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use service::client::Client;
-use service::json::{parse, Value};
+use service::json::Value;
 use service::server::{start, ServerOptions};
 
 const NODES: u32 = 12;
@@ -62,7 +62,7 @@ fn fast_config_value() -> Value {
         phases: Some(2),
         ..Default::default()
     };
-    parse(&config.to_json().expect("default-ish config serializes")).expect("canonical json")
+    config.to_value().expect("default-ish config serializes")
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -154,18 +154,26 @@ fn summarize(latencies: &mut [u64]) -> Option<Summary> {
     })
 }
 
-fn record(group: &str, id: &str, s: &Summary, wall_s: f64, threads: usize, cpus: usize) -> String {
+fn record(group: &str, id: &str, s: &Summary, wall_s: f64, threads: usize, cpus: usize) -> Value {
     let eps = if wall_s > 0.0 {
         s.samples as f64 / wall_s
     } else {
         0.0
     };
-    format!(
-        "{{\"group\":\"{group}\",\"id\":\"{id}\",\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{},\
-         \"samples\":{},\"throughput_elements\":{},\"elements_per_sec\":{eps:.3},\
-         \"p50_ns\":{:.3},\"p99_ns\":{:.3},\"threads\":{threads},\"host_cpus\":{cpus}}}",
-        s.min_ns, s.mean_ns, s.max_ns, s.samples, s.samples, s.p50_ns, s.p99_ns
-    )
+    Value::obj(vec![
+        ("group", Value::Str(group.into())),
+        ("id", Value::Str(id.into())),
+        ("min_ns", Value::index(s.min_ns)),
+        ("mean_ns", Value::index(s.mean_ns)),
+        ("max_ns", Value::index(s.max_ns)),
+        ("samples", Value::index(s.samples as u64)),
+        ("throughput_elements", Value::index(s.samples as u64)),
+        ("elements_per_sec", Value::Num(eps)),
+        ("p50_ns", Value::Num(s.p50_ns)),
+        ("p99_ns", Value::Num(s.p99_ns)),
+        ("threads", Value::index(threads as u64)),
+        ("host_cpus", Value::index(cpus as u64)),
+    ])
 }
 
 fn main() {
@@ -287,14 +295,22 @@ fn main() {
             lines.push(record("flowd_serving", id, &s, wall_s, threads, cpus));
         }
     }
-    lines.push(format!(
-        "{{\"group\":\"flowd_serving_counters\",\"id\":\"mixed/path12\",\"min_ns\":0,\
-         \"mean_ns\":0,\"max_ns\":0,\"samples\":1,\"events\":{events},\
-         \"served\":{},\"protocol_errors\":{protocol_errors},\"updates\":{updates},\
-         \"incremental_updates\":{incremental},\"full_rebuilds\":{rebuilds},\
-         \"threads\":{threads},\"host_cpus\":{cpus}}}",
-        all.len()
-    ));
+    lines.push(Value::obj(vec![
+        ("group", Value::Str("flowd_serving_counters".into())),
+        ("id", Value::Str("mixed/path12".into())),
+        ("min_ns", Value::index(0)),
+        ("mean_ns", Value::index(0)),
+        ("max_ns", Value::index(0)),
+        ("samples", Value::index(1)),
+        ("events", Value::index(events as u64)),
+        ("served", Value::index(all.len() as u64)),
+        ("protocol_errors", Value::index(protocol_errors)),
+        ("updates", Value::index(updates)),
+        ("incremental_updates", Value::index(incremental)),
+        ("full_rebuilds", Value::index(rebuilds)),
+        ("threads", Value::index(threads as u64)),
+        ("host_cpus", Value::index(cpus as u64)),
+    ]));
 
     if local.is_some() {
         let _ = setup.shutdown();
@@ -303,7 +319,10 @@ fn main() {
         server.shutdown();
     }
 
-    let body = lines.join("\n") + "\n";
+    let body: String = lines
+        .iter()
+        .map(|line| line.to_json().expect("every number is finite") + "\n")
+        .collect();
     match &bench_json {
         Some(path) => {
             let mut f = std::fs::File::create(path).expect("create bench json");
