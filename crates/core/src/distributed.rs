@@ -132,7 +132,7 @@ impl SessionBill {
     }
 
     /// Total bill of preparing once and answering one query per entry of
-    /// `iterations_per_query` — the number the `query_throughput` benchmark
+    /// `iterations_per_query` — the number `examples/congest_round_audit.rs`
     /// compares against `queries × standalone_total`.
     pub fn amortized_total(&self, iterations_per_query: &[usize]) -> RoundCost {
         iterations_per_query

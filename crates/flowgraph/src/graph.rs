@@ -149,8 +149,9 @@ impl GraphMemory {
         self.edge_list_bytes + self.csr_bytes
     }
 
-    /// Total bytes divided by the edge count (the gated bytes/edge budget);
-    /// `0.0` for an edgeless graph.
+    /// Total bytes divided by the edge count; `0.0` for an edgeless graph.
+    /// The 48 bytes/edge budget of the SoA core is asserted at a million
+    /// nodes by `testkit`'s `streaming_*_builds_a_million_nodes` tests.
     pub fn bytes_per_edge(&self, num_edges: usize) -> f64 {
         if num_edges == 0 {
             0.0
@@ -542,8 +543,7 @@ impl Graph {
     }
 
     /// Heap-memory breakdown of the graph storage (edge arrays plus the CSR
-    /// index if built). This is the measured bytes/edge budget recorded in
-    /// BENCH_JSON by the `hierarchy_scale` bench.
+    /// index if built). The `hierarchy_scale` bench prints it per instance.
     pub fn memory_bytes(&self) -> GraphMemory {
         let edge_list_bytes = std::mem::size_of::<u32>()
             * (self.tails.capacity() + self.heads.capacity())

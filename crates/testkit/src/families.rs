@@ -267,11 +267,23 @@ mod tests {
         );
     }
 
+    /// The compact-ID SoA core's footprint budget: at most 48 bytes per
+    /// edge, CSR incidence index included.
+    fn assert_within_soa_budget(g: &Graph) {
+        g.csr();
+        let bytes_per_edge = g.memory_bytes().bytes_per_edge(g.num_edges());
+        assert!(
+            bytes_per_edge <= 48.0,
+            "{bytes_per_edge} bytes/edge exceeds the 48 bytes/edge SoA budget"
+        );
+    }
+
     #[test]
     fn streaming_fat_tree_builds_a_million_nodes() {
         let g = streaming::fat_tree(1000, 8, 1000, 10.0, 40.0).unwrap();
         assert_eq!(g.num_nodes(), 1_001_008);
         assert_eq!(g.num_edges(), 1_008_000);
+        assert_within_soa_budget(&g);
     }
 
     #[test]
@@ -279,6 +291,7 @@ mod tests {
         let g = streaming::grid(1000, 1000, 1.0).unwrap();
         assert_eq!(g.num_nodes(), 1_000_000);
         assert_eq!(g.num_edges(), 2 * 1000 * 999);
+        assert_within_soa_budget(&g);
     }
 
     #[test]
