@@ -260,9 +260,15 @@ pub struct AlmostRouteResult {
 /// Standard Cody–Waite argument reduction `x = n·ln2 + r` with `|r| ≤ ln2/2`,
 /// a degree-13 Taylor polynomial for `e^r` (truncation error < 5e-18 on that
 /// interval), and a branch-free reconstruction of `2^n` as the product of two
-/// half-exponent powers so that results in the subnormal range (down to
-/// `x ≈ -745`) underflow gradually instead of needing a slow path. Inputs
-/// below the underflow threshold round to `±0` through the same product.
+/// half-exponent powers, so that results in the subnormal range (arguments in
+/// `(-746, -708.4)`) come out of one correctly rounded product.
+///
+/// Arguments at or below `-746` (and NaN) return exactly `+0.0` by mask:
+/// the polynomial runs on `0.0` for those lanes and the result is selected
+/// away. The product would round them to `+0.0` as well, but a multiply that
+/// underflows takes the processor's slow microcode path, and at the default
+/// ε most soft-max arguments lie that far below the row peak. The mask
+/// changes the time, not a single result bit.
 #[inline(always)]
 fn exp_nonpos(x: f64) -> f64 {
     const LOG2_E: f64 = std::f64::consts::LOG2_E;
@@ -277,10 +283,11 @@ fn exp_nonpos(x: f64) -> f64 {
     // in the low mantissa bits (round-to-nearest-even, same as `round_ties_even`),
     // without the data-dependent branch sequence `f64::round` lowers to.
     const SHIFT: f64 = 6_755_399_441_055_744.0;
-    // Everything at or below -746 underflows to zero anyway; clamping keeps
-    // the shifted exponent in range branchlessly. (NaN also maps to the
-    // threshold — the potential is only evaluated on finite congestion.)
-    let x = x.max(-746.0);
+    // All-ones for a live lane, all-zeros at or below -746 and for NaN. A dead
+    // lane evaluates e^0 (no underflowing multiply, shifted exponent in range)
+    // and its result is masked to +0.0 below.
+    let live = u64::from(x > -746.0).wrapping_neg();
+    let x = f64::from_bits(x.to_bits() & live);
     let t = x * LOG2_E + SHIFT;
     let n = t - SHIFT;
     let r = (x - n * LN2_HI) - n * LN2_LO;
@@ -303,10 +310,10 @@ fn exp_nonpos(x: f64) -> f64 {
     // extract n without a float→int conversion instruction.
     let n = (t.to_bits() & 0x000F_FFFF_FFFF_FFFF) as i64 - (1i64 << 51);
     // 2^n = 2^(n/2) · 2^(n - n/2): each half exponent is ≥ -1022, so both
-    // factors are normal and the product underflows gradually.
+    // factors are normal and a subnormal result is rounded once.
     let half = n >> 1;
     let pow2 = |e: i64| f64::from_bits(((e + 1023) as u64) << 52);
-    p * pow2(half) * pow2(n - half)
+    f64::from_bits((p * pow2(half) * pow2(n - half)).to_bits() & live)
 }
 
 /// Fused soft-max + gradient weights: computes
@@ -1102,6 +1109,95 @@ mod tests {
         let sum: f64 = y.iter().map(|&v: &f64| v.exp() + (-v).exp()).sum();
         for (&wi, &v) in w.iter().zip(&y) {
             assert!((wi - (v.exp() - (-v).exp()) / sum).abs() < 1e-12);
+        }
+        // A start-of-descent vector at the default ε: the peak sits near
+        // 16·ln n/ε ≈ 1,100 and nine entries in ten are exactly 0, so most
+        // arguments are at or below -746.
+        let mut y = vec![0.0; 1000];
+        for (i, v) in y.iter_mut().enumerate().step_by(10) {
+            *v = 1100.0 * (2.0 * (i as f64 * 0.618_034).fract() - 1.0);
+        }
+        y[0] = 1100.0;
+        // Two arguments with subnormal exponentials: -720 and -744.
+        y[10] = 380.0;
+        y[20] = -356.0;
+        let m = 1100.0;
+        let sum: f64 = y.iter().map(|&v| (v - m).exp() + (-v - m).exp()).sum();
+        let mut w = vec![0.0; y.len()];
+        let phi = smax_and_weights_into(&y, &mut w);
+        assert!((phi - (m + sum.ln())).abs() < 1e-12 * m, "{phi}");
+        for (&wi, &v) in w.iter().zip(&y) {
+            let direct = ((v - m).exp() - (-v - m).exp()) / sum;
+            assert!((wi - direct).abs() < 1e-12, "y = {v}: {wi} vs {direct}");
+        }
+    }
+
+    /// The kernel before arguments at or below -746 were masked: clamp to
+    /// the threshold, then let the product round to zero.
+    fn exp_nonpos_clamped(x: f64) -> f64 {
+        const SHIFT: f64 = 6_755_399_441_055_744.0;
+        #[allow(clippy::excessive_precision)]
+        const LN2_HI: f64 = 6.931_471_803_691_238_16e-1;
+        #[allow(clippy::excessive_precision)]
+        const LN2_LO: f64 = 1.908_214_929_270_587_70e-10;
+        let x = x.max(-746.0);
+        let t = x * std::f64::consts::LOG2_E + SHIFT;
+        let n = t - SHIFT;
+        let r = (x - n * LN2_HI) - n * LN2_LO;
+        let factorials = [
+            6_227_020_800.0,
+            479_001_600.0,
+            39_916_800.0,
+            3_628_800.0,
+            362_880.0,
+            40_320.0,
+            5_040.0,
+            720.0,
+            120.0,
+            24.0,
+            6.0,
+            2.0,
+            1.0,
+        ];
+        let mut p = 1.0 / factorials[0];
+        for f in &factorials[1..] {
+            p = p * r + 1.0 / f;
+        }
+        p = p * r + 1.0;
+        let n = (t.to_bits() & 0x000F_FFFF_FFFF_FFFF) as i64 - (1i64 << 51);
+        let half = n >> 1;
+        let pow2 = |e: i64| f64::from_bits(((e + 1023) as u64) << 52);
+        p * pow2(half) * pow2(n - half)
+    }
+
+    #[test]
+    fn exp_nonpos_masks_at_the_underflow_threshold() {
+        let zero = 0.0f64.to_bits();
+        let threshold = -746.0f64;
+        // Exactly +0.0 at and below -746, at -∞ and for NaN of either sign.
+        let below = (0..100_000u64).map(|u| f64::from_bits(threshold.to_bits() + u));
+        let far = [-746.5, -1000.0, -1e300, f64::MIN, f64::NEG_INFINITY];
+        for x in below.chain(far).chain([f64::NAN, -f64::NAN]) {
+            assert_eq!(exp_nonpos(x).to_bits(), zero, "x = {x:e}");
+        }
+        // Bit-identical to the clamp-and-multiply formula on every f64
+        // within 10⁵ ulps of -746 (the subnormal tail ends just above it)
+        // and on a grid over [-2000, 0].
+        let near =
+            (threshold.to_bits() - 100_000..=threshold.to_bits() + 100_000).map(f64::from_bits);
+        let grid = (0..=2_000_000u32).map(|i| -2000.0 * f64::from(i) / 2e6);
+        for x in near.chain(grid) {
+            assert_eq!(
+                exp_nonpos(x).to_bits(),
+                exp_nonpos_clamped(x).to_bits(),
+                "x = {x:e}"
+            );
+        }
+        // Within two ulps of libm's e^x over the normal range.
+        for i in 0..=1_000_000u32 {
+            let x = -708.0 * f64::from(i) / 1e6;
+            let ulps = exp_nonpos(x).to_bits().abs_diff(x.exp().to_bits());
+            assert!(ulps <= 2, "x = {x}: {ulps} ulps from f64::exp");
         }
     }
 

@@ -2,9 +2,11 @@
 //!
 //! A frame is a 4-byte big-endian payload length followed by that many bytes
 //! of UTF-8 JSON. The prefix makes message boundaries explicit (TCP is a byte
-//! stream), lets the reader pre-size its buffer, and gives a cheap place to
-//! bound hostile inputs: frames above [`MAX_FRAME_BYTES`] are rejected before
-//! any allocation.
+//! stream) and gives a cheap place to bound hostile inputs: frames above
+//! [`MAX_FRAME_BYTES`] are rejected before any allocation, and the payload
+//! buffer grows only as bytes arrive, so a peer that announces a large frame
+//! and then stalls or hangs up costs memory in proportion to what it sent,
+//! not to what it announced.
 
 use std::io::{self, Read, Write};
 
@@ -13,6 +15,10 @@ use std::io::{self, Read, Write};
 /// hostile length prefix cannot drive an allocation into the tens of
 /// gigabytes.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
+
+/// Largest payload buffer [`read_frame`] reserves before any payload byte has
+/// arrived. Longer frames grow the buffer as their bytes are read.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// A framing-layer error.
 #[derive(Debug)]
@@ -98,17 +104,20 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<String>, WireError> {
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Oversized { announced: len });
     }
-    let mut payload = vec![0u8; len as usize];
-    let mut filled = 0usize;
-    while filled < payload.len() {
-        match stream.read(&mut payload[filled..]) {
-            Ok(0) => {
+    let len = len as usize;
+    // The announced length is a claim, not bytes: reserve one chunk and let
+    // `read_to_end` grow the buffer (fallibly) as the payload arrives.
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    while payload.len() < len {
+        let rest = (len - payload.len()) as u64;
+        match stream.by_ref().take(rest).read_to_end(&mut payload) {
+            Ok(_) if payload.len() < len => {
                 return Err(WireError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "eof inside frame payload",
                 )))
             }
-            Ok(n) => filled += n,
+            Ok(_) => {}
             Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(WireError::Io(e)),
         }
@@ -174,6 +183,51 @@ mod tests {
             read_frame(&mut Cursor::new(buf)),
             Err(WireError::Io(_))
         ));
+    }
+
+    /// Hands out at most three bytes per read and reports a read timeout
+    /// before every chunk, like a socket with a short read timeout fed by a
+    /// slow writer.
+    struct Trickle {
+        bytes: Cursor<Vec<u8>>,
+        stall: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.stall = !self.stall;
+            if self.stall {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(3);
+            self.bytes.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn payload_reads_retry_through_timeouts() {
+        let payload = "x".repeat(100_000);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        write_frame(&mut buf, "next").unwrap();
+        let mut r = Trickle {
+            bytes: Cursor::new(buf),
+            stall: false,
+        };
+        // Before the first byte of a frame a timeout means "no frame yet",
+        // and a polling caller tries again. Inside a frame the read retries
+        // by itself: surfacing a timeout there would restart on payload
+        // bytes and desynchronize the stream.
+        assert!(matches!(read_frame(&mut r), Err(WireError::Io(e)) if is_timeout(&e)));
+        let mut poll = || loop {
+            match read_frame(&mut r) {
+                Err(WireError::Io(e)) if is_timeout(&e) => {}
+                other => break other.unwrap(),
+            }
+        };
+        assert_eq!(poll().as_deref(), Some(&*payload));
+        assert_eq!(poll().as_deref(), Some("next"));
+        assert_eq!(poll(), None, "clean eof");
     }
 
     #[test]
