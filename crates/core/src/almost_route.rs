@@ -253,6 +253,10 @@ pub struct AlmostRouteResult {
     pub hit_iteration_cap: bool,
 }
 
+/// [`exp_nonpos`] returns exactly `+0.0` for arguments at or below this
+/// (and for NaN).
+const EXP_DEAD_AT: f64 = -746.0;
+
 /// Branch-free `e^x` for `x ≤ 0`, accurate to ~1 ulp, written so the
 /// autovectorizer can chew on whole slices of arguments (no libm call, no
 /// data-dependent branches).
@@ -286,7 +290,7 @@ fn exp_nonpos(x: f64) -> f64 {
     // All-ones for a live lane, all-zeros at or below -746 and for NaN. A dead
     // lane evaluates e^0 (no underflowing multiply, shifted exponent in range)
     // and its result is masked to +0.0 below.
-    let live = u64::from(x > -746.0).wrapping_neg();
+    let live = u64::from(x > EXP_DEAD_AT).wrapping_neg();
     let x = f64::from_bits(x.to_bits() & live);
     let t = x * LOG2_E + SHIFT;
     let n = t - SHIFT;
@@ -438,6 +442,17 @@ fn smax_and_weights_block_into(
 /// lane count at compile time so the lane-inner loops vectorize; `K = 0`
 /// reads the runtime `k_dyn`. Identical operations in identical order for
 /// either path.
+///
+/// Dead groups: when some lane peaks at `m ≥ 746`, each flat group of `4k`
+/// values is first tested with the comparisons [`exp_nonpos`]'s mask makes,
+/// `y − m > −746` and `−y − m > −746` for `y = in_scale·x`. A group where
+/// none holds writes `+0.0` weights and leaves its accumulators alone, and
+/// only groups with a live argument evaluate the exponentials. Both
+/// exponentials of a dead value are masked to `+0.0`, so its weight is
+/// `+0.0 − +0.0 = +0.0`, and the accumulators, sums of non-negative terms
+/// that start at `+0.0`, satisfy `s + (+0.0 + +0.0) = s`: skipping changes no
+/// bit of any weight or soft-max. Below a peak of 746 no value is dead
+/// (`|y| − m ≥ −m > −746`), so those blocks run the loop without the test.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn smax_and_weights_block_impl<const K: usize>(
@@ -475,6 +490,7 @@ fn smax_and_weights_block_impl<const K: usize>(
     for (j, m) in group_max.iter_mut().enumerate() {
         *m = maxes[j % k];
     }
+    let saturated = maxes.iter().any(|&m| m >= -EXP_DEAD_AT);
     let main = (len / 4) * 4 * k;
     let (body, tail) = values.split_at(main);
     let (out_body, out_tail) = out.split_at_mut(main);
@@ -482,6 +498,10 @@ fn smax_and_weights_block_impl<const K: usize>(
         .chunks_exact(4 * k)
         .zip(out_body.chunks_exact_mut(4 * k))
     {
+        if saturated && !group_has_live_argument(src, group_max, in_scale) {
+            dst.fill(0.0);
+            continue;
+        }
         for (((&x, w), s), &m) in src.iter().zip(dst).zip(sums.iter_mut()).zip(&*group_max) {
             let y = in_scale * x;
             let e1 = exp_nonpos(y - m);
@@ -511,6 +531,17 @@ fn smax_and_weights_block_impl<const K: usize>(
             *w = *w / s * out_scale;
         }
     }
+}
+
+/// Whether any value of a flat group has an argument `±in_scale·x − m` that
+/// [`exp_nonpos`] keeps: the same expressions and comparisons as its mask,
+/// folded without branches so the test vectorizes.
+#[inline(always)]
+fn group_has_live_argument(src: &[f64], group_max: &[f64], in_scale: f64) -> bool {
+    src.iter().zip(group_max).fold(false, |live, (&x, &m)| {
+        let y = in_scale * x;
+        live | (y - m > EXP_DEAD_AT) | (-y - m > EXP_DEAD_AT)
+    })
 }
 
 /// Per-lane control state of the blocked driver: everything Algorithm 2
@@ -1198,6 +1229,168 @@ mod tests {
             let x = -708.0 * f64::from(i) / 1e6;
             let ulps = exp_nonpos(x).to_bits().abs_diff(x.exp().to_bits());
             assert!(ulps <= 2, "x = {x}: {ulps} ulps from f64::exp");
+        }
+    }
+
+    /// The soft-max kernel before dead groups were skipped, one lane at a
+    /// time: the same max fold, accumulator slot `i % 4` (slot 0 for the
+    /// `len % 4` tail), reduction `(a0 + a1) + (a2 + a3)` and divide pass.
+    /// Returns the weights and the per-lane soft-max.
+    fn smax_and_weights_unskipped(
+        values: &[f64],
+        k: usize,
+        in_scale: f64,
+        out_scale: f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let len = values.len() / k;
+        let (mut out, mut phis) = (vec![0.0; values.len()], vec![0.0; k]);
+        if len == 0 {
+            return (out, phis);
+        }
+        for (l, phi) in phis.iter_mut().enumerate() {
+            let lane = |i: usize| in_scale * values[i * k + l];
+            let m = (0..len).fold(0.0f64, |m, i| m.max(lane(i).abs()));
+            let mut sums = [0.0; 4];
+            for i in 0..len {
+                let (e1, e2) = (exp_nonpos(lane(i) - m), exp_nonpos(-lane(i) - m));
+                let slot = if i < len / 4 * 4 { i % 4 } else { 0 };
+                sums[slot] += e1 + e2;
+                out[i * k + l] = e1 - e2;
+            }
+            let sum = (sums[0] + sums[1]) + (sums[2] + sums[3]);
+            *phi = m + sum.ln();
+            for i in 0..len {
+                out[i * k + l] = out[i * k + l] / sum * out_scale;
+            }
+        }
+        (out, phis)
+    }
+
+    /// Runs the kernel on `lanes` (one element vector per lane, interleaved
+    /// lane-major) and asserts every weight and soft-max bit equals
+    /// [`smax_and_weights_unskipped`]'s.
+    fn assert_skip_is_invisible(lanes: &[Vec<f64>], in_scale: f64, case: &str) {
+        let k = lanes.len();
+        let len = lanes[0].len();
+        let values: Vec<f64> = (0..len * k).map(|j| lanes[j % k][j / k]).collect();
+        let (want_w, want_phi) = smax_and_weights_unskipped(&values, k, in_scale, in_scale);
+        // Stale weights: a skipped group must overwrite them with +0.0.
+        let mut out = vec![f64::NAN; values.len()];
+        let (mut maxes, mut acc, mut phis) = (vec![0.0; k], vec![0.0; 8 * k], vec![0.0; k]);
+        smax_and_weights_block_into(
+            &values, k, in_scale, in_scale, &mut out, &mut maxes, &mut acc, &mut phis,
+        );
+        for (j, (w, want)) in out.iter().zip(&want_w).enumerate() {
+            assert_eq!(
+                w.to_bits(),
+                want.to_bits(),
+                "{case}, k = {k}: weight of element {} in lane {}: {w:e} vs {want:e}",
+                j / k,
+                j % k
+            );
+        }
+        for (l, (phi, want)) in phis.iter().zip(&want_phi).enumerate() {
+            assert_eq!(
+                phi.to_bits(),
+                want.to_bits(),
+                "{case}, k = {k}: soft-max of lane {l}: {phi:e} vs {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn skipping_dead_groups_matches_the_unskipped_loop_bit_for_bit() {
+        let below_746 = 746.0f64.next_down();
+        // One live value, of either sign, at each position of a flat group
+        // (group 1) whose other values are dead; groups 2.. are entirely
+        // dead. Lanes peak at element 0, in group 0. At a peak below 746 no
+        // value is dead and the unskipped loop runs.
+        for k in 1..=9 {
+            for peak in [746.0, below_746, 1100.0] {
+                for pos in 0..4 * k {
+                    for live in [peak - 100.0, 100.0 - peak] {
+                        let mut lanes = vec![vec![0.0; 24]; k];
+                        for lane in &mut lanes {
+                            lane[0] = peak;
+                        }
+                        lanes[pos % k][4 + pos / k] = live;
+                        assert_skip_is_invisible(
+                            &lanes,
+                            1.0,
+                            &format!("peak {peak}, live {live} at {pos}"),
+                        );
+                    }
+                }
+            }
+        }
+        // Live values only in the `len % 4` tail: every main group is dead.
+        for k in 1..=9 {
+            for tail in 1..4 {
+                let mut lanes = vec![vec![0.0; 20 + tail]; k];
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    lane[19 + tail] = -1100.0;
+                    lane[20] = 900.0 - 50.0 * l as f64;
+                }
+                assert_skip_is_invisible(&lanes, 1.0, &format!("tail of {tail}"));
+            }
+        }
+        // Blocks that mix saturated and unsaturated lanes, at a non-trivial
+        // input scale (the rows' 2α), over scattered values and zeros.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut uniform = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for k in 2..=9 {
+            for len in [17, 40] {
+                let lanes: Vec<Vec<f64>> = (0..k)
+                    .map(|l| {
+                        let peak = [1100.0, 221.0, 746.0, below_746][l % 4];
+                        let mut lane: Vec<f64> = (0..len)
+                            .map(|_| {
+                                let u = uniform();
+                                if u < 0.7 {
+                                    0.0
+                                } else {
+                                    peak * (2.0 * uniform() - 1.0)
+                                }
+                            })
+                            .collect();
+                        lane[len / 2] = -peak;
+                        lane
+                    })
+                    .collect();
+                assert_skip_is_invisible(&lanes, 1.0, "mixed lanes");
+                let scaled: Vec<Vec<f64>> = lanes
+                    .iter()
+                    .map(|lane| lane.iter().map(|v| v / 3.4).collect())
+                    .collect();
+                assert_skip_is_invisible(&scaled, 3.4, "mixed lanes, in_scale 3.4");
+            }
+        }
+        // ±0.0, ±∞ and NaN entries, in saturated and unsaturated lanes.
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for k in 1..=9 {
+            for (i, &special) in specials.iter().enumerate() {
+                let lanes: Vec<Vec<f64>> = (0..k)
+                    .map(|l| {
+                        let mut lane = vec![special; 12];
+                        lane[(i + l) % 12] = [1100.0, 0.0, 500.0][l % 3];
+                        lane[11 - l % 4] = 0.0;
+                        lane
+                    })
+                    .collect();
+                assert_skip_is_invisible(&lanes, 1.0, &format!("special {special:e}"));
+            }
         }
     }
 

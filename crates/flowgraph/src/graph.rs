@@ -579,9 +579,16 @@ impl Graph {
 
     /// Returns `true` if every node is reachable from node 0 (the empty graph
     /// counts as connected).
+    ///
+    /// Fewer than `n − 1` edges cannot connect `n` nodes, and that case is
+    /// answered before the O(n) search, so a huge node count read from input
+    /// allocates nothing here.
     pub fn is_connected(&self) -> bool {
         if self.num_nodes() == 0 {
             return true;
+        }
+        if self.num_edges() + 1 < self.num_nodes() {
+            return false;
         }
         self.bfs_distances(NodeId(0))
             .iter()
@@ -922,6 +929,18 @@ mod tests {
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[2], comp[3]);
         assert_ne!(comp[0], comp[2]);
+        // n − 1 edges can still leave a node out: the search decides.
+        let g = GraphBuilder::new(4)
+            .unit_edge(0, 1)
+            .unit_edge(1, 2)
+            .unit_edge(2, 0)
+            .build()
+            .unwrap();
+        assert!(!g.is_connected());
+        // Too few edges to span: answered without a per-node allocation.
+        let mut g = Graph::with_nodes(Graph::MAX_NODES);
+        g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        assert!(!g.is_connected());
     }
 
     #[test]

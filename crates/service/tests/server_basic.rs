@@ -247,6 +247,25 @@ fn config_seeds_past_exact_integers_are_invalid_requests() {
 }
 
 #[test]
+fn a_huge_node_count_with_one_edge_is_a_graph_error() {
+    // 4,294,967,295 nodes and one edge: a search over the nodes would ask
+    // for 34 GB before finding the graph disconnected and abort the daemon.
+    let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
+    {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let frame = r#"{"op":"load_graph","nodes":4294967295,"edges":[[0,1,1.0]]}"#;
+        service::wire::write_frame(&mut raw, frame).unwrap();
+        let reply = service::wire::read_frame(&mut raw).unwrap().unwrap();
+        let reply = parse(&reply).unwrap();
+        assert!(is_error(&reply, ErrorCode::GraphError), "{reply:?}");
+    }
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let pong = client.ping().unwrap();
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn bulk_updates_fall_back_to_a_full_rebuild() {
     let (config_value, _) = fast_config();
     let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
