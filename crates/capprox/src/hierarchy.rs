@@ -385,7 +385,9 @@ pub fn build_hierarchical_ensemble(
                     target_quality: None,
                 },
             )?;
-            stats.decomposition_rounds += guide_ensemble.stats.decomposition_rounds;
+            stats.decomposition_rounds = stats
+                .decomposition_rounds
+                .saturating_add(guide_ensemble.stats.decomposition_rounds);
             let guide = &guide_ensemble.trees[0];
             let j = ((num_nodes as f64 / config.beta).ceil() as usize).max(1);
             let jt = build_jtree_top_loaded(&sparse.graph, guide, j);
@@ -455,7 +457,9 @@ pub fn build_hierarchical_ensemble(
                 bottom_racke = bottom_racke.with_num_trees(k);
             }
             let bottom = build_tree_ensemble(&level.graph, &bottom_racke)?;
-            stats.decomposition_rounds += bottom.stats.decomposition_rounds;
+            stats.decomposition_rounds = stats
+                .decomposition_rounds
+                .saturating_add(bottom.stats.decomposition_rounds);
             for t in &bottom.trees {
                 let mut edges = lift_edges.clone();
                 edges.extend(

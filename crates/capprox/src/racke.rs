@@ -344,7 +344,9 @@ pub fn build_tree_ensemble(g: &Graph, config: &RackeConfig) -> Result<TreeEnsemb
             seed: config.seed.wrapping_add(i as u64 * 7919),
         };
         let result = low_stretch_spanning_tree(g, &lengths, &ls_config)?;
-        stats.decomposition_rounds += result.stats.decomposition_rounds;
+        stats.decomposition_rounds = stats
+            .decomposition_rounds
+            .saturating_add(result.stats.decomposition_rounds);
         stats
             .average_stretches
             .push(result.tree.average_stretch(g, |e| lengths[e.index()]));

@@ -141,11 +141,21 @@ pub fn low_stretch_spanning_tree(
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
 
     // Length classes: class(e) = floor(log_z(ℓ(e)/ℓ_min)) + 1, so class 1
-    // holds lengths in [ℓ_min, ℓ_min·z).
+    // holds lengths in [ℓ_min, ℓ_min·z). Lengths spanning more than the
+    // f64 range overflow the ratio to +∞; their logarithms' difference is
+    // finite.
     let min_len = lengths.iter().cloned().fold(f64::INFINITY, f64::min);
     let class_of: Vec<usize> = lengths
         .iter()
-        .map(|&l| ((l / min_len).ln() / z.ln()).floor() as usize + 1)
+        .map(|&l| {
+            let ratio = l / min_len;
+            let log_ratio = if ratio.is_finite() {
+                ratio.ln()
+            } else {
+                l.ln() - min_len.ln()
+            };
+            (log_ratio / z.ln()).floor() as usize + 1
+        })
         .collect();
     let num_classes = class_of.iter().copied().max().unwrap_or(1);
 
@@ -180,7 +190,7 @@ pub fn low_stretch_spanning_tree(
             radius,
             &mut rng,
         );
-        stats.decomposition_rounds += dec.rounds.max(1);
+        stats.decomposition_rounds = stats.decomposition_rounds.saturating_add(dec.rounds.max(1));
         for &e in &dec.tree_edges {
             tree_edges.push(orig_of[e.index()]);
         }
@@ -321,6 +331,23 @@ mod tests {
             "the very long edge must not be chosen"
         );
         assert!(r.stats.num_classes > 1);
+    }
+
+    #[test]
+    fn lengths_spanning_more_than_the_f64_range_get_ordered_classes() {
+        // Capacities 1e-300, 1e300, 1 and 1 around a 4-cycle: the longest
+        // length over the shortest overflows to +∞, yet the longest edge
+        // still gets the highest class and stays out of the tree.
+        let g = gen::cycle(4, 1.0);
+        let lengths = [1.0e300, 1.0e-300, 1.0, 1.0];
+        let r = low_stretch_spanning_tree(&g, &lengths, &LowStretchConfig::default()).unwrap();
+        assert_eq!(r.tree.graph_edges().len(), 3);
+        assert!(
+            !r.tree.graph_edges().contains(&EdgeId(0)),
+            "the 1e300-long edge must not be chosen"
+        );
+        // floor(ln(1e600) / ln 32) + 1.
+        assert_eq!(r.stats.num_classes, 399);
     }
 
     #[test]

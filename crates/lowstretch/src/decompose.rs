@@ -13,6 +13,21 @@
 //! it, breaking ties by the smaller center identifier. In the CONGEST model
 //! the same process runs in `O(ρ)` rounds because only the winning traversal
 //! needs to proceed over any edge (§7).
+//!
+//! [`split_graph`] simulates those synchronous rounds one at a time. Round
+//! `t` holds the reaches pushed in round `t − 1` plus the seeds of the
+//! still-unclaimed nodes whose delay is `t`. It sorts them by
+//! `(center, node, via edge, has via edge)`, lets each reach claim its node
+//! if no earlier one did, and every claim pushes one reach per active edge
+//! to an unclaimed neighbor into round `t + 1`. The first reach of a node in
+//! that order wins, so ties go to the smaller center, then to the smaller
+//! edge id, and the cluster BFS trees list their edges in claim order.
+//!
+//! Nothing is sized by `ρ`: the seeds are ordered by `(delay, node)` with a
+//! counting sort when `ρ ≤ n` and a comparison sort otherwise, rounds with
+//! no reach and no seed are skipped, and the simulation stops once all `n`
+//! nodes are claimed. At most `n + 2m` reaches are ever sorted, so the time
+//! is `O((n + m) log(n + m))` for any `ρ`, up to `usize::MAX`.
 
 use flowgraph::{EdgeId, Graph, NodeId};
 use rand::Rng;
@@ -38,6 +53,20 @@ pub struct Decomposition {
     pub rounds: usize,
 }
 
+/// A ball reaching a node in some round. The derived order is the claim
+/// order within a round: by center, then node, then the edge it came over
+/// (a center's own seed has no edge).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Reach {
+    center: u32,
+    node: u32,
+    via_edge: u32,
+    has_via: bool,
+}
+
+/// Marks a node no ball has claimed yet, and a center with no label yet.
+const NONE: u32 = u32::MAX;
+
 /// Runs the random-delay BFS decomposition on the subgraph formed by the
 /// edges for which `active(e)` is true, with target radius `radius`.
 ///
@@ -56,73 +85,79 @@ pub fn split_graph(
     let n = g.num_nodes();
     // Random start delays in [0, radius).
     let delays: Vec<usize> = (0..n).map(|_| rng.gen_range(0..radius)).collect();
+    let seeds = seeds_by_delay(&delays, radius);
 
-    // Priority queue on (arrival_time, center_id, node): every node is the
-    // potential center of its own ball, started at its delay.
-    // A node is claimed by the first (time, center) pair to reach it.
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
-    struct Item {
-        time: usize,
-        center: u32,
-        node: u32,
-        via_edge: u32,
-        has_via: bool,
-    }
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<Item>> =
-        std::collections::BinaryHeap::new();
-    for (v, &delay) in delays.iter().enumerate().take(n) {
-        heap.push(std::cmp::Reverse(Item {
-            time: delay,
-            center: v as u32,
-            node: v as u32,
-            via_edge: 0,
-            has_via: false,
-        }));
-    }
-
-    let mut owner: Vec<Option<(u32, usize)>> = vec![None; n]; // (center, arrival time)
+    let mut center_of = vec![NONE; n];
     let mut tree_edges = Vec::new();
-    let mut rounds = 0usize;
-    while let Some(std::cmp::Reverse(item)) = heap.pop() {
-        let v = item.node as usize;
-        if owner[v].is_some() {
-            continue;
+    let mut max_radius = 0usize;
+    let mut claimed = 0usize;
+    let mut next_seed = 0usize;
+    let mut round: Vec<Reach> = Vec::new();
+    let mut pushed: Vec<Reach> = Vec::new();
+    let mut t = 0usize;
+    while claimed < n {
+        // An unclaimed node's seed is still ahead, so `next_seed < n`.
+        // Pushes come from a claim in round `t`, and every node is claimed
+        // by its own delay `≤ radius − 1`, so `t + 1` cannot overflow.
+        t = if pushed.is_empty() {
+            delays[seeds[next_seed] as usize]
+        } else {
+            t + 1
+        };
+        std::mem::swap(&mut round, &mut pushed);
+        while let Some(&v) = seeds.get(next_seed) {
+            if delays[v as usize] != t {
+                break;
+            }
+            next_seed += 1;
+            if center_of[v as usize] == NONE {
+                round.push(Reach {
+                    center: v,
+                    node: v,
+                    via_edge: 0,
+                    has_via: false,
+                });
+            }
         }
-        owner[v] = Some((item.center, item.time));
-        rounds = rounds.max(item.time);
-        if item.has_via {
-            tree_edges.push(EdgeId(item.via_edge));
-        }
-        for (eid, w) in g.incident(NodeId(v as u32)) {
-            if !active(eid) || owner[w.index()].is_some() {
+        round.sort_unstable();
+        for reach in round.drain(..) {
+            let v = reach.node as usize;
+            if center_of[v] != NONE {
                 continue;
             }
-            heap.push(std::cmp::Reverse(Item {
-                time: item.time + 1,
-                center: item.center,
-                node: w.0,
-                via_edge: eid.0,
-                has_via: true,
-            }));
+            center_of[v] = reach.center;
+            claimed += 1;
+            max_radius = max_radius.max(t - delays[reach.center as usize]);
+            if reach.has_via {
+                tree_edges.push(EdgeId(reach.via_edge));
+            }
+            for (eid, w) in g.incident(NodeId(reach.node)) {
+                if active(eid) && center_of[w.index()] == NONE {
+                    pushed.push(Reach {
+                        center: reach.center,
+                        node: w.0,
+                        via_edge: eid.0,
+                        has_via: true,
+                    });
+                }
+            }
         }
     }
 
-    // Densify cluster labels and gather statistics.
-    let mut label_of_center = std::collections::HashMap::new();
+    // Densify cluster labels in order of first appearance.
+    let mut label_of_center = vec![NONE; n];
     let mut centers = Vec::new();
-    let mut cluster_of = vec![0usize; n];
-    let mut max_radius = 0usize;
-    for v in 0..n {
-        let (center, time) =
-            owner[v].expect("every node is claimed (it is its own candidate center)");
-        let next = label_of_center.len();
-        let label = *label_of_center.entry(center).or_insert_with(|| {
-            centers.push(NodeId(center));
-            next
-        });
-        cluster_of[v] = label;
-        max_radius = max_radius.max(time.saturating_sub(delays[center as usize]));
-    }
+    let cluster_of: Vec<usize> = center_of
+        .iter()
+        .map(|&center| {
+            let label = &mut label_of_center[center as usize];
+            if *label == NONE {
+                *label = centers.len() as u32;
+                centers.push(NodeId(center));
+            }
+            *label as usize
+        })
+        .collect();
     let num_clusters = centers.len();
     let cut_edges = g
         .edges()
@@ -136,8 +171,34 @@ pub fn split_graph(
         centers,
         max_radius,
         cut_edges,
-        rounds,
+        // The last round processed is the one that claimed the last node.
+        rounds: t,
     }
+}
+
+/// The nodes ordered by `(delay, node)`: a counting sort over the delays when
+/// there are at most `n` of them, a comparison sort otherwise, so the work
+/// never depends on `radius`.
+fn seeds_by_delay(delays: &[usize], radius: usize) -> Vec<u32> {
+    let n = delays.len();
+    if radius > n {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by_key(|&v| (delays[v as usize], v));
+        return order;
+    }
+    let mut start = vec![0usize; radius + 1];
+    for &d in delays {
+        start[d + 1] += 1;
+    }
+    for d in 0..radius {
+        start[d + 1] += start[d];
+    }
+    let mut order = vec![0u32; n];
+    for (v, &d) in delays.iter().enumerate() {
+        order[start[d]] = v as u32;
+        start[d] += 1;
+    }
+    order
 }
 
 #[cfg(test)]
@@ -146,6 +207,124 @@ mod tests {
     use flowgraph::gen;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Reference simulation: every reach goes through one priority queue
+    /// ordered by `(time, center, node, via edge, has via edge)`, so nodes
+    /// are claimed in that global order.
+    fn heap_split_graph(
+        g: &Graph,
+        active: impl Fn(EdgeId) -> bool,
+        radius: usize,
+        rng: &mut impl Rng,
+    ) -> Decomposition {
+        let n = g.num_nodes();
+        let delays: Vec<usize> = (0..n).map(|_| rng.gen_range(0..radius)).collect();
+        #[derive(PartialEq, Eq, PartialOrd, Ord)]
+        struct Item {
+            time: usize,
+            center: u32,
+            node: u32,
+            via_edge: u32,
+            has_via: bool,
+        }
+        let mut heap = std::collections::BinaryHeap::new();
+        for (v, &delay) in delays.iter().enumerate() {
+            heap.push(std::cmp::Reverse(Item {
+                time: delay,
+                center: v as u32,
+                node: v as u32,
+                via_edge: 0,
+                has_via: false,
+            }));
+        }
+        let mut owner: Vec<Option<(u32, usize)>> = vec![None; n];
+        let mut tree_edges = Vec::new();
+        let mut rounds = 0usize;
+        while let Some(std::cmp::Reverse(item)) = heap.pop() {
+            let v = item.node as usize;
+            if owner[v].is_some() {
+                continue;
+            }
+            owner[v] = Some((item.center, item.time));
+            rounds = rounds.max(item.time);
+            if item.has_via {
+                tree_edges.push(EdgeId(item.via_edge));
+            }
+            for (eid, w) in g.incident(NodeId(v as u32)) {
+                if !active(eid) || owner[w.index()].is_some() {
+                    continue;
+                }
+                heap.push(std::cmp::Reverse(Item {
+                    time: item.time + 1,
+                    center: item.center,
+                    node: w.0,
+                    via_edge: eid.0,
+                    has_via: true,
+                }));
+            }
+        }
+        let mut label_of_center = std::collections::HashMap::new();
+        let mut centers = Vec::new();
+        let mut cluster_of = vec![0usize; n];
+        let mut max_radius = 0usize;
+        for v in 0..n {
+            let (center, time) = owner[v].expect("every node is claimed");
+            let next = label_of_center.len();
+            let label = *label_of_center.entry(center).or_insert_with(|| {
+                centers.push(NodeId(center));
+                next
+            });
+            cluster_of[v] = label;
+            max_radius = max_radius.max(time.saturating_sub(delays[center as usize]));
+        }
+        let num_clusters = centers.len();
+        let cut_edges = g
+            .edges()
+            .filter(|(id, e)| {
+                active(*id) && cluster_of[e.tail.index()] != cluster_of[e.head.index()]
+            })
+            .count();
+        Decomposition {
+            cluster_of,
+            num_clusters,
+            tree_edges,
+            centers,
+            max_radius,
+            cut_edges,
+            rounds,
+        }
+    }
+
+    #[test]
+    fn rounds_match_the_heap_simulation_field_for_field() {
+        let masks: [fn(EdgeId) -> bool; 3] =
+            [|_| true, |e| e.index() % 2 == 0, |e| e.index() % 3 != 1];
+        for fam in gen::Family::ALL {
+            for size in [20, 60, 200] {
+                for seed in 0..6 {
+                    let g = fam.generate(size, seed);
+                    let n = g.num_nodes();
+                    let radii = [1, 2, 3, 5, 8, n - 1, n, n + 1, 1_000, 1 << 40, usize::MAX];
+                    for (m, mask) in masks.iter().enumerate() {
+                        for radius in radii {
+                            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                            let got = split_graph(&g, mask, radius, &mut rng);
+                            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                            let want = heap_split_graph(&g, mask, radius, &mut rng);
+                            let case = format!("{fam} n={n} seed={seed} mask={m} radius={radius}");
+                            assert_eq!(got.cluster_of, want.cluster_of, "{case}");
+                            assert_eq!(got.num_clusters, want.num_clusters, "{case}");
+                            assert_eq!(got.tree_edges, want.tree_edges, "{case}");
+                            assert_eq!(got.centers, want.centers, "{case}");
+                            assert_eq!(got.max_radius, want.max_radius, "{case}");
+                            assert_eq!(got.cut_edges, want.cut_edges, "{case}");
+                            assert_eq!(got.rounds, want.rounds, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn decomposition_covers_all_nodes() {

@@ -266,6 +266,47 @@ fn a_huge_node_count_with_one_edge_is_a_graph_error() {
 }
 
 #[test]
+fn extreme_capacities_and_class_growth_load_and_answer() {
+    // Capacities 1e-300 and 1e300 in one graph overflow the ratio of the
+    // longest to the shortest tree length, and `lowstretch_z: 1e300` makes
+    // every decomposition's round count close to 2^64. Each used to end the
+    // connection thread in debug builds and wrap in release builds.
+    let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
+    {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let mut call = |frame: &str| {
+            service::wire::write_frame(&mut raw, frame).unwrap();
+            let reply = service::wire::read_frame(&mut raw).unwrap().unwrap();
+            parse(&reply).unwrap()
+        };
+        for frame in [
+            r#"{"op":"load_graph","nodes":3,"edges":[[0,1,1e-300],[1,2,1e300],[2,0,1.0]]}"#,
+            r#"{"op":"load_graph","nodes":3,"edges":[[0,1,1.0],[1,2,1.0],[2,0,1.0]],
+                "config":{"racke":{"lowstretch_z":1e300}}}"#,
+        ] {
+            let loaded = call(frame);
+            assert_eq!(
+                loaded.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "{loaded:?}"
+            );
+            let graph = loaded.get("graph").and_then(Value::as_str).unwrap();
+            let query = format!(r#"{{"op":"max_flow","graph":"{graph}","s":0,"t":2}}"#);
+            let reply = call(&query);
+            assert!(
+                reply.get("ok").and_then(Value::as_bool) == Some(true)
+                    || is_error(&reply, ErrorCode::GraphError),
+                "{reply:?}"
+            );
+        }
+    }
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let pong = client.ping().unwrap();
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn bulk_updates_fall_back_to_a_full_rebuild() {
     let (config_value, _) = fast_config();
     let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();

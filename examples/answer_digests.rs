@@ -1,6 +1,6 @@
-//! Answer digests: the bits of eight fixed answers, one line each. A change
-//! that promises unchanged answers prints the same eight lines before and
-//! after.
+//! Answer digests: the bits of eight fixed answers and one prepared
+//! session, one line each. A change that promises unchanged answers prints
+//! the same nine lines before and after.
 //!
 //! ```text
 //! cargo run --release -p dmf-bench --example answer_digests
@@ -13,8 +13,14 @@
 //! entry's bits, little-endian, in edge order), the value and upper-bound
 //! bits in hex (`value=ub=` when they are equal), and the gradient
 //! iterations and phases.
+//!
+//! The last line is `prepare_100k`'s session: the 10⁵-node fat-tree
+//! prepared through the j-tree hierarchy. It digests every tree in ensemble
+//! order and, within a tree, every node in index order: the parent edge's
+//! index as a little-endian `u64` (`u64::MAX` at the root), then the bits
+//! of the node's cut capacity. It also gives the number of rows.
 
-use capprox::RackeConfig;
+use capprox::{HierarchyConfig, RackeConfig};
 use flowgraph::NodeId;
 use maxflow::{MaxFlowConfig, MaxFlowResult, PreparedMaxFlow};
 use service::cache::Fnv1a;
@@ -79,4 +85,31 @@ fn main() {
     };
     let mut session = PreparedMaxFlow::prepare(&fat_tree, &flowd).expect("graph is valid");
     print_singles("flowd_config", &mut session, &[(34, 56), (163, 439)]);
+
+    // prepare_100k's graph and config.
+    let big = streaming::fat_tree(316, 8, 316, 10.0, 40.0).expect("100k fat-tree fits u32 ids");
+    let hierarchy = MaxFlowConfig::default()
+        .with_racke(RackeConfig::default().with_seed(1))
+        .with_hierarchy(Some(
+            HierarchyConfig::default()
+                .with_direct_threshold(4_096)
+                .with_chains(2)
+                .with_trees_per_chain(Some(2))
+                .with_seed(1),
+        ));
+    let session = PreparedMaxFlow::prepare(&big, &hierarchy).expect("graph is valid");
+    let approximator = session.approximator();
+    let mut trees = Fnv1a::new();
+    for t in approximator.trees() {
+        for v in big.nodes() {
+            let parent = t.tree.parent_edge(v).map_or(u64::MAX, |e| e.index() as u64);
+            trees.write_u64(parent);
+            trees.write_u64(t.cut_capacity[v.index()].to_bits());
+        }
+    }
+    println!(
+        "prepare_100k trees={:016x} rows={}",
+        trees.finish(),
+        approximator.num_rows()
+    );
 }
