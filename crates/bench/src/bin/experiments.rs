@@ -1,4 +1,5 @@
-//! Experiment runner: regenerates the tables recorded in `EXPERIMENTS.md`.
+//! Experiment runner: prints the E1–E9 tables of `dmf_bench` (see the README
+//! section "Experiments and benches").
 //!
 //! ```text
 //! cargo run --release -p dmf-bench --bin experiments -- all

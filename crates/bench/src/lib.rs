@@ -1,8 +1,8 @@
 //! Experiment harness regenerating the paper's quantitative claims.
 //!
 //! The paper is an extended abstract without measured tables, so each
-//! "table" here regenerates one of its *claims* (see the experiment index in
-//! `DESIGN.md` and the recorded outcomes in `EXPERIMENTS.md`):
+//! "table" here regenerates one of its *claims* (the README section
+//! "Experiments and benches" shows how to run them):
 //!
 //! | id | claim |
 //! |----|-------|

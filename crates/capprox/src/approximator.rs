@@ -700,24 +700,10 @@ impl CongestionApproximator {
     ///
     /// Panics if `b.len()` does not match the approximator's node count.
     pub fn congestion_upper_bound(&self, g: &Graph, b: &Demand) -> f64 {
-        self.congestion_upper_bound_par(g, b, &Parallelism::sequential())
-    }
-
-    /// [`Self::congestion_upper_bound`] with the independent per-tree
-    /// routings mapped across the workers of `par` and reduced by the
-    /// fixed-order minimum — byte-identical to sequential for any thread
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the approximator's node count.
-    pub fn congestion_upper_bound_par(&self, g: &Graph, b: &Demand, par: &Parallelism) -> f64 {
-        par.par_map_reduce(
-            &self.trees,
-            |_, t| t.tree_routing_congestion(g, b),
-            f64::INFINITY,
-            f64::min,
-        )
+        self.trees
+            .iter()
+            .map(|t| t.tree_routing_congestion(g, b))
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Evaluates `Rᵀ·y` for a price vector `y` (one entry per row of `R`,

@@ -37,31 +37,17 @@
 //! allocation-per-round implementation of the same semantics that the test
 //! suites diff the arena engine against.
 //!
-//! # Sharded execution
+//! # One round loop
 //!
-//! [`Simulator::run_sharded`] executes the same round loop across a team of
-//! worker threads. Nodes are partitioned into contiguous ranges (balanced by
-//! incident slot count), and because the arenas are CSR-ordered every node
-//! range owns a contiguous, disjoint range of `send`/`recv` slots — each
-//! worker receives its arena chunks, its state chunk and its dirty lists by
-//! `&mut` for the whole run, so protocol stepping and arena bookkeeping need
-//! no locks at all. Cross-shard traffic flows through a `shards × shards`
-//! matrix of staging buffers: in the first half of a round every worker
-//! drains its own dirty slots into the `(my shard, destination shard)`
-//! cells, and after a barrier every worker empties its column into its own
-//! `recv` chunk and steps its nodes. Round termination is agreed through a
-//! double-buffered consensus cell. All buffers (staging cells, dirty lists,
-//! arenas) are allocated once and reused, preserving the zero-allocation
-//! guarantee in the steady-state round loop; and since per-node stepping is
-//! order-independent and message delivery moves each value to the same slot
-//! regardless of schedule, outputs, [`RoundCost`] and canonical
-//! [`Transcript`]s are **byte-identical** to [`Simulator::run`] for every
-//! thread count.
-
-use std::sync::Mutex;
+//! [`Simulator::run`] steps the nodes of every round on the calling thread,
+//! in node-id order, and stops at the first model violation in that order.
+//! What the simulator measures (rounds, messages, message widths and
+//! transcripts) does not depend on how the nodes of a round are scheduled,
+//! so there is no multi-threaded twin of this loop: the workspace's thread
+//! fan-out sits in the approximator's operators and in query batches (see
+//! the README's determinism policy).
 
 use flowgraph::{EdgeId, Graph, IncidentSlots, NodeId};
-use parallel::{Parallelism, TeamBarrier};
 
 use crate::cost::RoundCost;
 
@@ -706,475 +692,6 @@ impl Simulator {
             quiescent: true,
         })
     }
-
-    /// Runs `protocol` with the round loop sharded across the workers of
-    /// `par` (see the [module docs](self) for the execution scheme).
-    /// Byte-identical to [`Simulator::run`] for every thread count;
-    /// `Parallelism::sequential()` takes the sequential engine exactly.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`Simulator::run`]; on a model violation the
-    /// reported error is the one the sequential engine would report (the
-    /// first in node order within the first offending round — and a protocol
-    /// panic at an earlier node likewise wins over a later violation, as it
-    /// would sequentially). One behavioral caveat: the sequential engine
-    /// stops stepping at the first violating node, while the shard team only
-    /// agrees to stop at the round boundary, so nodes *after* the violation
-    /// may still be stepped once; protocols with external side effects must
-    /// not rely on the exact stopping point.
-    pub fn run_sharded<P>(
-        &self,
-        network: &Network,
-        protocol: &P,
-        par: &Parallelism,
-    ) -> Result<RunResult<P::Output>, SimulationError>
-    where
-        P: Protocol + Sync,
-        P::Msg: Send,
-        P::State: Send,
-    {
-        Ok(self.run_sharded_impl(network, protocol, par, false)?.0)
-    }
-
-    /// Like [`Simulator::run_sharded`], additionally recording the canonical
-    /// [`Transcript`]. Because transcripts are sorted by
-    /// `(round, edge, receiver)`, the sharded engine's transcript is
-    /// byte-identical to the sequential and reference engines'.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`Simulator::run_sharded`].
-    pub fn run_sharded_traced<P>(
-        &self,
-        network: &Network,
-        protocol: &P,
-        par: &Parallelism,
-    ) -> Result<(RunResult<P::Output>, Transcript), SimulationError>
-    where
-        P: Protocol + Sync,
-        P::Msg: Send,
-        P::State: Send,
-    {
-        let (result, transcript) = self.run_sharded_impl(network, protocol, par, true)?;
-        Ok((result, transcript.expect("tracing was requested")))
-    }
-
-    fn run_sharded_impl<P>(
-        &self,
-        network: &Network,
-        protocol: &P,
-        par: &Parallelism,
-        traced: bool,
-    ) -> Result<(RunResult<P::Output>, Option<Transcript>), SimulationError>
-    where
-        P: Protocol + Sync,
-        P::Msg: Send,
-        P::State: Send,
-    {
-        let n = network.num_nodes();
-        let shards = par.threads().min(n.max(1));
-        if shards <= 1 {
-            return if traced {
-                let mut transcript = Vec::new();
-                let result = self.run_impl(network, protocol, Some(&mut transcript))?;
-                transcript.sort_unstable();
-                Ok((result, Some(transcript)))
-            } else {
-                Ok((self.run_impl(network, protocol, None)?, None))
-            };
-        }
-
-        let csr = network.graph().csr();
-        let slots = network.num_slots();
-
-        // Contiguous node ranges balanced by slot count (CSR order makes the
-        // induced slot ranges contiguous and disjoint). Heavily skewed
-        // degrees (a star's hub) may leave some shards empty; they simply
-        // idle through the barriers.
-        let mut node_bounds = Vec::with_capacity(shards + 1);
-        node_bounds.push(0usize);
-        for i in 1..shards {
-            let target = slots * i / shards;
-            let mut v = *node_bounds.last().expect("non-empty");
-            while v < n && csr.slot_range(NodeId(v as u32)).end <= target {
-                v += 1;
-            }
-            node_bounds.push(v);
-        }
-        node_bounds.push(n);
-        let slot_bounds: Vec<usize> = node_bounds
-            .iter()
-            .map(|&v| {
-                if v == n {
-                    slots
-                } else {
-                    csr.slot_range(NodeId(v as u32)).start
-                }
-            })
-            .collect();
-        // Destination shard of a global slot index.
-        let shard_of_slot =
-            |slot: usize| -> usize { slot_bounds[1..shards].partition_point(|&b| b <= slot) };
-
-        // Arenas, states and per-shard dirty lists — allocated exactly once.
-        let mut send: Vec<Option<P::Msg>> = std::iter::repeat_with(|| None).take(slots).collect();
-        let mut recv: Vec<Option<P::Msg>> = std::iter::repeat_with(|| None).take(slots).collect();
-        let mut states: Vec<P::State> = Vec::with_capacity(n);
-        let mut send_dirty: Vec<Vec<u32>> = (0..shards)
-            .map(|i| Vec::with_capacity(slot_bounds[i + 1] - slot_bounds[i]))
-            .collect();
-        let mut recv_dirty: Vec<Vec<u32>> = (0..shards)
-            .map(|i| Vec::with_capacity(slot_bounds[i + 1] - slot_bounds[i]))
-            .collect();
-
-        // Init is a one-time cost; run it sequentially, filing each node's
-        // queued sends into its shard's dirty list.
-        let mut violation: Option<SimulationError> = None;
-        {
-            let mut shard = 0usize;
-            for v in network.graph().nodes() {
-                while v.index() >= node_bounds[shard + 1] {
-                    shard += 1;
-                }
-                let view = network.view(v);
-                let range = csr.slot_range(v);
-                let mut outbox = Outbox {
-                    node: v,
-                    incident: view.incident,
-                    base: range.start as u32,
-                    slots: &mut send[range],
-                    dirty: &mut send_dirty[shard],
-                    violation: &mut violation,
-                };
-                let state = protocol.init(&view, &mut outbox);
-                if let Some(err) = violation.take() {
-                    return Err(err);
-                }
-                states.push(state);
-            }
-        }
-
-        // Round-consensus cells, double-buffered by round parity so that a
-        // shard can contribute the next round's tallies while peers still
-        // read the current round's.
-        let init_pending: u64 = send_dirty.iter().map(|d| d.len() as u64).sum();
-        let init_terminated = states.iter().all(|s| protocol.is_terminated(s));
-        let consensus = [
-            Mutex::new(Consensus {
-                pending: init_pending,
-                all_terminated: init_terminated,
-                contributed: shards,
-            }),
-            Mutex::new(Consensus {
-                pending: 0,
-                all_terminated: true,
-                contributed: 0,
-            }),
-        ];
-        // Poisonable barrier: if a worker dies (a panicking protocol), peers
-        // unwind out of their waits instead of deadlocking, and the original
-        // panic is re-thrown below.
-        let barrier = TeamBarrier::new(shards);
-        let panic_slot: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-        // First model violation by (shard, node-order-within-shard); the
-        // minimum shard's entry is what the sequential engine would report.
-        let shared_violation: Mutex<Option<(usize, SimulationError)>> = Mutex::new(None);
-        // Cross-shard staging: cell (src, dst) holds the messages src's
-        // nodes queued for dst's slots this round. Buckets are drained, not
-        // dropped, so their capacity is reused every round.
-        type StagingCell<M> = Mutex<Vec<(u32, M)>>;
-        let staging: Vec<StagingCell<P::Msg>> = (0..shards * shards)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let max_rounds = self.max_rounds;
-
-        struct Shard<'a, P: Protocol> {
-            nodes: std::ops::Range<usize>,
-            slot_base: usize,
-            send: &'a mut [Option<P::Msg>],
-            recv: &'a mut [Option<P::Msg>],
-            states: &'a mut [P::State],
-            send_dirty: &'a mut Vec<u32>,
-            recv_dirty: &'a mut Vec<u32>,
-        }
-
-        struct ShardOutcome {
-            cost: RoundCost,
-            trace: Vec<DeliveryEvent>,
-            round_limit_hit: bool,
-        }
-
-        let workers: Vec<Shard<'_, P>> = {
-            let send_chunks = parallel::split_at_boundaries(&mut send, &slot_bounds[1..]);
-            let recv_chunks = parallel::split_at_boundaries(&mut recv, &slot_bounds[1..]);
-            let state_chunks = parallel::split_at_boundaries(&mut states, &node_bounds[1..]);
-            send_chunks
-                .into_iter()
-                .zip(recv_chunks)
-                .zip(state_chunks)
-                .zip(send_dirty.iter_mut())
-                .zip(recv_dirty.iter_mut())
-                .enumerate()
-                .map(
-                    |(i, ((((send, recv), states), send_dirty), recv_dirty))| Shard {
-                        nodes: node_bounds[i]..node_bounds[i + 1],
-                        slot_base: slot_bounds[i],
-                        send,
-                        recv,
-                        states,
-                        send_dirty,
-                        recv_dirty,
-                    },
-                )
-                .collect()
-        };
-
-        let outcomes = parallel::join_workers(workers, |index, shard| {
-            // A panicking protocol must not strand the peers on the barrier:
-            // catch the panic, record its payload (before poisoning, so any
-            // peer that observes the poison finds the root cause recorded),
-            // poison the barrier to release everyone, and re-throw on the
-            // main thread below — the same observable behavior as the
-            // sequential engine's panic.
-            //
-            // The `move` below must take the shared state by reference (only
-            // `shard` is owned), so re-bind it explicitly.
-            let barrier = &barrier;
-            let consensus = &consensus;
-            let shared_violation = &shared_violation;
-            let staging = &staging;
-            let shard_of_slot = &shard_of_slot;
-            let worker = std::panic::AssertUnwindSafe(move || {
-                let Shard {
-                    nodes,
-                    slot_base,
-                    send,
-                    recv,
-                    states,
-                    send_dirty,
-                    recv_dirty,
-                } = shard;
-                let mut cost = RoundCost::ZERO;
-                let mut trace: Vec<DeliveryEvent> = Vec::new();
-                let mut round_limit_hit = false;
-                let mut local_violation: Option<SimulationError> = None;
-                let mut round: u64 = 0;
-                loop {
-                    // All shards have contributed this round's tallies.
-                    barrier.wait();
-                    let stop = {
-                        let c = consensus[(round % 2) as usize]
-                            .lock()
-                            .expect("consensus cell poisoned");
-                        c.pending == 0 && c.all_terminated
-                    };
-                    if shared_violation
-                        .lock()
-                        .expect("violation cell poisoned")
-                        .is_some()
-                    {
-                        break;
-                    }
-                    if stop {
-                        break;
-                    }
-                    if round >= max_rounds {
-                        round_limit_hit = true;
-                        break;
-                    }
-                    round += 1;
-
-                    // First half: drain my dirty send slots into the staging
-                    // cells of their destination shards. Messages are accounted
-                    // (and trace events recorded) on the sending side, exactly
-                    // like the sequential engine walks its dirty list: the CSR
-                    // pair at the *send* slot names the receiving neighbor.
-                    for &s in send_dirty.iter() {
-                        let msg = send[s as usize - slot_base]
-                            .take()
-                            .expect("dirty slot holds a message");
-                        cost.messages += 1;
-                        cost.retransmissions += u64::from(msg.is_retransmission());
-                        cost.max_message_words = cost.max_message_words.max(msg.words());
-                        if traced {
-                            let (edge, receiver) = csr.slot(s as usize);
-                            trace.push(DeliveryEvent {
-                                round,
-                                edge,
-                                receiver,
-                            });
-                        }
-                        let d = network.flip[s as usize] as usize;
-                        staging[index * shards + shard_of_slot(d)]
-                            .lock()
-                            .expect("staging cell poisoned")
-                            .push((d as u32, msg));
-                    }
-                    send_dirty.clear();
-                    barrier.wait();
-
-                    // Second half: clear last round's deliveries, pull this
-                    // round's from my staging column, then step my nodes.
-                    for &d in recv_dirty.iter() {
-                        recv[d as usize - slot_base] = None;
-                    }
-                    recv_dirty.clear();
-                    for src in 0..shards {
-                        let mut bucket = staging[src * shards + index]
-                            .lock()
-                            .expect("staging cell poisoned");
-                        for (d, msg) in bucket.drain(..) {
-                            recv[d as usize - slot_base] = Some(msg);
-                            recv_dirty.push(d);
-                        }
-                    }
-                    for v in nodes.clone() {
-                        let v = NodeId(v as u32);
-                        let view = network.view(v);
-                        let range = csr.slot_range(v);
-                        let inbox = Inbox {
-                            incident: view.incident,
-                            slots: &recv[range.start - slot_base..range.end - slot_base],
-                        };
-                        let mut outbox = Outbox {
-                            node: v,
-                            incident: view.incident,
-                            base: range.start as u32,
-                            slots: &mut send[range.start - slot_base..range.end - slot_base],
-                            dirty: send_dirty,
-                            violation: &mut local_violation,
-                        };
-                        protocol.round(
-                            &view,
-                            &mut states[v.index() - nodes.start],
-                            &inbox,
-                            &mut outbox,
-                            round,
-                        );
-                        if let Some(err) = local_violation.take() {
-                            let mut shared =
-                                shared_violation.lock().expect("violation cell poisoned");
-                            match shared.as_ref() {
-                                Some((shard, _)) if *shard <= index => {}
-                                _ => *shared = Some((index, err)),
-                            }
-                            // Keep stepping in lockstep; the team agrees to stop
-                            // at the next consensus point.
-                            break;
-                        }
-                    }
-
-                    let terminated = states.iter().all(|s| protocol.is_terminated(s));
-                    let mut c = consensus[(round % 2) as usize]
-                        .lock()
-                        .expect("consensus cell poisoned");
-                    if c.contributed == shards {
-                        // First contributor of this round resets the stale cell
-                        // (last read two rounds ago).
-                        *c = Consensus {
-                            pending: 0,
-                            all_terminated: true,
-                            contributed: 0,
-                        };
-                    }
-                    c.pending += send_dirty.len() as u64;
-                    c.all_terminated &= terminated;
-                    c.contributed += 1;
-                }
-                cost.rounds = round;
-                ShardOutcome {
-                    cost,
-                    trace,
-                    round_limit_hit,
-                }
-            });
-            match std::panic::catch_unwind(worker) {
-                Ok(outcome) => Some(outcome),
-                Err(payload) => {
-                    {
-                        // Only the first (genuine) panic is recorded: any
-                        // later panic in a peer is a cascade out of the
-                        // already-poisoned barrier and would mask the root
-                        // cause.
-                        let mut slot = panic_slot.lock().unwrap_or_else(|p| p.into_inner());
-                        if slot.is_none() {
-                            *slot = Some((index, payload));
-                        }
-                    }
-                    barrier.poison();
-                    None
-                }
-            }
-        });
-
-        // A violation and a panic can only coexist within one round (an
-        // earlier-round violation stops the team before the next round
-        // starts), so the earlier *shard* — i.e. the earlier node in global
-        // order — is the event the sequential engine would have hit first.
-        let panic = panic_slot.into_inner().unwrap_or_else(|p| p.into_inner());
-        let violation = shared_violation
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner());
-        match (violation, panic) {
-            (Some((violation_shard, err)), Some((panic_shard, _)))
-                if violation_shard < panic_shard =>
-            {
-                return Err(err);
-            }
-            (_, Some((_, payload))) => std::panic::resume_unwind(payload),
-            (Some((_, err)), None) => return Err(err),
-            (None, None) => {}
-        }
-        let outcomes: Vec<ShardOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("no worker panicked (checked above)"))
-            .collect();
-        if outcomes.iter().any(|o| o.round_limit_hit) {
-            return Err(SimulationError::RoundLimitExceeded { max_rounds });
-        }
-        let mut cost = RoundCost::ZERO;
-        cost.rounds = outcomes.first().map(|o| o.cost.rounds).unwrap_or(0);
-        let mut transcript = traced.then(Vec::new);
-        for outcome in outcomes {
-            debug_assert_eq!(outcome.cost.rounds, cost.rounds, "shards agree on rounds");
-            cost.messages += outcome.cost.messages;
-            cost.retransmissions += outcome.cost.retransmissions;
-            cost.max_message_words = cost.max_message_words.max(outcome.cost.max_message_words);
-            if let Some(tr) = transcript.as_mut() {
-                tr.extend(outcome.trace);
-            }
-        }
-        if let Some(tr) = transcript.as_mut() {
-            tr.sort_unstable();
-        }
-
-        let outputs = network
-            .graph()
-            .nodes()
-            .zip(states)
-            .map(|(v, s)| protocol.output(&network.view(v), s))
-            .collect();
-        Ok((
-            RunResult {
-                outputs,
-                cost,
-                quiescent: true,
-            },
-            transcript,
-        ))
-    }
-}
-
-/// Round-termination tallies shared by the shard workers, double-buffered by
-/// round parity (see [`Simulator::run_sharded`]).
-struct Consensus {
-    /// Messages queued for the next round, summed over all shards.
-    pending: u64,
-    /// Whether every node of every contributing shard has locally terminated.
-    all_terminated: bool,
-    /// Number of shards that have contributed this round's tallies.
-    contributed: usize,
 }
 
 /// Reference implementation of the simulator semantics that allocates fresh
@@ -1543,137 +1060,9 @@ mod tests {
         assert_eq!(leaf.neighbor_via(e), Some(NodeId(0)));
     }
 
-    #[test]
-    fn sharded_engine_is_byte_identical_to_sequential() {
-        for g in [
-            gen::path(17, 1.0),
-            gen::grid(5, 6, 1.0),
-            gen::star(12, 2.0),
-            gen::cycle(9, 1.0),
-        ] {
-            let network = Network::new(g);
-            let (seq, seq_t) = Simulator::new().run_traced(&network, &MinIdFlood).unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                let par = Parallelism::with_threads(threads);
-                let (sharded, sharded_t) = Simulator::new()
-                    .run_sharded_traced(&network, &MinIdFlood, &par)
-                    .unwrap();
-                assert_eq!(sharded.outputs, seq.outputs, "{threads} threads");
-                assert_eq!(sharded.cost, seq.cost, "{threads} threads");
-                assert_eq!(sharded_t, seq_t, "{threads} threads");
-                assert_eq!(
-                    format!("{sharded_t:?}").into_bytes(),
-                    format!("{seq_t:?}").into_bytes()
-                );
-                let untraced = Simulator::new()
-                    .run_sharded(&network, &MinIdFlood, &par)
-                    .unwrap();
-                assert_eq!(untraced.outputs, seq.outputs);
-                assert_eq!(untraced.cost, seq.cost);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_enforces_round_limit_and_violations() {
-        let par = Parallelism::with_threads(4);
-        let network = Network::new(gen::path(10, 1.0));
-        let err = Simulator::new()
-            .with_max_rounds(2)
-            .run_sharded(&network, &MinIdFlood, &par)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimulationError::RoundLimitExceeded { max_rounds: 2 }
-        ));
-        // Model violations surface as the same error the sequential engine
-        // reports (duplicate sends happen at init here, caught before the
-        // worker team even starts).
-        let err = Simulator::new()
-            .run_sharded(&network, &Misbehaving, &par)
-            .unwrap_err();
-        assert!(matches!(err, SimulationError::DuplicateSend { .. }));
-    }
-
-    /// Violates the model in round 2 (not init), so the violation is raised
-    /// inside the sharded worker team and must agree with sequential.
-    struct LateMisbehaving;
-
-    impl Protocol for LateMisbehaving {
-        type Msg = MinMsg;
-        type State = ();
-        type Output = ();
-
-        fn init(&self, _view: &LocalView<'_>, outbox: &mut Outbox<'_, Self::Msg>) -> Self::State {
-            outbox.broadcast(MinMsg(0));
-        }
-
-        fn round(
-            &self,
-            view: &LocalView<'_>,
-            _state: &mut Self::State,
-            _inbox: &Inbox<'_, Self::Msg>,
-            outbox: &mut Outbox<'_, Self::Msg>,
-            round: u64,
-        ) {
-            if round == 2 {
-                if let Some((e, _)) = view.incident_pairs().first() {
-                    outbox.send(e, MinMsg(0));
-                    outbox.send(e, MinMsg(1));
-                }
-            } else if round < 2 {
-                outbox.broadcast(MinMsg(round as u32));
-            }
-        }
-
-        fn is_terminated(&self, _state: &Self::State) -> bool {
-            true
-        }
-
-        fn output(&self, _view: &LocalView<'_>, _state: Self::State) -> Self::Output {}
-    }
-
-    /// Panics inside `round` at round 2 on one node — the sharded engine
-    /// must re-throw the panic on the caller, not deadlock the worker team.
-    struct PanicsInRound2;
-
-    impl Protocol for PanicsInRound2 {
-        type Msg = MinMsg;
-        type State = ();
-        type Output = ();
-
-        fn init(&self, _view: &LocalView<'_>, outbox: &mut Outbox<'_, Self::Msg>) -> Self::State {
-            outbox.broadcast(MinMsg(0));
-        }
-
-        fn round(
-            &self,
-            view: &LocalView<'_>,
-            _state: &mut Self::State,
-            _inbox: &Inbox<'_, Self::Msg>,
-            outbox: &mut Outbox<'_, Self::Msg>,
-            round: u64,
-        ) {
-            assert!(
-                !(round == 2 && view.node == NodeId(7)),
-                "protocol bug at node 7"
-            );
-            if round < 3 {
-                outbox.broadcast(MinMsg(0));
-            }
-        }
-
-        fn is_terminated(&self, _state: &Self::State) -> bool {
-            true
-        }
-
-        fn output(&self, _view: &LocalView<'_>, _state: Self::State) -> Self::Output {}
-    }
-
     /// Round 2: a model violation at low node 0 *and* a panic at high node
-    /// 15. Sequentially, node 0 is stepped first, so the violation wins and
-    /// node 15 is never reached; the sharded engine must report the same
-    /// error even though its later shards raced ahead and hit the panic.
+    /// 15. The round loop steps nodes in id order and stops at the first
+    /// violation, so node 15 is never reached and the violation is reported.
     struct ViolatesThenPanics;
 
     impl Protocol for ViolatesThenPanics {
@@ -1716,63 +1105,12 @@ mod tests {
     #[test]
     fn earlier_violation_wins_over_later_panic_like_sequential() {
         let network = Network::new(gen::grid(4, 4, 1.0));
-        let seq = Simulator::new()
+        let err = Simulator::new()
             .run(&network, &ViolatesThenPanics)
             .unwrap_err();
-        assert!(matches!(seq, SimulationError::DuplicateSend { .. }));
-        for threads in [2usize, 4] {
-            let sharded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Simulator::new().run_sharded(
-                    &network,
-                    &ViolatesThenPanics,
-                    &Parallelism::with_threads(threads),
-                )
-            }))
-            .unwrap_or_else(|_| panic!("{threads} threads: panic must not mask the violation"));
-            assert_eq!(sharded.unwrap_err(), seq, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn sharded_engine_propagates_protocol_panics_instead_of_deadlocking() {
-        let network = Network::new(gen::grid(4, 4, 1.0));
-        for threads in [2usize, 4] {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = Simulator::new().run_sharded(
-                    &network,
-                    &PanicsInRound2,
-                    &Parallelism::with_threads(threads),
-                );
-            }));
-            let payload = caught.expect_err("the protocol panic must propagate");
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string payload>");
-            assert!(
-                message.contains("protocol bug at node 7"),
-                "{threads} threads: original payload lost, got: {message}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_engine_reports_the_sequential_violation() {
-        let network = Network::new(gen::grid(4, 4, 1.0));
-        let seq = Simulator::new()
-            .run(&network, &LateMisbehaving)
-            .unwrap_err();
-        for threads in [2usize, 4, 8] {
-            let sharded = Simulator::new()
-                .run_sharded(
-                    &network,
-                    &LateMisbehaving,
-                    &Parallelism::with_threads(threads),
-                )
-                .unwrap_err();
-            assert_eq!(sharded, seq, "{threads} threads");
-        }
+        assert!(matches!(err, SimulationError::DuplicateSend { .. }));
+        let reference = reference_run(&network, &ViolatesThenPanics, 1_000_000).unwrap_err();
+        assert_eq!(reference, err);
     }
 
     #[test]

@@ -62,5 +62,4 @@ pub use engine::{
     Transcript,
 };
 pub use model::{Adversary, BcastInbox, BcastProtocol, CommModel, FaultEvent, FaultLog};
-pub use parallel::Parallelism;
 pub use reliable::Reliable;

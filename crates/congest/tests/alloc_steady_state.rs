@@ -1,7 +1,7 @@
-//! Pins the sharded engine's zero-allocation claim: once the arenas, dirty
-//! lists and staging buckets are warm (first rounds of a run), extra rounds
-//! of steady-state traffic perform **no** heap allocation — the allocation
-//! count of a `run_sharded` call is independent of how many rounds it runs.
+//! Pins the round loop's zero-allocation claim: once the arenas and dirty
+//! lists are allocated (at the start of a run), extra rounds of steady-state
+//! traffic perform **no** heap allocation — the allocation count of a
+//! `Simulator::run` call is independent of how many rounds it runs.
 //!
 //! Measured with a counting global allocator, like
 //! `crates/core/tests/alloc_steady_state.rs` (test binaries may carry their
@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use congest::engine::{Inbox, LocalView, MessageSize, Network, Outbox, Protocol, Simulator};
 use flowgraph::gen;
-use parallel::Parallelism;
 
 struct CountingAllocator;
 
@@ -45,7 +44,7 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Full-load traffic for a fixed number of rounds: every node broadcasts on
 /// every incident edge each round, so the steady state saturates every slot
-/// and every staging bucket identically, round after round.
+/// identically, round after round.
 struct FloodFor(u64);
 
 #[derive(Clone, Debug)]
@@ -82,37 +81,16 @@ impl Protocol for FloodFor {
     fn output(&self, _view: &LocalView<'_>, _state: Self::State) -> Self::Output {}
 }
 
-// One test, not two: the counting allocator is process-global, so the two
-// measurements must not run concurrently under the parallel test harness.
+// The counting allocator is process-global: keep every measurement of this
+// binary in one test so the harness never runs two of them concurrently.
 #[test]
 fn round_loops_do_not_allocate_once_warm() {
     let network = Network::new(gen::grid(12, 12, 1.0));
-    let par = Parallelism::with_threads(4);
     let sim = Simulator::new();
 
-    // Warm thread-local / allocator state outside the measurement.
-    sim.run_sharded(&network, &FloodFor(4), &par)
-        .expect("well-behaved protocol");
-
     // The traffic pattern of every round is identical (full load), so the
-    // per-run allocations (arenas, staging warm-up, worker spawns) are
-    // identical for both runs and the extra 60 rounds must contribute zero.
-    let (alloc_short, _) = allocations_during(|| {
-        sim.run_sharded(&network, &FloodFor(8), &par)
-            .expect("well-behaved protocol")
-    });
-    let (alloc_long, _) = allocations_during(|| {
-        sim.run_sharded(&network, &FloodFor(68), &par)
-            .expect("well-behaved protocol")
-    });
-    assert_eq!(
-        alloc_short, alloc_long,
-        "sharded: heap allocations grew with the round count: {alloc_short} for 8 rounds vs \
-         {alloc_long} for 68 rounds"
-    );
-
-    // The sequential arena engine had the guarantee first; keep both pinned
-    // in one place so a regression in either shows up here.
+    // per-run allocations (arenas, states, outputs) are identical for both
+    // runs and the extra 60 rounds must contribute zero.
     sim.run(&network, &FloodFor(4)).expect("well-behaved");
     let (alloc_short, _) =
         allocations_during(|| sim.run(&network, &FloodFor(8)).expect("well-behaved"));

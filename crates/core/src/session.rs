@@ -298,7 +298,8 @@ impl<'g> PreparedMaxFlow<'g> {
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] / [`GraphError::SelfLoop`] for
-    /// invalid terminals.
+    /// invalid terminals, and [`GraphError::NonFinite`] if the answer
+    /// overflows `f64`.
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> Result<MaxFlowResult, GraphError> {
         let parts = &mut self.parts;
         let (mut results, mut warm_out) = max_flow_block_engine(
@@ -413,10 +414,12 @@ impl<'g> PreparedMaxFlow<'g> {
     /// # Errors
     ///
     /// Returns [`GraphError::DemandMismatch`] for the earliest demand that
-    /// does not cover exactly the graph's nodes, and
+    /// does not cover exactly the graph's nodes,
     /// [`GraphError::NonFiniteDemand`] / [`GraphError::UnbalancedDemand`] for
     /// the earliest one that cannot be routed (see
-    /// [`crate::solver::DEMAND_BALANCE_TOLERANCE`]).
+    /// [`crate::solver::DEMAND_BALANCE_TOLERANCE`]), and
+    /// [`GraphError::NonFinite`] if a total magnitude or an answer overflows
+    /// `f64`.
     pub fn route_many(&mut self, demands: &[Demand]) -> Result<Vec<RoutingResult>, GraphError> {
         let mut results = Vec::with_capacity(demands.len());
         for chunk in demands.chunks(block_lanes(self.graph.num_nodes())) {
@@ -627,9 +630,11 @@ impl<'g> PreparedMaxFlow<'g> {
     /// # Errors
     ///
     /// Returns [`GraphError::DemandMismatch`] if `b` does not cover exactly
-    /// the graph's nodes, and [`GraphError::NonFiniteDemand`] /
+    /// the graph's nodes, [`GraphError::NonFiniteDemand`] /
     /// [`GraphError::UnbalancedDemand`] if it cannot be routed (see
-    /// [`crate::solver::DEMAND_BALANCE_TOLERANCE`]).
+    /// [`crate::solver::DEMAND_BALANCE_TOLERANCE`]), and
+    /// [`GraphError::NonFinite`] if its total magnitude or the answer
+    /// overflows `f64`.
     pub fn route(&mut self, b: &Demand) -> Result<RoutingResult, GraphError> {
         let mut routed = route_demand_block_engine(
             self.graph,

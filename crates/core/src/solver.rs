@@ -285,7 +285,9 @@ impl MaxFlowConfig {
 pub const DEMAND_BALANCE_TOLERANCE: f64 = 1e-9;
 
 /// Checks that `b` is routable: every entry finite
-/// ([`GraphError::NonFiniteDemand`]) and the entries summing to zero within
+/// ([`GraphError::NonFiniteDemand`]), the total magnitude `Σ_v |b_v|` finite
+/// ([`GraphError::NonFinite`]; against an infinite magnitude the relative
+/// balance test could never fail) and the entries summing to zero within
 /// [`DEMAND_BALANCE_TOLERANCE`] ([`GraphError::UnbalancedDemand`]).
 fn validate_demand(b: &Demand) -> Result<(), GraphError> {
     if let Some((node, &value)) = b.values().iter().enumerate().find(|(_, x)| !x.is_finite()) {
@@ -293,6 +295,11 @@ fn validate_demand(b: &Demand) -> Result<(), GraphError> {
     }
     let imbalance = b.total();
     let magnitude: f64 = b.values().iter().map(|x| x.abs()).sum();
+    if !magnitude.is_finite() {
+        return Err(GraphError::NonFinite {
+            quantity: "the demand's total magnitude",
+        });
+    }
     if imbalance.abs() > DEMAND_BALANCE_TOLERANCE * magnitude {
         return Err(GraphError::UnbalancedDemand {
             imbalance,
@@ -300,6 +307,16 @@ fn validate_demand(b: &Demand) -> Result<(), GraphError> {
         });
     }
     Ok(())
+}
+
+/// Fails with [`GraphError::NonFinite`] naming `quantity` unless every value
+/// is finite.
+fn ensure_finite(values: &[f64], quantity: &'static str) -> Result<(), GraphError> {
+    if values.iter().all(|x| x.is_finite()) {
+        Ok(())
+    } else {
+        Err(GraphError::NonFinite { quantity })
+    }
 }
 
 /// Result of routing a demand with near-optimal congestion (Algorithm 1
@@ -359,7 +376,8 @@ impl MaxFlowResult {
 /// Returns [`GraphError::DemandMismatch`] if `b` does not match the graph's
 /// node count, [`GraphError::NonFiniteDemand`] /
 /// [`GraphError::UnbalancedDemand`] if it cannot be routed (see
-/// [`DEMAND_BALANCE_TOLERANCE`]), and [`GraphError::Empty`] /
+/// [`DEMAND_BALANCE_TOLERANCE`]), [`GraphError::NonFinite`] if its total
+/// magnitude or the answer overflows `f64`, and [`GraphError::Empty`] /
 /// [`GraphError::NotConnected`] for degenerate graphs.
 pub fn route_demand(
     g: &Graph,
@@ -409,9 +427,12 @@ pub fn route_demand(
 /// cached flow applies.
 ///
 /// Fails fast on the earliest (by lane index) invalid demand — wrong length,
-/// a non-finite entry, or an imbalance beyond [`DEMAND_BALANCE_TOLERANCE`];
-/// per-lane validation happens before any gradient work, so an error never
-/// discards finished lanes.
+/// a non-finite entry or total magnitude, or an imbalance beyond
+/// [`DEMAND_BALANCE_TOLERANCE`]; per-lane validation happens before any
+/// gradient work, so an error never discards finished lanes. An answer whose
+/// flow or congestion is not finite (the descent overflowed `f64`) fails the
+/// call with [`GraphError::NonFinite`]; that check scans each answer once,
+/// after the descent.
 pub(crate) fn route_demand_block_engine(
     g: &Graph,
     r: &CongestionApproximator,
@@ -526,6 +547,8 @@ pub(crate) fn route_demand_block_engine(
         let mut flow = total;
         flow.add_assign(&repair);
         let congestion = flow.max_congestion(g);
+        ensure_finite(flow.values(), "the routed flow")?;
+        ensure_finite(&[congestion], "the routing's congestion")?;
         results.push(RoutingResult {
             flow,
             congestion,
@@ -550,7 +573,8 @@ pub(crate) fn route_demand_block_engine(
 /// # Errors
 ///
 /// Returns [`GraphError::Empty`] / [`GraphError::NotConnected`] for degenerate
-/// graphs and [`GraphError::NodeOutOfRange`] for invalid terminals.
+/// graphs, [`GraphError::NodeOutOfRange`] for invalid terminals and
+/// [`GraphError::NonFinite`] if the answer overflows `f64`.
 pub fn approx_max_flow(
     g: &Graph,
     s: NodeId,
@@ -664,7 +688,9 @@ fn apply_tree_safety_net(
 /// worth keeping (its single-query slot, or a batch's later waves).
 ///
 /// Fails fast on the earliest (by lane index) invalid pair; all per-lane
-/// validation happens before any gradient work.
+/// validation happens before any gradient work. An answer whose flow, value
+/// or upper bound is not finite fails the call with [`GraphError::NonFinite`]
+/// (one scan per answer, after the descent).
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub(crate) fn max_flow_block_engine(
     g: &Graph,
@@ -769,6 +795,9 @@ pub(crate) fn max_flow_block_engine(
         flow.scale(1.0 / rho);
         let value = targets[l] / rho;
         let (flow, value) = apply_tree_safety_net(g, r, s, t, &units[l], flow, value)?;
+        ensure_finite(flow.values(), "the max-flow answer's flow")?;
+        ensure_finite(&[value], "the max-flow value")?;
+        ensure_finite(&[targets[l]], "the max-flow upper bound")?;
         results.push(MaxFlowResult {
             flow,
             value,

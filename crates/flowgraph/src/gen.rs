@@ -1,6 +1,6 @@
 //! Workload generators.
 //!
-//! The experiment harness (DESIGN.md, E1–E9) sweeps over several graph
+//! The experiment harness (`dmf-bench`, E1–E9) sweeps over several graph
 //! families chosen to stress different parameter regimes of the paper's
 //! bound `(D + √n)·n^{o(1)}`:
 //!

@@ -130,6 +130,15 @@ pub enum GraphError {
         /// The offending entry.
         value: f64,
     },
+    /// A number the solver works with or would report — a demand's total
+    /// magnitude `Σ_v |b_v|`, or an answer's flow entries, congestion, flow
+    /// value or upper bound — overflowed the `f64` range or came out NaN.
+    /// The solvers do not rescale capacities or demands, so such an input
+    /// gets this error instead of an answer carrying non-finite numbers.
+    NonFinite {
+        /// Which quantity is not finite.
+        quantity: &'static str,
+    },
     /// A solver configuration contained a value that can never produce a
     /// meaningful run (e.g. `epsilon <= 0`, `NaN`, or a zero iteration
     /// budget). Rejected up front instead of looping forever or emitting NaN
@@ -206,6 +215,13 @@ impl std::fmt::Display for GraphError {
                 write!(
                     f,
                     "demand entry {value} at node {node} is not a finite number"
+                )
+            }
+            GraphError::NonFinite { quantity } => {
+                write!(
+                    f,
+                    "{quantity} is not a finite number; capacities and demands must keep \
+                     the solver's sums and ratios within the f64 range"
                 )
             }
             GraphError::InvalidConfig { parameter, reason } => {

@@ -56,6 +56,12 @@ fn display_cases() -> Vec<(GraphError, Vec<&'static str>)> {
             vec!["NaN", "4", "finite"],
         ),
         (
+            GraphError::NonFinite {
+                quantity: "the routed flow",
+            },
+            vec!["the routed flow", "finite", "f64"],
+        ),
+        (
             GraphError::InvalidConfig {
                 parameter: "epsilon",
                 reason: "must be a finite number > 0",

@@ -15,7 +15,7 @@
 //! The union of the per-cluster BFS trees over all iterations is a spanning
 //! tree with expected average stretch `2^{O(√(log n · log log n))}` for the
 //! theoretical choice of `z`; at practical sizes the crate lets callers pick
-//! `z` (the experiments measure the realized stretch, see DESIGN.md).
+//! `z` (experiment E3 of `dmf-bench` measures the realized stretch).
 //!
 //! # Example
 //!

@@ -5,36 +5,31 @@
 //! its own minimal data-parallelism layer instead of depending on `rayon`.
 //! The design goals, in order:
 //!
-//! 1. **Determinism.** Every combinator places results by *item index* and
-//!    every reduction folds in *fixed input order*, so the output of a
-//!    parallel call is byte-identical to its sequential counterpart for any
-//!    thread count — including bitwise-identical floating point, because the
-//!    per-item computation and the combination order never change. Only
-//!    scheduling (which worker computes which item when) varies.
+//! 1. **Determinism.** Both entry points identify work by *task index*:
+//!    [`join_workers`] returns its results in task order and
+//!    [`Parallelism::for_each_owned`] hands every task its index, so callers
+//!    place results by index and combine them in a fixed order. The output of
+//!    a parallel call is then byte-identical to its sequential counterpart
+//!    for any thread count — including bitwise-identical floating point,
+//!    because the per-task computation and the combination order never
+//!    change. Only scheduling (which worker computes which task when) varies.
 //! 2. **Safety.** The whole crate is `forbid(unsafe_code)`; work distribution
 //!    uses an atomic cursor over `Mutex<Option<T>>` task slots and
 //!    [`std::thread::scope`] for borrowing, never raw pointers.
 //! 3. **Graceful sequential fallback.** At [`Parallelism::sequential`]
-//!    (`threads == 1`) every combinator degenerates to a plain loop on the
-//!    calling thread: no threads are spawned, no slots are allocated, and
-//!    allocation-free callers stay allocation-free.
+//!    (`threads == 1`), and for a single task, both entry points run a plain
+//!    loop on the calling thread: no threads are spawned, no slots are
+//!    allocated, and allocation-free callers stay allocation-free.
 //!
 //! The pool is *scoped*: worker threads live only for the duration of one
-//! combinator call (there is no global pool to configure or leak). For
-//! long-lived worker teams that synchronize among themselves — e.g. the
-//! sharded CONGEST round loop, where shard workers exchange messages every
-//! round — use [`join_workers`], which spawns exactly one thread per task and
-//! runs them concurrently for their entire lifetime (with [`TeamBarrier`] as
-//! the poison-safe round synchronizer).
+//! call (there is no global pool to configure or leak).
 //!
-//! Where each combinator is used in this workspace: `capprox`'s operator
-//! evaluations fan per-tree tasks through [`Parallelism::for_each_owned`] and
-//! reduce tree routings with [`Parallelism::par_map_reduce`]; `maxflow`'s
-//! `par_max_flow_batch` and the sharded CONGEST engine build worker teams
-//! with [`join_workers`], partitioning arenas along uneven shard boundaries
-//! with [`split_at_boundaries`]. [`Parallelism::par_chunks_mut`] is the
-//! equal-size-chunk counterpart of that partitioning for callers whose data
-//! has no precomputed boundaries.
+//! Where each entry point is used in this workspace: `capprox`'s operator
+//! evaluations fan per-tree tasks through [`Parallelism::for_each_owned`],
+//! and `maxflow`'s `par_max_flow_batch` gives each worker of a
+//! [`join_workers`] team its own scratch and a fixed stripe of blocks. The
+//! CONGEST simulator has no parallel layer: its round and message counts do
+//! not depend on how a round's nodes are scheduled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -148,87 +143,14 @@ impl Parallelism {
             work();
         });
     }
-
-    /// Maps `f` over `items` in parallel, returning the results **in item
-    /// order** regardless of scheduling.
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        if self.is_sequential() || items.len() <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let out: Vec<Mutex<Option<U>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-        let indices: Vec<usize> = (0..items.len()).collect();
-        self.for_each_owned(indices, |_, i| {
-            *out[i].lock().expect("result slot poisoned") = Some(f(i, &items[i]));
-        });
-        out.into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every index was mapped")
-            })
-            .collect()
-    }
-
-    /// Maps `f` over `items` in parallel and folds the results **in item
-    /// order** on the calling thread: `fold(fold(init, r_0), r_1) …`. The
-    /// deterministic fixed-order reduction — for non-associative operations
-    /// (floating-point sums!) the result is bitwise identical to the
-    /// sequential map-then-fold for any thread count.
-    pub fn par_map_reduce<T, U, A, F, R>(&self, items: &[T], map: F, init: A, fold: R) -> A
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-        R: FnMut(A, U) -> A,
-    {
-        if self.is_sequential() || items.len() <= 1 {
-            // Fold directly — no intermediate Vec on the sequential path.
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| map(i, t))
-                .fold(init, fold);
-        }
-        self.par_map(items, map).into_iter().fold(init, fold)
-    }
-
-    /// Splits `data` into contiguous chunks of `chunk_size` (the final chunk
-    /// may be shorter) and invokes `f(chunk_index, chunk)` on each, sharing
-    /// chunks across the configured workers. Chunks are disjoint `&mut`
-    /// ranges, so `f` may freely mutate its chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`.
-    pub fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk_size: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        if self.is_sequential() || data.len() <= chunk_size {
-            for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
-                f(i, chunk);
-            }
-            return;
-        }
-        let chunks: Vec<&mut [T]> = data.chunks_mut(chunk_size).collect();
-        self.for_each_owned(chunks, &f);
-    }
 }
 
 /// Runs one dedicated thread per task, concurrently, and returns the results
-/// in task order. Unlike [`Parallelism::for_each_owned`] this guarantees that
-/// *all* tasks execute at the same time, which is what worker teams that
-/// synchronize among themselves (barriers, shared staging buffers — e.g. the
-/// sharded CONGEST engine) require: with a work-sharing pool, a task that
-/// blocks on a barrier would deadlock the workers that still hold unstarted
-/// peer tasks.
+/// in task order. Unlike [`Parallelism::for_each_owned`], which lets workers
+/// claim tasks as they go, every task here has a thread of its own for its
+/// whole lifetime, so task `i` can own per-worker state (a scratch buffer, a
+/// fixed stripe of the work) that no other task touches. A worker's panic is
+/// re-raised on the caller with its original payload.
 ///
 /// A single task runs inline on the calling thread without spawning.
 pub fn join_workers<T, R, F>(tasks: Vec<T>, f: F) -> Vec<R>
@@ -263,120 +185,6 @@ where
     })
 }
 
-/// A reusable barrier for [`join_workers`] teams that supports **poisoning**:
-/// when one worker dies (panics), it calls [`TeamBarrier::poison`] and every
-/// peer that is waiting — or ever waits again — panics out of its wait
-/// instead of blocking forever on a participant that will never arrive.
-/// [`std::sync::Barrier`] has no such escape hatch, which would turn any
-/// worker panic into a team-wide deadlock.
-#[derive(Debug)]
-pub struct TeamBarrier {
-    parties: usize,
-    state: Mutex<BarrierState>,
-    cvar: std::sync::Condvar,
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    waiting: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-impl TeamBarrier {
-    /// A barrier for a team of `parties` workers.
-    pub fn new(parties: usize) -> Self {
-        TeamBarrier {
-            parties: parties.max(1),
-            state: Mutex::new(BarrierState {
-                waiting: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cvar: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until all `parties` workers have called `wait` (then the
-    /// barrier resets for the next use, like [`std::sync::Barrier`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier is or becomes [poisoned](Self::poison) — inside
-    /// a worker wrapped in `catch_unwind`, that unwinds the worker out of
-    /// its loop instead of deadlocking the team.
-    pub fn wait(&self) {
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        assert!(!s.poisoned, "worker team poisoned by a peer panic");
-        let generation = s.generation;
-        s.waiting += 1;
-        if s.waiting == self.parties {
-            s.waiting = 0;
-            s.generation += 1;
-            self.cvar.notify_all();
-            return;
-        }
-        loop {
-            s = self
-                .cvar
-                .wait(s)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            // Generation first: a waiter whose barrier already completed was
-            // legitimately released and must finish its round normally, even
-            // if a peer poisoned the barrier right after releasing it —
-            // otherwise work the team already agreed on (and that the caller
-            // will inspect, e.g. a recorded model violation) is lost.
-            if s.generation != generation {
-                return;
-            }
-            assert!(!s.poisoned, "worker team poisoned by a peer panic");
-        }
-    }
-
-    /// Marks the barrier poisoned and wakes every waiter; all current and
-    /// future [`TeamBarrier::wait`] calls panic. Call this from a worker's
-    /// panic handler *after* recording the panic payload, so peers observing
-    /// the poison are guaranteed to find the root cause recorded.
-    pub fn poison(&self) {
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        s.poisoned = true;
-        self.cvar.notify_all();
-    }
-}
-
-/// Splits `data` into `parts` contiguous chunks at the given boundary
-/// offsets (`boundaries` lists the *end* offset of every chunk except that a
-/// final implicit boundary at `data.len()` is NOT assumed — the last listed
-/// boundary must equal `data.len()`). Used to partition arenas along
-/// pre-computed shard ranges where equal-size chunking does not apply.
-///
-/// # Panics
-///
-/// Panics if the boundaries are not non-decreasing or the last boundary is
-/// not `data.len()`.
-pub fn split_at_boundaries<'a, T>(mut data: &'a mut [T], boundaries: &[usize]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(boundaries.len());
-    let mut consumed = 0usize;
-    for &end in boundaries {
-        assert!(end >= consumed, "boundaries must be non-decreasing");
-        let (chunk, rest) = data.split_at_mut(end - consumed);
-        out.push(chunk);
-        data = rest;
-        consumed = end;
-    }
-    assert!(
-        data.is_empty(),
-        "the final boundary must cover the whole slice"
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,50 +196,6 @@ mod tests {
         assert_eq!(Parallelism::with_threads(0).threads(), 1);
         assert_eq!(Parallelism::with_threads(4).threads(), 4);
         assert!(Parallelism::available().threads() >= 1);
-    }
-
-    #[test]
-    fn par_map_preserves_order_for_every_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [1, 2, 4, 8] {
-            let par = Parallelism::with_threads(threads);
-            let got = par.par_map(&items, |_, &x| x * x + 1);
-            assert_eq!(got, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_reduce_is_bitwise_deterministic() {
-        // A floating-point sum whose value depends on association order: the
-        // fixed-order reduction must reproduce the sequential bits exactly.
-        let items: Vec<f64> = (0..1000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let sequential = items.iter().fold(0.0f64, |acc, &x| acc + x.sin());
-        for threads in [2, 4, 8] {
-            let par = Parallelism::with_threads(threads);
-            let parallel = par.par_map_reduce(&items, |_, &x| x.sin(), 0.0f64, |acc, x| acc + x);
-            assert_eq!(
-                sequential.to_bits(),
-                parallel.to_bits(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_touches_every_element_exactly_once() {
-        for threads in [1, 3, 8] {
-            let par = Parallelism::with_threads(threads);
-            let mut data = vec![0u32; 1001];
-            par.par_chunks_mut(&mut data, 64, |chunk_index, chunk| {
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x += (chunk_index * 64 + j) as u32;
-                }
-            });
-            for (i, &x) in data.iter().enumerate() {
-                assert_eq!(x, i as u32, "threads = {threads}");
-            }
-        }
     }
 
     #[test]
@@ -458,60 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn split_at_boundaries_partitions_exactly() {
-        let mut data: Vec<u8> = (0..10).collect();
-        let parts = split_at_boundaries(&mut data, &[3, 3, 7, 10]);
-        let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        assert_eq!(lens, vec![3, 0, 4, 3]);
-        assert_eq!(parts[2][0], 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "final boundary")]
-    fn split_at_boundaries_rejects_short_cover() {
-        let mut data = [0u8; 5];
-        let _ = split_at_boundaries(&mut data, &[2]);
-    }
-
-    #[test]
-    fn team_barrier_synchronizes_rounds() {
-        let barrier = TeamBarrier::new(3);
-        let hits = AtomicU64::new(0);
-        let results = join_workers(vec![0u64; 3], |_, _| {
-            for round in 0..5u64 {
-                hits.fetch_add(1, Ordering::SeqCst);
-                barrier.wait();
-                // After the barrier, every worker of this round has hit.
-                assert!(hits.load(Ordering::SeqCst) >= 3 * (round + 1));
-                barrier.wait();
-            }
-            true
-        });
-        assert_eq!(results, vec![true; 3]);
-        assert_eq!(hits.load(Ordering::SeqCst), 15);
-    }
-
-    #[test]
-    fn team_barrier_poison_releases_waiters() {
-        // Worker 0 dies before its barrier; the waiting peers must panic out
-        // of `wait` (caught by catch_unwind) instead of blocking forever.
-        let barrier = TeamBarrier::new(3);
-        let results = join_workers(vec![0usize, 1, 2], |i, _| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if i == 0 {
-                    barrier.poison();
-                    panic!("worker 0 died");
-                }
-                barrier.wait();
-            }))
-            .is_err()
-        });
-        // Worker 0 panicked by construction; the peers unwound out of wait.
-        assert!(results[0]);
-        assert!(results[1] && results[2]);
-    }
-
-    #[test]
     fn join_workers_propagates_the_original_panic_payload() {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             join_workers(vec![0u8, 1], |i, _| {
@@ -530,18 +240,17 @@ mod tests {
 
     #[test]
     fn sequential_paths_spawn_nothing_and_match() {
-        let par = Parallelism::sequential();
-        let items = [1.0f64, 2.0, 3.0];
-        assert_eq!(
-            par.par_map(&items, |i, x| x * i as f64),
-            vec![0.0, 2.0, 6.0]
-        );
-        let mut data = [1u8, 2, 3];
-        par.par_chunks_mut(&mut data, 2, |_, c| {
-            for x in c.iter_mut() {
-                *x *= 2;
-            }
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        Parallelism::sequential().for_each_owned(vec![3u8, 4, 5], |i, t| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.lock().unwrap().push((i, t));
         });
-        assert_eq!(data, [2, 4, 6]);
+        assert_eq!(seen.into_inner().unwrap(), vec![(0, 3), (1, 4), (2, 5)]);
+        let one = join_workers(vec![7u8], |i, t| {
+            assert_eq!(std::thread::current().id(), caller);
+            (i, t)
+        });
+        assert_eq!(one, vec![(0, 7)]);
     }
 }

@@ -307,6 +307,32 @@ fn extreme_capacities_and_class_growth_load_and_answer() {
 }
 
 #[test]
+fn an_overflowing_route_is_a_graph_error_and_the_connection_survives() {
+    // Capacities 1e-300 under a demand of 1e10 make the congestion 1e310,
+    // which overflows to infinity. JSON has no spelling for it: the reply
+    // could not be written, the connection thread panicked, and the client
+    // read "server closed the connection mid-request".
+    let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let loaded = client
+        .load_graph(3, &[(0, 1, 1e-300), (1, 2, 1e-300)], None)
+        .unwrap();
+    assert_eq!(
+        loaded.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{loaded:?}"
+    );
+    let graph = loaded.get("graph").and_then(Value::as_str).unwrap();
+    let reply = client.route(graph, &[1e10, 0.0, -1e10]).unwrap();
+    assert!(is_error(&reply, ErrorCode::GraphError), "{reply:?}");
+    let message = reply.get("error").and_then(Value::as_str).unwrap();
+    assert!(message.contains("not a finite number"), "{message}");
+    let pong = client.ping().unwrap();
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn bulk_updates_fall_back_to_a_full_rebuild() {
     let (config_value, _) = fast_config();
     let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();

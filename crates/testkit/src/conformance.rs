@@ -1,15 +1,15 @@
 //! Differential conformance harness across engines, models and adversaries.
 //!
 //! One protocol, many executions: the harness replays the same protocol on
-//! every engine (sequential arena, sharded at each configured thread count,
-//! allocation-per-round reference) and every communication model (classic
-//! CONGEST, Congested Clique, lossy CONGEST under each configured adversary,
-//! and — for the tree aggregations — `BCAST(log n)`), then asserts the
-//! executions agree:
+//! both engines (the arena round loop of [`Simulator::run`], traced and
+//! untraced, and the allocation-per-round reference) and every communication
+//! model (classic CONGEST, Congested Clique, lossy CONGEST under each
+//! configured adversary, and — for the tree aggregations — `BCAST(log n)`),
+//! then asserts the executions agree:
 //!
 //! * **reliable replays are byte-identical** — outputs, [`RoundCost`] and
 //!   canonical transcripts match the classic baseline exactly, for every
-//!   engine, thread count and benign adversary seed;
+//!   engine, model and benign adversary seed;
 //! * **lossy replays agree modulo the drop log** — the adversary's
 //!   [`FaultLog`](congest::model::FaultLog) reconciles the books exactly
 //!   (`messages sent = deliveries + drops`), the run still terminates, and
@@ -34,9 +34,11 @@
 //! assert!(report.replays >= 8);
 //! ```
 //!
-//! The CI `conformance` job drives these checks across the model × threads
-//! matrix with a fixed seed set; `CONFORMANCE_THREADS` (comma-separated)
-//! overrides the default `1,4` thread matrix.
+//! The CI `conformance` job drives these checks across the model matrix with
+//! a fixed seed set. `CONFORMANCE_THREADS` (comma-separated, default `1,4`)
+//! sets the thread counts of [`check_flow_conformance`]'s thread check; the
+//! protocol replays have no thread dimension, since the simulator has one
+//! round loop.
 
 use congest::engine::reference_run_traced;
 use congest::model::{Adversary, CommModel};
@@ -45,9 +47,9 @@ use congest::treeops::{
     bcast_prefix_sums, bcast_subtree_sums, distributed_prefix_sums_on, distributed_subtree_sums_on,
     TreeDecomposition,
 };
-use congest::{Network, Parallelism, Protocol, RoundCost, Simulator};
+use congest::{Network, Protocol, RoundCost, Simulator};
 use flowgraph::{Graph, NodeId, RootedTree};
-use maxflow::{MaxFlowConfig, PreparedMaxFlow};
+use maxflow::{MaxFlowConfig, Parallelism, PreparedMaxFlow};
 
 use crate::congestcheck::{check_model_width, CongestBudget};
 
@@ -55,8 +57,9 @@ use crate::congestcheck::{check_model_width, CongestBudget};
 /// conformance check sweeps.
 #[derive(Debug, Clone)]
 pub struct ConformanceMatrix {
-    /// Thread counts for the sharded engine replays (`CONFORMANCE_THREADS`
-    /// env var overrides, comma-separated; default `1,4`).
+    /// Thread counts for [`check_flow_conformance`]'s parallel-session
+    /// replays (`CONFORMANCE_THREADS` env var overrides, comma-separated;
+    /// default `1,4`).
     pub thread_counts: Vec<usize>,
     /// Drop probabilities for the lossy replays (`0.0` is asserted
     /// byte-identical to classic; positive rates go through the
@@ -143,9 +146,7 @@ pub fn check_protocol_matrix<P>(
     matrix: &ConformanceMatrix,
 ) -> Result<ConformanceReport, ConformanceViolation>
 where
-    P: Protocol + Sync,
-    P::Msg: Send,
-    P::State: Send,
+    P: Protocol,
     P::Output: PartialEq + std::fmt::Debug,
 {
     let mut report = ConformanceReport::default();
@@ -165,22 +166,15 @@ where
     }
     report.replays += 1;
 
-    // 2. The sharded engine agrees at every thread count.
-    for &threads in &matrix.thread_counts {
-        let par = Parallelism::with_threads(threads);
-        let (sharded, sharded_t) = sim
-            .run_sharded_traced(network, protocol, &par)
-            .map_err(|e| violation(format!("sharded run ({threads} threads) failed: {e}")))?;
-        if sharded.outputs != baseline.outputs
-            || sharded.cost != baseline.cost
-            || sharded_t != baseline_t
-        {
-            return Err(violation(format!(
-                "sharded engine at {threads} threads diverged from sequential"
-            )));
-        }
-        report.replays += 1;
+    // 2. The untraced round loop, which the library's own callers use,
+    //    agrees: recording a transcript changes neither outputs nor bill.
+    let untraced = sim
+        .run(network, protocol)
+        .map_err(|e| violation(format!("untraced run failed: {e}")))?;
+    if untraced.outputs != baseline.outputs || untraced.cost != baseline.cost {
+        return Err(violation("untraced run diverged from the traced run"));
     }
+    report.replays += 1;
 
     // 3. The classic and clique models agree byte for byte (for simple
     //    graphs the clique's pair rule coincides with the per-edge rule).

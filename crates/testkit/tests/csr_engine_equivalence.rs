@@ -1,20 +1,24 @@
 //! Differential suite for the CSR graph core and the arena CONGEST engine.
 //!
-//! Two equivalences are pinned on seeded random multigraphs:
+//! Two equivalences are pinned:
 //!
-//! 1. **Storage**: the CSR `incident`/`neighbors` slices must enumerate
-//!    exactly the `(edge, endpoint)` sequence the legacy per-node
-//!    `Vec<Vec<EdgeId>>` incidence path produced (same multiset *and* same
-//!    insertion order — the documented CSR ordering guarantee).
+//! 1. **Storage**: on seeded random multigraphs, the CSR
+//!    `incident`/`neighbors` slices must enumerate exactly the
+//!    `(edge, endpoint)` sequence the legacy per-node `Vec<Vec<EdgeId>>`
+//!    incidence path produced (same multiset *and* same insertion order —
+//!    the documented CSR ordering guarantee).
 //! 2. **Execution**: the BFS protocol from `congest::primitives` must
 //!    produce byte-identical transcripts, identical `RoundCost` and
 //!    identical outputs on the zero-allocation arena engine and on the
-//!    allocation-per-round reference engine (`engine::reference_run_traced`).
+//!    allocation-per-round reference engine (`engine::reference_run_traced`),
+//!    on seeded random multigraphs and on the seeded CONGEST workload
+//!    families (`testkit::families::congest_families`).
 
 use congest::engine::{reference_run_traced, Network, Simulator};
 use congest::primitives::BfsProtocol;
 use flowgraph::{EdgeId, Graph, NodeId};
 use proptest::prelude::*;
+use testkit::families;
 
 /// Builds a connected random multigraph: a spanning path plus `extra` random
 /// edges (parallel edges allowed), all derived deterministically from the
@@ -103,6 +107,31 @@ proptest! {
                     prop_assert!(edge.is_incident(*parent));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn bfs_transcripts_match_the_reference_on_congest_families(
+        n in 16usize..56,
+        seed in 0u64..10_000,
+    ) {
+        for inst in families::congest_families(n, seed) {
+            let network = Network::new(inst.graph.clone());
+            let protocol = BfsProtocol::new(inst.s);
+            let (arena, arena_t) = Simulator::new()
+                .run_traced(&network, &protocol)
+                .expect("BFS terminates");
+            let (reference, reference_t) =
+                reference_run_traced(&network, &protocol, 1_000_000).expect("BFS terminates");
+            prop_assert_eq!(&arena.cost, &reference.cost, "family {}", inst.name);
+            prop_assert_eq!(&arena.outputs, &reference.outputs, "family {}", inst.name);
+            prop_assert_eq!(&arena_t, &reference_t, "family {}", inst.name);
+            // Byte-identical, not merely equal.
+            prop_assert_eq!(
+                format!("{:?}", &arena_t).into_bytes(),
+                format!("{:?}", &reference_t).into_bytes(),
+                "family {} transcript bytes", inst.name
+            );
         }
     }
 }

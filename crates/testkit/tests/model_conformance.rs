@@ -1,12 +1,14 @@
 //! The differential conformance suite: one protocol (and one max-flow
-//! query), replayed across every engine, communication model, adversary and
-//! thread count, must agree — byte-identically on reliable fabrics,
-//! modulo the adversary's drop log on lossy ones.
+//! query), replayed across both engines, every communication model and
+//! adversary (and, for the flow query, every thread count), must agree —
+//! byte-identically on reliable fabrics, modulo the adversary's drop log on
+//! lossy ones.
 //!
-//! The CI `conformance` job runs this suite across the model × threads
-//! {1, 4} matrix with a fixed seed set (`CONFORMANCE_THREADS` overrides the
-//! thread matrix); the scheduled stress job multiplies the proptest case
-//! counts via `PROPTEST_CASES_MULTIPLIER`.
+//! The CI `conformance` job runs this suite with a fixed seed set;
+//! `CONFORMANCE_THREADS` (default `1,4`) sets the thread counts of the flow
+//! query's thread check, the only part of the suite with a thread
+//! dimension. The scheduled stress job multiplies the proptest case counts
+//! via `PROPTEST_CASES_MULTIPLIER`.
 
 use capprox::RackeConfig;
 use congest::model::{Adversary, CommModel, FaultEvent};
@@ -30,7 +32,8 @@ fn min_id_flood_conforms_on_every_family() {
         let network = Network::new(fam.generate(30, 3));
         let report = check_protocol_matrix(&network, &MinIdFlood, &matrix())
             .unwrap_or_else(|e| panic!("family {fam}: {e}"));
-        // 1 reference + 2 sharded + 2 models + 2 seeds x 3 drop rates.
+        // 1 reference + 1 untraced + 2 models + 2 seeds x 3 drop rates, less
+        // the clique replay on multigraphs.
         assert!(
             report.replays >= 9,
             "family {fam}: {} replays",

@@ -1,7 +1,7 @@
 //! Differential suite for the deterministic parallel execution layer.
 //!
 //! The contract under test: **for any thread count, every parallel entry
-//! point produces byte-identical results to `threads = 1`.** Three layers are
+//! point produces byte-identical results to `threads = 1`.** Two layers are
 //! pinned across the seeded workload families at threads ∈ {1, 2, 4, 8}:
 //!
 //! 1. `capprox` — the fanned-out operator evaluations `R·b`
@@ -12,16 +12,10 @@
 //! 2. `maxflow` — `PreparedMaxFlow::par_max_flow_batch` (query fan-out) and
 //!    single queries under a parallel config (operator fan-out inside the
 //!    gradient loop) match the sequential session bit for bit.
-//! 3. `congest` — the sharded engine's outputs, `RoundCost` and canonical
-//!    delivery transcripts match both the sequential arena engine and the
-//!    allocation-per-round `reference_run` executable spec.
 
 use capprox::{CongestionApproximator, OperatorScratch, RackeConfig};
-use congest::engine::{reference_run_traced, Network, Simulator};
-use congest::primitives::BfsProtocol;
-use congest::Parallelism;
 use flowgraph::NodeId;
-use maxflow::{MaxFlowConfig, PreparedMaxFlow};
+use maxflow::{MaxFlowConfig, Parallelism, PreparedMaxFlow};
 use proptest::prelude::*;
 use testkit::families;
 
@@ -133,48 +127,6 @@ proptest! {
                     "family {} single query at {} threads", inst.name, threads
                 );
                 prop_assert_eq!(bits(single.flow.values()), bits(seq[0].flow.values()));
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_matches_sequential_and_reference_transcripts(
-        n in 16usize..56,
-        seed in 0u64..10_000,
-    ) {
-        for inst in families::congest_families(n, seed) {
-            let network = Network::new(inst.graph.clone());
-            let protocol = BfsProtocol::new(inst.s);
-            let (seq, seq_t) = Simulator::new()
-                .run_traced(&network, &protocol)
-                .expect("BFS terminates");
-            let (reference, reference_t) =
-                reference_run_traced(&network, &protocol, 1_000_000).expect("BFS terminates");
-            prop_assert_eq!(&seq.cost, &reference.cost, "family {}", inst.name);
-            prop_assert_eq!(&seq_t, &reference_t, "family {}", inst.name);
-            for threads in THREAD_COUNTS {
-                let par = Parallelism::with_threads(threads);
-                let (sharded, sharded_t) = Simulator::new()
-                    .run_sharded_traced(&network, &protocol, &par)
-                    .expect("BFS terminates");
-                prop_assert_eq!(
-                    &sharded.cost, &seq.cost,
-                    "family {} cost at {} threads", inst.name, threads
-                );
-                prop_assert_eq!(
-                    &sharded.outputs, &seq.outputs,
-                    "family {} outputs at {} threads", inst.name, threads
-                );
-                prop_assert_eq!(
-                    &sharded_t, &seq_t,
-                    "family {} transcript at {} threads", inst.name, threads
-                );
-                // Byte-identical, not merely equal.
-                prop_assert_eq!(
-                    format!("{:?}", &sharded_t).into_bytes(),
-                    format!("{:?}", &seq_t).into_bytes(),
-                    "family {} transcript bytes at {} threads", inst.name, threads
-                );
             }
         }
     }

@@ -13,8 +13,7 @@
 //!    change the descent trajectory, never the contract.
 
 use capprox::RackeConfig;
-use congest::Parallelism;
-use maxflow::{approx_max_flow, MaxFlowConfig, PreparedMaxFlow};
+use maxflow::{approx_max_flow, MaxFlowConfig, Parallelism, PreparedMaxFlow};
 use proptest::prelude::*;
 use testkit::{families, OracleConfig};
 
