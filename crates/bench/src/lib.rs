@@ -24,8 +24,8 @@
 
 use baselines::{dinic, push_relabel, trivial};
 use capprox::{
-    build_hierarchy, build_jtree, build_tree_ensemble, sparsify, CongestionApproximator,
-    RackeConfig, SparsifyConfig,
+    build_hierarchical_ensemble, build_jtree, build_tree_ensemble, sparsify,
+    CongestionApproximator, HierarchyConfig, RackeConfig, SparsifyConfig,
 };
 use congest::primitives::build_bfs_tree;
 use congest::treeops::TreeDecomposition;
@@ -314,9 +314,21 @@ pub fn table7_jtrees(n: usize, js: &[usize]) -> Experiment {
             jt.num_components(),
         ));
     }
-    out.push_str("\nRecursive hierarchy (β = 4):\n\n| level | nodes | edges | sparsified edges | j | portals | core edges |\n|---|---|---|---|---|---|---|\n");
-    let h = build_hierarchy(&g, 4.0, 8, 1).expect("connected instance");
-    for (i, level) in h.levels.iter().enumerate() {
+    // The recursion the approximator runs (Theorem 8.10), with one chain and
+    // one bottom tree: its levels extract top-loaded j-trees, so β must
+    // exceed 4 for the 4j + 1 portal bound to shrink every level.
+    let hier = HierarchyConfig::default()
+        .with_direct_threshold(8)
+        .with_chains(1)
+        .with_trees_per_chain(Some(1))
+        .with_seed(1);
+    let (_, stats) = build_hierarchical_ensemble(&g, &hier, &RackeConfig::default())
+        .expect("connected instance");
+    out.push_str(&format!(
+        "\nRecursive hierarchy (β = {}, one chain of build_hierarchical_ensemble):\n\n| level | nodes | edges | sparsified edges | j | portals | core edges |\n|---|---|---|---|---|---|---|\n",
+        hier.beta
+    ));
+    for (i, level) in stats.chains[0].levels.iter().enumerate() {
         out.push_str(&format!(
             "| {} | {} | {} | {} | {} | {} | {} |\n",
             i,
@@ -563,6 +575,8 @@ mod tests {
         assert!(e3.table.lines().count() > 3);
         let e6 = table6_sparsifier(&[40]);
         assert!(e6.table.contains("| 40 |"));
+        let e7 = table7_jtrees(40, &[4]);
+        assert!(e7.table.contains("| 0 | 40 |"), "{}", e7.table);
         let e8 = table8_primitives(&[50]);
         assert!(e8.table.contains("| 50 |"));
         let a3 = ablation_decompose(80);

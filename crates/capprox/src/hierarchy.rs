@@ -5,7 +5,8 @@
 //! low-stretch trees on the *full* input graph — every tree pays `Õ(m)`. The
 //! paper instead recurses (§4, §8.3): sparsify the level graph (Lemma 6.1),
 //! build **one** guide tree, extract a `⌈n/β⌉`-tree from it (Madry's
-//! construction, [`crate::build_jtree`]), and recurse on the contracted core
+//! construction with `F` as exactly the `⌈n/β⌉` most loaded tree edges,
+//! [`crate::build_jtree_top_loaded`]), and recurse on the contracted core
 //! until the level is small enough for the direct build. Each level shrinks
 //! the node count geometrically, so the whole hierarchy costs a constant
 //! number of full-size tree constructions instead of a logarithmic one.

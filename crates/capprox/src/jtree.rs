@@ -13,12 +13,15 @@
 //! (cf. Figure 1 / Figure 5 of the paper).
 //!
 //! The recursion of Theorem 8.10 (sparsify → low-stretch tree → j-tree →
-//! recurse on the core) is provided by [`build_hierarchy`].
+//! recurse on the core) is [`crate::hierarchy`]'s
+//! [`build_hierarchical_ensemble`](crate::build_hierarchical_ensemble). It
+//! extracts each level with [`build_jtree_top_loaded`], which picks `F` as
+//! exactly the `j` most loaded tree edges; [`build_jtree`]'s class rule is
+//! examined on its own by experiment E7.
 
-use flowgraph::{EdgeId, Graph, GraphError, NodeId};
+use flowgraph::{EdgeId, Graph, NodeId};
 
-use crate::racke::{build_tree_ensemble, CapacitatedTree, RackeConfig};
-use crate::sparsify::{sparsify, SparsifyConfig};
+use crate::racke::CapacitatedTree;
 
 /// Where a core edge comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,131 +407,10 @@ fn components_of_forest(tree: &CapacitatedTree, removed: &[bool]) -> Vec<usize> 
     label
 }
 
-/// One level of the recursive construction of Theorem 8.10.
-#[derive(Debug, Clone)]
-pub struct HierarchyLevel {
-    /// Nodes of the graph at this level (clusters of the previous level).
-    pub num_nodes: usize,
-    /// Edges before sparsification.
-    pub num_edges: usize,
-    /// Edges after sparsification.
-    pub num_sparsified_edges: usize,
-    /// The `j` used at this level.
-    pub j: usize,
-    /// Number of portals / core nodes produced.
-    pub num_portals: usize,
-    /// Number of core edges produced.
-    pub num_core_edges: usize,
-}
-
-/// Statistics of a full recursive hierarchy construction (used by experiment
-/// E7; the congestion approximator itself uses the flat `O(log n)`-tree
-/// ensemble, which Lemma 3.3 shows is sufficient).
-#[derive(Debug, Clone)]
-pub struct Hierarchy {
-    /// Per-level statistics, outermost level first.
-    pub levels: Vec<HierarchyLevel>,
-}
-
-/// Runs the recursion of Theorem 8.10: sparsify, build a low-stretch tree,
-/// extract a `(n/β)`-tree, then recurse on its core until the core has at
-/// most `stop_at` nodes.
-///
-/// # Errors
-///
-/// Propagates construction errors (empty or disconnected inputs).
-///
-/// # Panics
-///
-/// Panics if `beta <= 1.0`.
-pub fn build_hierarchy(
-    g: &Graph,
-    beta: f64,
-    stop_at: usize,
-    seed: u64,
-) -> Result<Hierarchy, GraphError> {
-    assert!(beta > 1.0, "beta must exceed 1");
-    let mut levels = Vec::new();
-    let mut current = g.clone();
-    let mut level_seed = seed;
-    while current.num_nodes() > stop_at.max(2) && levels.len() < 32 {
-        let num_nodes = current.num_nodes();
-        let num_edges = current.num_edges();
-        let sparse = if current.num_edges() > 4 * current.num_nodes() {
-            sparsify(
-                &current,
-                &SparsifyConfig {
-                    epsilon: 0.5,
-                    oversampling: 2.0,
-                    seed: level_seed,
-                },
-            )
-            .graph
-        } else {
-            current.clone()
-        };
-        let (sparse_labels, pieces) = sparse.components();
-        let sparse = if pieces > 1 {
-            // Sparsification kept connectivity by construction, but guard
-            // against pathological randomness by falling back to the input.
-            let _ = sparse_labels;
-            current.clone()
-        } else {
-            sparse
-        };
-        let ensemble = build_tree_ensemble(
-            &sparse,
-            &RackeConfig::default()
-                .with_num_trees(1)
-                .with_seed(level_seed),
-        )?;
-        let j = ((num_nodes as f64 / beta).ceil() as usize).max(1);
-        let jtree = build_jtree(&sparse, &ensemble.trees[0], j);
-        levels.push(HierarchyLevel {
-            num_nodes,
-            num_edges,
-            num_sparsified_edges: sparse.num_edges(),
-            j,
-            num_portals: jtree.num_portals(),
-            num_core_edges: jtree.core.num_edges(),
-        });
-        if jtree.num_portals() >= num_nodes || jtree.core.num_edges() == 0 {
-            break;
-        }
-        // Recurse on the core, merging parallel edges to keep it a graph of
-        // manageable size (the paper keeps multigraphs; merging parallel
-        // edges only strengthens the core's cuts and is the standard step 9
-        // of the centralized construction).
-        current = merge_parallel_edges(&jtree.core);
-        level_seed = level_seed.wrapping_add(1);
-    }
-    Ok(Hierarchy { levels })
-}
-
-/// Merges parallel edges of a multigraph, summing their capacities (step 9 of
-/// the centralized routine in §4).
-pub fn merge_parallel_edges(g: &Graph) -> Graph {
-    let mut sums: std::collections::BTreeMap<(usize, usize), f64> =
-        std::collections::BTreeMap::new();
-    for (_, e) in g.edges() {
-        let key = if e.tail.index() <= e.head.index() {
-            (e.tail.index(), e.head.index())
-        } else {
-            (e.head.index(), e.tail.index())
-        };
-        *sums.entry(key).or_insert(0.0) += e.capacity;
-    }
-    let mut out = Graph::with_nodes(g.num_nodes());
-    for ((u, v), cap) in sums {
-        out.add_edge(NodeId(u as u32), NodeId(v as u32), cap)
-            .expect("merged edge endpoints are valid");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::racke::{build_tree_ensemble, RackeConfig};
     use flowgraph::gen;
 
     fn capacitated_tree(g: &Graph, seed: u64) -> CapacitatedTree {
@@ -612,32 +494,5 @@ mod tests {
             min_removed >= max_any / 16.0,
             "removed edges should be among the most loaded"
         );
-    }
-
-    #[test]
-    fn merge_parallel_edges_sums_capacities() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        g.add_edge(NodeId(1), NodeId(0), 2.0).unwrap();
-        g.add_edge(NodeId(1), NodeId(2), 3.0).unwrap();
-        let merged = merge_parallel_edges(&g);
-        assert_eq!(merged.num_edges(), 2);
-        assert!((merged.total_capacity() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hierarchy_shrinks_levels() {
-        let g = gen::random_gnp(120, 0.08, (1.0, 4.0), 9);
-        let h = build_hierarchy(&g, 4.0, 10, 1).unwrap();
-        assert!(!h.levels.is_empty());
-        for w in h.levels.windows(2) {
-            assert!(
-                w[1].num_nodes <= w[0].num_nodes,
-                "levels must not grow: {:?}",
-                h.levels
-            );
-        }
-        // The top level covers the whole graph.
-        assert_eq!(h.levels[0].num_nodes, 120);
     }
 }

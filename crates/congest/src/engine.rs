@@ -39,17 +39,37 @@
 //!
 //! # One round loop
 //!
-//! [`Simulator::run`] steps the nodes of every round on the calling thread,
-//! in node-id order, and stops at the first model violation in that order.
-//! What the simulator measures (rounds, messages, message widths and
-//! transcripts) does not depend on how the nodes of a round are scheduled,
-//! so there is no multi-threaded twin of this loop: the workspace's thread
-//! fan-out sits in the approximator's operators and in query batches (see
-//! the README's determinism policy).
+//! One loop steps every edge-addressed protocol, on every communication
+//! model: [`Simulator::run`] and the [`crate::model`] entry points
+//! ([`Simulator::run_model`] and its traced and reliable forms) all run it.
+//! It steps the nodes of every round on the calling thread, in node-id
+//! order, and stops at the first model violation in that order. The model
+//! is a parameter of the loop, which branches only where the fabrics
+//! differ:
+//!
+//! * **classic** delivers every sent message through `flip` in the next
+//!   round, as above: no queues and no random draws;
+//! * **clique** delivers the same way and also checks, after each node's
+//!   init and round, that the node queued at most one message per peer;
+//! * **lossy** applies the adversary's crash-stops at the start of each
+//!   round, lets it drop or delay each sent message in send order, moves the
+//!   survivors into per-link FIFO queues, delivers one due message per link
+//!   per round, freezes crashed nodes, and waits for empty queues before it
+//!   declares quiescence.
+//!
+//! Besides it there are two loops: [`reference_run`], the executable
+//! specification the suites diff this loop against, and
+//! [`Simulator::run_bcast`], whose `BCAST(log n)` protocols broadcast one
+//! word per node instead of addressing edges. What the simulator measures
+//! (rounds, messages, message widths and transcripts) does not depend on how
+//! the nodes of a round are scheduled, so there is no multi-threaded twin of
+//! the loop: the workspace's thread fan-out sits in the approximator's
+//! operators and in query batches (see the README's determinism policy).
 
 use flowgraph::{EdgeId, Graph, IncidentSlots, NodeId};
 
 use crate::cost::RoundCost;
+use crate::model::{check_clique_pairs, CommModel, FaultLog, LossyLinks};
 
 /// Message types must report their size in `O(log n)`-bit machine words so
 /// the simulator can verify the CONGEST bandwidth constraint.
@@ -188,7 +208,7 @@ impl Network {
     }
 
     /// The mirrored slot of `slot` at the other endpoint of its edge (used
-    /// by the model executors in [`crate::model`]).
+    /// by the lossy links in [`crate::model`]).
     pub(crate) fn flip_slot(&self, slot: usize) -> usize {
         self.flip[slot] as usize
     }
@@ -221,9 +241,8 @@ pub struct Outbox<'a, M> {
 }
 
 impl<'a, M> Outbox<'a, M> {
-    /// Assembles an outbox over caller-owned slots (used by the model
-    /// executors in [`crate::model`] and the retransmit adapter in
-    /// [`crate::reliable`]).
+    /// Assembles an outbox over caller-owned slots (used by the retransmit
+    /// adapter in [`crate::reliable`]).
     pub(crate) fn from_parts(
         node: NodeId,
         incident: IncidentSlots<'a>,
@@ -307,9 +326,9 @@ pub struct Inbox<'a, M> {
 }
 
 impl<'a, M> Inbox<'a, M> {
-    /// Assembles an inbox view over caller-owned slots (used by the model
-    /// executors in [`crate::model`] and the retransmit adapter in
-    /// [`crate::reliable`], which present payloads through buffers they own).
+    /// Assembles an inbox view over caller-owned slots (used by the
+    /// retransmit adapter in [`crate::reliable`], which presents payloads
+    /// through buffers it owns).
     pub(crate) fn from_parts(incident: IncidentSlots<'a>, slots: &'a [Option<M>]) -> Self {
         Inbox { incident, slots }
     }
@@ -558,7 +577,8 @@ impl Simulator {
         network: &Network,
         protocol: &P,
     ) -> Result<RunResult<P::Output>, SimulationError> {
-        self.run_impl(network, protocol, None)
+        let (run, _) = self.run_impl(network, &CommModel::Classic, protocol, None)?;
+        Ok(run)
     }
 
     /// Like [`Simulator::run`], additionally recording the canonical
@@ -573,24 +593,40 @@ impl Simulator {
         network: &Network,
         protocol: &P,
     ) -> Result<(RunResult<P::Output>, Transcript), SimulationError> {
-        let mut transcript = Vec::new();
-        let result = self.run_impl(network, protocol, Some(&mut transcript))?;
-        transcript.sort_unstable();
-        Ok((result, transcript))
+        let (run, transcript, _) = self.run_model_traced(network, &CommModel::Classic, protocol)?;
+        Ok((run, transcript))
     }
 
-    fn run_impl<P: Protocol>(
+    /// The round loop of every edge-addressed run, on every model (see the
+    /// [module docs](self)). On the classic model the loop performs no heap
+    /// allocation once its arenas are built; the lossy model's link queues
+    /// grow on demand.
+    pub(crate) fn run_impl<P: Protocol>(
         &self,
         network: &Network,
+        model: &CommModel,
         protocol: &P,
         mut trace: Option<&mut Vec<DeliveryEvent>>,
-    ) -> Result<RunResult<P::Output>, SimulationError> {
+    ) -> Result<(RunResult<P::Output>, FaultLog), SimulationError> {
+        let clique = match model {
+            CommModel::Bcast => {
+                return Err(SimulationError::UnsupportedModel {
+                    model: "bcast",
+                    reason: "edge-addressed protocols cannot run on a broadcast fabric; \
+                             implement BcastProtocol and use Simulator::run_bcast",
+                })
+            }
+            CommModel::Clique => true,
+            CommModel::Classic | CommModel::Lossy(_) => false,
+        };
+        let mut lossy = match model {
+            CommModel::Lossy(adversary) => Some(LossyLinks::new(network, adversary)),
+            _ => None,
+        };
         let n = network.num_nodes();
         let slots = network.num_slots();
         let csr = network.graph().csr();
 
-        // Everything below is allocated exactly once per run; the round loop
-        // itself performs no heap allocation.
         let mut send: Vec<Option<P::Msg>> = std::iter::repeat_with(|| None).take(slots).collect();
         let mut recv: Vec<Option<P::Msg>> = std::iter::repeat_with(|| None).take(slots).collect();
         let mut send_dirty: Vec<u32> = Vec::with_capacity(slots);
@@ -598,10 +634,12 @@ impl Simulator {
         let mut states: Vec<P::State> = Vec::with_capacity(n);
         let mut violation: Option<SimulationError> = None;
         let mut cost = RoundCost::ZERO;
+        let mut peers: Vec<u32> = Vec::new();
 
         for v in network.graph().nodes() {
             let view = network.view(v);
             let range = csr.slot_range(v);
+            let dirty_before = send_dirty.len();
             let mut outbox = Outbox {
                 node: v,
                 incident: view.incident,
@@ -614,12 +652,22 @@ impl Simulator {
             if let Some(err) = violation.take() {
                 return Err(err);
             }
+            if clique {
+                check_clique_pairs(v, &send_dirty[dirty_before..], csr, &mut peers)?;
+            }
             states.push(state);
         }
 
         let mut round: u64 = 0;
         loop {
-            if send_dirty.is_empty() && states.iter().all(|s| protocol.is_terminated(s)) {
+            let frozen = |v: usize| lossy.as_ref().is_some_and(|l| l.is_crashed(v));
+            if send_dirty.is_empty()
+                && lossy.as_ref().is_none_or(LossyLinks::is_idle)
+                && states
+                    .iter()
+                    .enumerate()
+                    .all(|(v, s)| frozen(v) || protocol.is_terminated(s))
+            {
                 break;
             }
             if round >= self.max_rounds {
@@ -629,32 +677,55 @@ impl Simulator {
             }
             round += 1;
 
-            // Deliver: move every queued message to the mirrored slot at the
-            // other endpoint. Only touched slots are visited.
+            // Deliver. Classic and clique move every queued message to the
+            // mirrored slot at the other endpoint, visiting only touched
+            // slots; the lossy links hand each message to the adversary and
+            // deliver the due heads of their queues.
             recv_dirty.clear();
-            for &s in &send_dirty {
-                let msg = send[s as usize].take().expect("dirty slot holds a message");
-                cost.messages += 1;
-                cost.retransmissions += u64::from(msg.is_retransmission());
-                cost.max_message_words = cost.max_message_words.max(msg.words());
-                if let Some(tr) = trace.as_deref_mut() {
-                    let (edge, receiver) = csr.slot(s as usize);
-                    tr.push(DeliveryEvent {
-                        round,
-                        edge,
-                        receiver,
-                    });
+            match lossy.as_mut() {
+                None => {
+                    for &s in &send_dirty {
+                        let msg = send[s as usize].take().expect("dirty slot holds a message");
+                        bill(&mut cost, &msg);
+                        if let Some(tr) = trace.as_deref_mut() {
+                            let (edge, receiver) = csr.slot(s as usize);
+                            tr.push(DeliveryEvent {
+                                round,
+                                edge,
+                                receiver,
+                            });
+                        }
+                        let d = network.flip[s as usize];
+                        recv[d as usize] = Some(msg);
+                        recv_dirty.push(d);
+                    }
                 }
-                let d = network.flip[s as usize];
-                recv[d as usize] = Some(msg);
-                recv_dirty.push(d);
+                Some(links) => {
+                    links.crash_scheduled(round);
+                    for &s in &send_dirty {
+                        let msg = send[s as usize].take().expect("dirty slot holds a message");
+                        bill(&mut cost, &msg);
+                        links.send(network, round, s as usize, msg);
+                    }
+                    links.deliver(
+                        network,
+                        round,
+                        &mut recv,
+                        &mut recv_dirty,
+                        trace.as_deref_mut(),
+                    );
+                }
             }
             send_dirty.clear();
 
-            // Execute the round at every node.
+            // Execute the round at every node that has not crashed.
             for v in network.graph().nodes() {
+                if lossy.as_ref().is_some_and(|l| l.is_crashed(v.index())) {
+                    continue;
+                }
                 let view = network.view(v);
                 let range = csr.slot_range(v);
+                let dirty_before = send_dirty.len();
                 let inbox = Inbox {
                     incident: view.incident,
                     slots: &recv[range.clone()],
@@ -671,6 +742,9 @@ impl Simulator {
                 if let Some(err) = violation.take() {
                     return Err(err);
                 }
+                if clique {
+                    check_clique_pairs(v, &send_dirty[dirty_before..], csr, &mut peers)?;
+                }
             }
 
             // Clear the delivered slots for the next round.
@@ -686,12 +760,20 @@ impl Simulator {
             .zip(states)
             .map(|(v, s)| protocol.output(&network.view(v), s))
             .collect();
-        Ok(RunResult {
+        let run = RunResult {
             outputs,
             cost,
             quiescent: true,
-        })
+        };
+        Ok((run, lossy.map(LossyLinks::into_faults).unwrap_or_default()))
     }
+}
+
+/// Bills one message leaving its sender: every send counts, dropped or not.
+fn bill<M: MessageSize>(cost: &mut RoundCost, msg: &M) {
+    cost.messages += 1;
+    cost.retransmissions += u64::from(msg.is_retransmission());
+    cost.max_message_words = cost.max_message_words.max(msg.words());
 }
 
 /// Reference implementation of the simulator semantics that allocates fresh
@@ -804,9 +886,7 @@ fn reference_run_impl<P: Protocol>(
             let base = csr.slot_range(v).start;
             for (i, slot) in send[v.index()].iter_mut().enumerate() {
                 if let Some(msg) = slot.take() {
-                    cost.messages += 1;
-                    cost.retransmissions += u64::from(msg.is_retransmission());
-                    cost.max_message_words = cost.max_message_words.max(msg.words());
+                    bill(&mut cost, &msg);
                     let (edge, receiver) = csr.slot(base + i);
                     if let Some(tr) = trace.as_deref_mut() {
                         tr.push(DeliveryEvent {

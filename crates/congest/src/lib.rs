@@ -13,16 +13,15 @@
 //!   standard toolbox: BFS-tree construction, flooding/leader election,
 //!   broadcast, convergecast and pipelined aggregation of `k` values over a
 //!   tree (the `D + k` bound used throughout §5 and §9 of the paper);
-//! * [`cluster`] — distributed cluster graphs (Definition 5.1) and the cost
-//!   accounting of the simulation lemma (Lemma 5.1);
 //! * [`treeops`] — subtree sums and root-to-node prefix sums ("downcasts") on
 //!   a (possibly deep) spanning tree in `Õ(√n + D)` rounds via the random
 //!   edge-sampling decomposition of Lemma 8.2 / Lemma 9.1;
 //! * [`cost`] — composable round/message cost records used by the
 //!   round-accounted execution of the full pipeline;
-//! * [`model`] — pluggable communication models on top of the same engine:
-//!   classic per-edge CONGEST, lossy/faulty CONGEST under a seeded
-//!   [`Adversary`], the Congested Clique and `BCAST(log n)`;
+//! * [`model`] — pluggable communication models: classic per-edge CONGEST,
+//!   lossy/faulty CONGEST under a seeded [`Adversary`] and the Congested
+//!   Clique run through the one round loop of [`engine`], and
+//!   `BCAST(log n)` runs its broadcast protocols through a loop of its own;
 //! * [`reliable`] — the retransmit-with-ack adapter that runs unchanged
 //!   protocols over the lossy model.
 //!
@@ -46,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod cost;
 pub mod engine;
 pub mod model;

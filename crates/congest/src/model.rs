@@ -2,13 +2,17 @@
 //!
 //! The paper's round bounds live in the clean synchronous CONGEST model, but
 //! a production routing system must survive dropped messages, crashed nodes
-//! and different communication fabrics. [`CommModel`] generalizes the engine
-//! of [`crate::engine`] into a pluggable runtime with four deterministic,
-//! seed-reproducible instantiations:
+//! and different communication fabrics. [`CommModel`] is a parameter of the
+//! simulator with four deterministic, seed-reproducible instantiations. The
+//! first three run edge-addressed [`Protocol`]s through the one round loop
+//! behind [`Simulator::run`] (see [`crate::engine`]), which branches only
+//! where they differ; `BCAST(log n)` runs [`BcastProtocol`]s through
+//! [`Simulator::run_bcast`]. With the allocation-per-round specification
+//! [`crate::engine::reference_run`], those are the crate's three loops.
 //!
-//! 1. **[`CommModel::Classic`]** — per-edge CONGEST, exactly the PR-4
-//!    engine: runs delegate to [`Simulator::run`] and are byte-identical to
-//!    it (flows, [`RoundCost`], canonical transcripts).
+//! 1. **[`CommModel::Classic`]** — per-edge CONGEST: [`Simulator::run`]
+//!    itself, so `run_model` on it is byte-identical to `run` (flows,
+//!    [`RoundCost`], canonical transcripts).
 //! 2. **[`CommModel::Lossy`]** — CONGEST with an [`Adversary`]: a seeded
 //!    ChaCha8 stream plus scripted schedules drops messages, delays them on
 //!    FIFO links and crash-stops nodes mid-run. Every fault is recorded in a
@@ -61,7 +65,9 @@
 //! deterministic send order of the round loop, so the same seed reproduces
 //! the same drops, delays, fault log and round bill on every machine. The
 //! differential harness in `testkit::conformance` leans on this to replay
-//! one protocol across the whole model × adversary × thread matrix.
+//! one protocol across the whole model × adversary × thread matrix, and
+//! `model_runs_match_pinned_digests` below pins the bits of adversarial and
+//! clique runs, fault logs included.
 
 use std::collections::VecDeque;
 
@@ -71,8 +77,8 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::cost::RoundCost;
 use crate::engine::{
-    DeliveryEvent, Inbox, LocalView, MessageSize, Network, Outbox, Protocol, RunResult,
-    SimulationError, Simulator, Transcript,
+    DeliveryEvent, LocalView, MessageSize, Network, Protocol, RunResult, SimulationError,
+    Simulator, Transcript,
 };
 use crate::reliable::Reliable;
 
@@ -284,15 +290,15 @@ impl FaultLog {
 }
 
 impl Simulator {
-    /// Runs `protocol` on `network` under the given communication model.
+    /// Runs `protocol` on `network` under the given communication model, in
+    /// the one round loop behind [`Simulator::run`].
     ///
-    /// [`CommModel::Classic`] delegates to [`Simulator::run`] and is
-    /// byte-identical to it; [`CommModel::Lossy`] executes the *raw*
-    /// protocol against the adversary (use
-    /// [`Simulator::run_model_reliable`] for protocols that need delivery
-    /// guarantees — a benign adversary is byte-identical to classic either
-    /// way); [`CommModel::Clique`] enforces the one-word-per-ordered-pair
-    /// rule on top of the classic semantics.
+    /// [`CommModel::Classic`] is byte-identical to [`Simulator::run`];
+    /// [`CommModel::Lossy`] executes the *raw* protocol against the
+    /// adversary (use [`Simulator::run_model_reliable`] for protocols that
+    /// need delivery guarantees — a benign adversary is byte-identical to
+    /// classic either way); [`CommModel::Clique`] enforces the
+    /// one-word-per-ordered-pair rule on top of the classic semantics.
     ///
     /// # Errors
     ///
@@ -306,20 +312,7 @@ impl Simulator {
         model: &CommModel,
         protocol: &P,
     ) -> Result<(RunResult<P::Output>, FaultLog), SimulationError> {
-        match model {
-            CommModel::Classic => Ok((self.run(network, protocol)?, FaultLog::default())),
-            CommModel::Lossy(adv) => {
-                model_run_impl(network, protocol, self.max_rounds(), Some(adv), false, None)
-            }
-            CommModel::Clique => {
-                model_run_impl(network, protocol, self.max_rounds(), None, true, None)
-            }
-            CommModel::Bcast => Err(SimulationError::UnsupportedModel {
-                model: "bcast",
-                reason: "edge-addressed protocols cannot run on a broadcast fabric; \
-                         implement BcastProtocol and use Simulator::run_bcast",
-            }),
-        }
+        self.run_impl(network, model, protocol, None)
     }
 
     /// Like [`Simulator::run_model`], additionally recording the canonical
@@ -335,43 +328,10 @@ impl Simulator {
         model: &CommModel,
         protocol: &P,
     ) -> Result<(RunResult<P::Output>, Transcript, FaultLog), SimulationError> {
-        match model {
-            CommModel::Classic => {
-                let (run, transcript) = self.run_traced(network, protocol)?;
-                Ok((run, transcript, FaultLog::default()))
-            }
-            CommModel::Lossy(adv) => {
-                let mut transcript = Vec::new();
-                let (run, faults) = model_run_impl(
-                    network,
-                    protocol,
-                    self.max_rounds(),
-                    Some(adv),
-                    false,
-                    Some(&mut transcript),
-                )?;
-                transcript.sort_unstable();
-                Ok((run, transcript, faults))
-            }
-            CommModel::Clique => {
-                let mut transcript = Vec::new();
-                let (run, faults) = model_run_impl(
-                    network,
-                    protocol,
-                    self.max_rounds(),
-                    None,
-                    true,
-                    Some(&mut transcript),
-                )?;
-                transcript.sort_unstable();
-                Ok((run, transcript, faults))
-            }
-            CommModel::Bcast => Err(SimulationError::UnsupportedModel {
-                model: "bcast",
-                reason: "edge-addressed protocols cannot run on a broadcast fabric; \
-                         implement BcastProtocol and use Simulator::run_bcast",
-            }),
-        }
+        let mut transcript = Vec::new();
+        let (run, faults) = self.run_impl(network, model, protocol, Some(&mut transcript))?;
+        transcript.sort_unstable();
+        Ok((run, transcript, faults))
     }
 
     /// Runs `protocol` under `model` with delivery guarantees: on
@@ -394,14 +354,9 @@ impl Simulator {
         match model {
             // A benign adversary can never interfere, so the ARQ framing
             // would be pure overhead: run raw — byte-identical to classic.
-            CommModel::Lossy(adv) if !adv.is_benign() => model_run_impl(
-                network,
-                &Reliable::new(protocol),
-                self.max_rounds(),
-                Some(adv),
-                false,
-                None,
-            ),
+            CommModel::Lossy(adv) if !adv.is_benign() => {
+                self.run_model(network, model, &Reliable::new(protocol))
+            }
             _ => self.run_model(network, model, protocol),
         }
     }
@@ -422,195 +377,134 @@ impl Simulator {
     ) -> Result<(RunResult<P::Output>, Transcript, FaultLog), SimulationError> {
         match model {
             CommModel::Lossy(adv) if !adv.is_benign() => {
-                let mut transcript = Vec::new();
-                let (run, faults) = model_run_impl(
-                    network,
-                    &Reliable::new(protocol),
-                    self.max_rounds(),
-                    Some(adv),
-                    false,
-                    Some(&mut transcript),
-                )?;
-                transcript.sort_unstable();
-                Ok((run, transcript, faults))
+                self.run_model_traced(network, model, &Reliable::new(protocol))
             }
             _ => self.run_model_traced(network, model, protocol),
         }
     }
 }
 
-/// Shared execution loop of the lossy and clique models.
-///
-/// The loop mirrors [`Simulator::run`]'s structure (flat send/receive arenas,
-/// dirty lists, identical round counting and quiescence rule) so that a
-/// benign adversary reproduces the classic execution byte for byte; on top of
-/// it, messages travel through per-link FIFO in-flight queues where the
-/// adversary can drop or postpone them, and crash-stopped nodes freeze.
-/// Unlike the classic engine this loop is not allocation-free (the in-flight
-/// queues grow on demand); the zero-allocation guarantee applies to
-/// [`CommModel::Classic`] only.
-#[allow(clippy::too_many_lines)]
-fn model_run_impl<P: Protocol>(
-    network: &Network,
-    protocol: &P,
-    max_rounds: u64,
-    adversary: Option<&Adversary>,
-    clique: bool,
-    mut trace: Option<&mut Vec<DeliveryEvent>>,
-) -> Result<(RunResult<P::Output>, FaultLog), SimulationError> {
-    let n = network.num_nodes();
-    let slots = network.num_slots();
-    let csr = network.graph().csr();
+/// The lossy model's side of one run of the round loop: the adversary's
+/// ChaCha8 stream, the crashed nodes, one FIFO queue of `(due round,
+/// message)` per receive slot, and the [`FaultLog`]. The round loop bills
+/// each message as it leaves its sender, hands it to [`Self::send`], and
+/// then calls [`Self::deliver`]; the queues grow on demand, so unlike the
+/// classic path this one allocates during the run.
+pub(crate) struct LossyLinks<'a, M> {
+    adversary: &'a Adversary,
+    rng: ChaCha8Rng,
+    crashed: Vec<bool>,
+    /// Owner node of every slot, for crash bookkeeping.
+    slot_owner: Vec<u32>,
+    queues: Vec<VecDeque<(u64, M)>>,
+    queued: usize,
+    faults: FaultLog,
+}
 
-    let mut rng = adversary.map(|a| ChaCha8Rng::seed_from_u64(a.seed));
-    let drop_p = adversary.map_or(0.0, |a| a.drop_probability);
-    let delay_p = adversary.map_or(0.0, |a| a.delay_probability);
-    let max_delay = adversary.map_or(1, |a| a.max_delay.max(1));
-
-    // Owner node of every slot, for crash bookkeeping.
-    let mut slot_owner = vec![0u32; slots];
-    for v in network.graph().nodes() {
-        for s in csr.slot_range(v) {
-            slot_owner[s] = v.0;
+impl<'a, M> LossyLinks<'a, M> {
+    pub(crate) fn new(network: &Network, adversary: &'a Adversary) -> Self {
+        let csr = network.graph().csr();
+        let mut slot_owner = vec![0u32; network.num_slots()];
+        for v in network.graph().nodes() {
+            for s in csr.slot_range(v) {
+                slot_owner[s] = v.0;
+            }
+        }
+        LossyLinks {
+            adversary,
+            rng: ChaCha8Rng::seed_from_u64(adversary.seed),
+            crashed: vec![false; network.num_nodes()],
+            slot_owner,
+            queues: std::iter::repeat_with(VecDeque::new)
+                .take(network.num_slots())
+                .collect(),
+            queued: 0,
+            faults: FaultLog::default(),
         }
     }
 
-    let mut send: Vec<Option<P::Msg>> = std::iter::repeat_with(|| None).take(slots).collect();
-    let mut recv: Vec<Option<P::Msg>> = std::iter::repeat_with(|| None).take(slots).collect();
-    let mut send_dirty: Vec<u32> = Vec::with_capacity(slots);
-    let mut recv_dirty: Vec<u32> = Vec::with_capacity(slots);
-    let mut states: Vec<P::State> = Vec::with_capacity(n);
-    let mut violation: Option<SimulationError> = None;
-    let mut cost = RoundCost::ZERO;
-    let mut faults = FaultLog::default();
-    let mut crashed = vec![false; n];
-    // Per-receive-slot FIFO link queues of `(due round, message)`.
-    let mut inflight: Vec<VecDeque<(u64, P::Msg)>> =
-        std::iter::repeat_with(VecDeque::new).take(slots).collect();
-    let mut inflight_count: usize = 0;
-    let mut peers_scratch: Vec<u32> = Vec::new();
-
-    for v in network.graph().nodes() {
-        let view = network.view(v);
-        let range = csr.slot_range(v);
-        let dirty_before = send_dirty.len();
-        let mut outbox = Outbox::from_parts(
-            v,
-            view.incident_pairs(),
-            &mut send[range.clone()],
-            range.start as u32,
-            &mut send_dirty,
-            &mut violation,
-        );
-        let state = protocol.init(&view, &mut outbox);
-        if let Some(err) = violation.take() {
-            return Err(err);
-        }
-        if clique {
-            check_clique_pairs(v, &send_dirty[dirty_before..], csr, &mut peers_scratch)?;
-        }
-        states.push(state);
+    /// Whether node `v` has crash-stopped (it no longer steps).
+    pub(crate) fn is_crashed(&self, v: usize) -> bool {
+        self.crashed[v]
     }
 
-    let mut round: u64 = 0;
-    loop {
-        if send_dirty.is_empty()
-            && inflight_count == 0
-            && states
+    /// Whether no message is waiting in any link queue.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.queued == 0
+    }
+
+    /// Applies the crash-stops scripted for the start of `round`: the
+    /// node's queued messages are lost with it.
+    pub(crate) fn crash_scheduled(&mut self, round: u64) {
+        for &(r, v) in &self.adversary.crash_schedule {
+            if r == round && v.index() < self.crashed.len() && !self.crashed[v.index()] {
+                self.crashed[v.index()] = true;
+                self.faults
+                    .events
+                    .push(FaultEvent::Crashed { round, node: v });
+            }
+        }
+    }
+
+    /// The adversary rules on the message sent from slot `s` in `round`:
+    /// drop it, or queue it on its link, possibly delayed. Messages are
+    /// ruled on in send order, which fixes the order of the random draws.
+    pub(crate) fn send(&mut self, network: &Network, round: u64, s: usize, msg: M) {
+        let (edge, receiver) = network.graph().csr().slot(s);
+        // A message whose sender crashed between queueing and the wire is
+        // billed as sent (the node did emit it last round) and logged as
+        // dropped, so the `sent = delivered + dropped` reconciliation holds
+        // under crash adversaries too. Dropped messages draw no delay.
+        let adv = self.adversary;
+        let dropped = self.crashed[self.slot_owner[s] as usize]
+            || adv
+                .drop_schedule
                 .iter()
-                .zip(&crashed)
-                .all(|(s, &c)| c || protocol.is_terminated(s))
-        {
-            break;
-        }
-        if round >= max_rounds {
-            return Err(SimulationError::RoundLimitExceeded { max_rounds });
-        }
-        round += 1;
-
-        // Scripted crash-stops take effect at the start of the round: the
-        // node's queued messages are lost with it.
-        if let Some(adv) = adversary {
-            for &(r, v) in &adv.crash_schedule {
-                if r == round && v.index() < n && !crashed[v.index()] {
-                    crashed[v.index()] = true;
-                    faults.events.push(FaultEvent::Crashed { round, node: v });
-                }
-            }
-        }
-
-        // Send phase: drain the dirty send slots into the per-link FIFO
-        // queues; the adversary rules on each message at send time, in
-        // deterministic slot order.
-        for &s in &send_dirty {
-            let s = s as usize;
-            let msg = send[s].take().expect("dirty slot holds a message");
-            let (edge, receiver) = csr.slot(s);
-            cost.messages += 1;
-            cost.retransmissions += u64::from(msg.is_retransmission());
-            cost.max_message_words = cost.max_message_words.max(msg.words());
-            if crashed[slot_owner[s] as usize] {
-                // The sender crashed between queueing and the wire: billed as
-                // sent (the node did emit it last round) and logged as
-                // dropped, so the `sent = delivered + dropped` reconciliation
-                // holds under crash adversaries too.
-                faults.events.push(FaultEvent::Dropped {
-                    round,
-                    edge,
-                    receiver,
-                });
-                continue;
-            }
-            let mut dropped = adversary.is_some_and(|a| {
-                a.drop_schedule
-                    .iter()
-                    .any(|&(r, e)| r == round && e == edge)
+                .any(|&(r, e)| r == round && e == edge)
+            || (adv.drop_probability > 0.0 && self.rng.gen_bool(adv.drop_probability));
+        if dropped {
+            self.faults.events.push(FaultEvent::Dropped {
+                round,
+                edge,
+                receiver,
             });
-            let mut due = round;
-            if let Some(rng) = rng.as_mut() {
-                if !dropped && drop_p > 0.0 {
-                    dropped = rng.gen_bool(drop_p);
-                }
-                if !dropped && delay_p > 0.0 && rng.gen_bool(delay_p) {
-                    due = round + rng.gen_range(1..=max_delay);
-                    faults.events.push(FaultEvent::Delayed {
-                        round,
-                        edge,
-                        receiver,
-                        until: due,
-                    });
-                }
-            }
-            if dropped {
-                faults.events.push(FaultEvent::Dropped {
-                    round,
-                    edge,
-                    receiver,
-                });
-                continue;
-            }
-            inflight[network.flip_slot(s)].push_back((due, msg));
-            inflight_count += 1;
+            return;
         }
-        send_dirty.clear();
+        let mut due = round;
+        if adv.delay_probability > 0.0 && self.rng.gen_bool(adv.delay_probability) {
+            due = round + self.rng.gen_range(1..=adv.max_delay.max(1));
+            self.faults.events.push(FaultEvent::Delayed {
+                round,
+                edge,
+                receiver,
+                until: due,
+            });
+        }
+        self.queues[network.flip_slot(s)].push_back((due, msg));
+        self.queued += 1;
+    }
 
-        // Delivery phase: the head of every link queue whose due round has
-        // arrived moves into the receive arena — at most one message per
-        // link per round, like the wire itself.
-        recv_dirty.clear();
-        for d in 0..slots {
-            let Some(&(due, _)) = inflight[d].front() else {
-                continue;
-            };
-            if due > round {
+    /// Moves the head of every link queue whose due round has arrived into
+    /// the receive arena, in slot order — at most one message per link per
+    /// round, like the wire itself. Messages for crashed nodes are dropped.
+    pub(crate) fn deliver(
+        &mut self,
+        network: &Network,
+        round: u64,
+        recv: &mut [Option<M>],
+        recv_dirty: &mut Vec<u32>,
+        mut trace: Option<&mut Vec<DeliveryEvent>>,
+    ) {
+        for (d, queue) in self.queues.iter_mut().enumerate() {
+            if queue.front().is_none_or(|&(due, _)| due > round) {
                 continue;
             }
-            let (_, msg) = inflight[d].pop_front().expect("front was just observed");
-            inflight_count -= 1;
-            let edge = csr.slot(d).0;
-            let receiver = NodeId(slot_owner[d]);
-            if crashed[receiver.index()] {
-                faults.events.push(FaultEvent::Dropped {
+            let (_, msg) = queue.pop_front().expect("front was just observed");
+            self.queued -= 1;
+            let edge = network.graph().csr().slot(d).0;
+            let receiver = NodeId(self.slot_owner[d]);
+            if self.crashed[receiver.index()] {
+                self.faults.events.push(FaultEvent::Dropped {
                     round,
                     edge,
                     receiver,
@@ -627,58 +521,16 @@ fn model_run_impl<P: Protocol>(
             recv[d] = Some(msg);
             recv_dirty.push(d as u32);
         }
-
-        // Step phase: live nodes only; crashed nodes keep their final state.
-        for v in network.graph().nodes() {
-            if crashed[v.index()] {
-                continue;
-            }
-            let view = network.view(v);
-            let range = csr.slot_range(v);
-            let dirty_before = send_dirty.len();
-            let inbox = Inbox::from_parts(view.incident_pairs(), &recv[range.clone()]);
-            let mut outbox = Outbox::from_parts(
-                v,
-                view.incident_pairs(),
-                &mut send[range.clone()],
-                range.start as u32,
-                &mut send_dirty,
-                &mut violation,
-            );
-            protocol.round(&view, &mut states[v.index()], &inbox, &mut outbox, round);
-            if let Some(err) = violation.take() {
-                return Err(err);
-            }
-            if clique {
-                check_clique_pairs(v, &send_dirty[dirty_before..], csr, &mut peers_scratch)?;
-            }
-        }
-
-        for &d in &recv_dirty {
-            recv[d as usize] = None;
-        }
     }
-    cost.rounds = round;
 
-    let outputs = network
-        .graph()
-        .nodes()
-        .zip(states)
-        .map(|(v, s)| protocol.output(&network.view(v), s))
-        .collect();
-    Ok((
-        RunResult {
-            outputs,
-            cost,
-            quiescent: true,
-        },
-        faults,
-    ))
+    pub(crate) fn into_faults(self) -> FaultLog {
+        self.faults
+    }
 }
 
 /// Enforces the clique's one-message-per-ordered-pair rule over the slots a
 /// node dirtied this round.
-fn check_clique_pairs(
+pub(crate) fn check_clique_pairs(
     node: NodeId,
     new_dirty: &[u32],
     csr: &flowgraph::Csr,
@@ -1108,5 +960,175 @@ mod tests {
         assert_eq!(CommModel::Clique.width_budget(4), 4);
         assert_eq!(CommModel::Lossy(Adversary::benign(0)).width_budget(4), 5);
         assert_eq!(CommModel::Bcast.width_budget(4), 1);
+    }
+
+    /// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, x: u64) {
+            for b in x.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Digest of one model run: the outputs, the `RoundCost`, the sorted
+    /// transcript and the fault log's events in encounter order.
+    fn run_digest(
+        outputs: &[u64],
+        cost: RoundCost,
+        transcript: &Transcript,
+        faults: &FaultLog,
+    ) -> u64 {
+        let mut h = Fnv::new();
+        h.word(outputs.len() as u64);
+        outputs.iter().for_each(|&o| h.word(o));
+        for x in [
+            cost.rounds,
+            cost.messages,
+            cost.max_message_words,
+            cost.retransmissions,
+        ] {
+            h.word(x);
+        }
+        h.word(transcript.len() as u64);
+        for ev in transcript {
+            h.word(ev.round);
+            h.word(ev.edge.0.into());
+            h.word(ev.receiver.0.into());
+        }
+        h.word(faults.events.len() as u64);
+        for ev in &faults.events {
+            match *ev {
+                FaultEvent::Dropped {
+                    round,
+                    edge,
+                    receiver,
+                } => [0, round, edge.0.into(), receiver.0.into()]
+                    .into_iter()
+                    .for_each(|x| h.word(x)),
+                FaultEvent::Delayed {
+                    round,
+                    edge,
+                    receiver,
+                    until,
+                } => [1, round, edge.0.into(), receiver.0.into(), until]
+                    .into_iter()
+                    .for_each(|x| h.word(x)),
+                FaultEvent::Crashed { round, node } => [2, round, node.0.into()]
+                    .into_iter()
+                    .for_each(|x| h.word(x)),
+            }
+        }
+        h.0
+    }
+
+    fn flood_digest(network: &Network, model: &CommModel, reliable: bool) -> u64 {
+        let sim = Simulator::new();
+        let (run, transcript, faults) = if reliable {
+            sim.run_model_reliable_traced(network, model, &MinIdFlood)
+        } else {
+            sim.run_model_traced(network, model, &MinIdFlood)
+        }
+        .unwrap();
+        let outputs: Vec<u64> = run.outputs.iter().map(|&x| u64::from(x)).collect();
+        run_digest(&outputs, run.cost, &transcript, &faults)
+    }
+
+    /// Pins every observable of adversarial and clique runs, fault log
+    /// included, so that a change to the round loop that draws the
+    /// adversary's stream or logs faults in another order shows up here.
+    #[test]
+    fn model_runs_match_pinned_digests() {
+        let grid4 = Network::new(gen::grid(4, 4, 1.0));
+        let grid5 = Network::new(gen::grid(5, 5, 1.0));
+        let path9 = Network::new(gen::path(9, 1.0));
+        let lossy = |adv: Adversary| CommModel::Lossy(adv);
+        let bfs = {
+            let (run, transcript, faults) = Simulator::new()
+                .run_model_reliable_traced(
+                    &grid5,
+                    &lossy(Adversary::lossy(3, 0.2)),
+                    &BfsProtocol::new(NodeId(0)),
+                )
+                .unwrap();
+            let outputs: Vec<u64> = run
+                .outputs
+                .iter()
+                .map(|o| o.map_or(u64::MAX, |(e, p)| u64::from(e.0) << 32 | u64::from(p.0)))
+                .collect();
+            run_digest(&outputs, run.cost, &transcript, &faults)
+        };
+        let cases = [
+            (
+                "raw flood, 20% drops, seed 1",
+                flood_digest(&grid5, &lossy(Adversary::lossy(1, 0.2)), false),
+                0x61f2_1c8d_59dd_8506,
+            ),
+            (
+                "raw flood, 20% drops, seed 2",
+                flood_digest(&grid5, &lossy(Adversary::lossy(2, 0.2)), false),
+                0x3e93_ba7c_9f0f_aa23,
+            ),
+            (
+                "reliable flood, delays and scripted edge drops",
+                flood_digest(
+                    &path9,
+                    &lossy(
+                        Adversary::lossy(11, 0.05)
+                            .with_delays(0.3, 3)
+                            .with_edge_drop(1, EdgeId(0))
+                            .with_edge_drop(2, EdgeId(4)),
+                    ),
+                    true,
+                ),
+                0xfb6e_146a_e34b_8bbd,
+            ),
+            (
+                "raw flood, crash-stop of node 5 in round 1",
+                flood_digest(
+                    &grid4,
+                    &lossy(Adversary::benign(0).with_crash(1, NodeId(5))),
+                    false,
+                ),
+                0xfab6_f7b3_30a0_45d1,
+            ),
+            (
+                "raw flood, 10% drops and delays, crash-stop of node 6 in round 3",
+                flood_digest(
+                    &grid4,
+                    &lossy(
+                        Adversary::lossy(5, 0.1)
+                            .with_delays(0.2, 2)
+                            .with_crash(3, NodeId(6)),
+                    ),
+                    false,
+                ),
+                0xe184_d878_1658_1b77,
+            ),
+            (
+                "reliable flood, 30% drops",
+                flood_digest(&grid5, &lossy(Adversary::lossy(3, 0.3)), true),
+                0x6563_136d_397b_6ec1,
+            ),
+            ("reliable BFS, 20% drops", bfs, 0xd0dc_0ad3_3d8b_407b),
+            (
+                "clique flood on a simple graph",
+                flood_digest(&grid4, &CommModel::Clique, false),
+                0x3e3a_52ed_3897_4b93,
+            ),
+        ];
+        let wrong: Vec<String> = cases
+            .iter()
+            .filter(|(_, got, want)| got != want)
+            .map(|(name, got, want)| format!("{name}: {got:#018x} (pinned {want:#018x})"))
+            .collect();
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 }

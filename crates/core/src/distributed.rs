@@ -19,24 +19,30 @@
 //!   measured BFS depth, `√n`, and the measured number of cluster-level
 //!   decomposition rounds.
 //!
-//! All measured protocol state — the network arena, the BFS tree, and one
-//! cached [`DecomposedTree`] handle per virtual tree (Lemma 8.2 says the
-//! decomposition is sampled once per tree, not once per aggregation) — lives
-//! in a cached plan owned by the [`PreparedMaxFlow`] session, so a
-//! build-once / query-many caller pays the construction bill once and only
-//! the per-iteration and repair-aggregation bills per query.
-//! [`PreparedMaxFlow::distributed_bill`] exposes exactly that amortized
-//! split.
+//! All measured protocol state — the network arena, one cached
+//! [`DecomposedTree`] handle per virtual tree (Lemma 8.2 says the
+//! decomposition is sampled once per tree, not once per aggregation) and the
+//! costs measured on the classic model — lives in a cached plan owned by the
+//! [`PreparedMaxFlow`] session, so a build-once / query-many caller pays the
+//! construction bill once and only the per-iteration and repair-aggregation
+//! bills per query. [`PreparedMaxFlow::distributed_bill`] exposes exactly
+//! that amortized split.
+//!
+//! Every bill, on every communication model, comes from the same two steps:
+//! the plan measures its protocols on the model's fabric, and the measured
+//! costs plus a query's iteration count make its [`RoundBreakdown`]. The
+//! classic measurement is taken once, when the plan is built; other models
+//! measure per query.
 //!
 //! The paper's headline claim — `(D + √n)·n^{o(1)}·ε^{-3}` rounds, far below
 //! the `Θ(n²)` of distributed push–relabel and the `Θ(m)` of centralizing the
 //! input — is what experiments E1/E9 check against this accounting.
 
 use congest::model::CommModel;
-use congest::primitives::{build_bfs_tree, build_bfs_tree_on, pipelined_broadcast_cost};
+use congest::primitives::{build_bfs_tree_on, pipelined_broadcast_cost};
 use congest::treeops::{DecomposedTree, TreeDecomposition};
 use congest::{Network, RoundCost};
-use flowgraph::{Graph, GraphError, NodeId, RootedTree};
+use flowgraph::{Graph, GraphError, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -149,41 +155,76 @@ impl SessionBill {
 }
 
 /// The cached distributed-execution state of a session: the simulated
-/// network, the measured BFS tree, and re-runnable [`DecomposedTree`] handles
-/// for every virtual tree and for the repair tree.
+/// network, re-runnable [`DecomposedTree`] handles for every virtual tree
+/// and for the repair tree, and the costs their protocols measured on the
+/// classic model.
 #[derive(Debug)]
 pub(crate) struct DistributedPlan {
     network: Network,
-    bfs_tree: RootedTree,
-    bfs_cost: RoundCost,
-    bfs_depth: usize,
-    construction: RoundCost,
-    per_iteration: RoundCost,
-    /// Kutten–Peleg MST construction rounds, `(D + √n)·log n`.
-    repair_tree_construction: RoundCost,
     /// Cached decomposition handles of the virtual trees (Lemma 8.2),
     /// in ensemble order.
     virtual_trees: Vec<DecomposedTree>,
     /// Cached decomposition handle of the repair tree (Lemma 9.1).
     repair: DecomposedTree,
-    /// Measured cost of one repair aggregation over [`Self::repair`]
-    /// (deterministic for a fixed plan, so measured once).
+    /// Cluster-level decomposition rounds of the ensemble build.
+    decomposition_rounds: u64,
+    /// What [`Self::measure`] read on [`CommModel::Classic`] (every protocol
+    /// is deterministic for a fixed plan, so measured once).
+    classic: PlanCosts,
+}
+
+/// The measured round costs of a plan's protocols on one communication
+/// model.
+#[derive(Debug, Clone, Copy, Default)]
+struct PlanCosts {
+    bfs: RoundCost,
+    bfs_depth: usize,
+    construction: RoundCost,
+    per_iteration: RoundCost,
+    /// Kutten–Peleg MST construction rounds, `(D + √n)·log n`.
+    repair_tree_construction: RoundCost,
+    /// One repair aggregation over the plan's repair tree.
     per_query_repair: RoundCost,
 }
 
 impl DistributedPlan {
-    /// Runs the measured construction protocols once for a prepared session.
+    /// Samples every tree's Lemma 8.2 decomposition once, then the repair
+    /// tree's, and measures the plan's protocols on the classic model.
     fn build(session: &PreparedMaxFlow<'_>) -> DistributedPlan {
-        let g = session.graph();
-        let config = session.config();
-        let n = g.num_nodes();
+        let n = session.graph().num_nodes();
+        let mut rng = ChaCha8Rng::seed_from_u64(session.config().racke.seed ^ 0x9e3779b97f4a7c15);
+        let cut_probability = TreeDecomposition::recommended_probability(n);
+        let virtual_trees = session
+            .approximator()
+            .trees()
+            .iter()
+            .map(|t| DecomposedTree::sample(t.tree.clone(), cut_probability, &mut rng))
+            .collect();
+        let repair =
+            DecomposedTree::sample(session.repair_tree().clone(), cut_probability, &mut rng);
+        let mut plan = DistributedPlan {
+            network: Network::new(session.graph().clone()),
+            virtual_trees,
+            repair,
+            decomposition_rounds: session.ensemble_stats().decomposition_rounds as u64,
+            classic: PlanCosts::default(),
+        };
+        plan.classic = plan.measure(&CommModel::Classic);
+        plan
+    }
+
+    /// Runs every protocol of the plan on `model`'s fabric, through the
+    /// cached decomposition handles, and measures what each costs. Only the
+    /// channel differs between models: the lossy model runs the same
+    /// protocols through the retransmit-with-ack adapter.
+    fn measure(&self, model: &CommModel) -> PlanCosts {
+        let n = self.network.num_nodes();
         let sqrt_n = (n as f64).sqrt().ceil() as u64;
-        let network = Network::new(g.clone());
 
         // Phase 1: global BFS tree (real protocol), rooted at the canonical
         // aggregation root. Its depth is within a factor 2 of the diameter
         // from any root, which is all the accounting uses it for.
-        let bfs = build_bfs_tree(&network, NodeId(0));
+        let bfs = build_bfs_tree_on(model, &self.network, NodeId(0));
         let bfs_depth = bfs.tree.max_depth();
 
         // Phase 2: congestion approximator construction. Sparsifier
@@ -191,23 +232,17 @@ impl DistributedPlan {
         // decomposition round is simulated in O(D + √n) network rounds
         // (Lemma 5.1 / Theorem 3.1).
         let mut construction = capprox::sparsify::congest_cost(n, bfs_depth);
-        let decomposition_rounds = session.ensemble_stats().decomposition_rounds as u64;
         construction.add_sequential(RoundCost::rounds(
-            decomposition_rounds * (bfs_depth as u64 + sqrt_n),
+            self.decomposition_rounds * (bfs_depth as u64 + sqrt_n),
         ));
 
         // Tree capacities (Lemma 8.3) and the per-iteration aggregations
-        // (§9.1): sample each tree's Lemma 8.2 decomposition once, run the
-        // real decomposed protocols once and remember the cost.
-        let mut rng = ChaCha8Rng::seed_from_u64(config.racke.seed ^ 0x9e3779b97f4a7c15);
-        let cut_probability = TreeDecomposition::recommended_probability(n);
+        // (§9.1), run once per tree through its cached decomposition.
         let unit_values = vec![1.0; n];
         let mut per_iteration = RoundCost::ZERO;
-        let mut virtual_trees = Vec::with_capacity(session.approximator().trees().len());
-        for cap_tree in session.approximator().trees() {
-            let handle = DecomposedTree::sample(cap_tree.tree.clone(), cut_probability, &mut rng);
-            let up = handle.subtree_sums(&network, &bfs.tree, &unit_values);
-            let down = handle.prefix_sums(&network, &bfs.tree, &unit_values);
+        for handle in &self.virtual_trees {
+            let up = handle.subtree_sums_on(model, &self.network, &bfs.tree, &unit_values);
+            let down = handle.prefix_sums_on(model, &self.network, &bfs.tree, &unit_values);
             // Computing |f'| / the tree capacities costs one aggregation per
             // tree during construction (Lemma 8.3).
             construction.add_sequential(up.cost);
@@ -218,7 +253,6 @@ impl DistributedPlan {
             // Lemma 5.1), so the per-iteration round cost is the maximum over
             // trees, not the sum.
             per_iteration.add_parallel(up.cost.then(down.cost));
-            virtual_trees.push(handle);
         }
         // Global scalar aggregations per iteration (φ1, φ2, δ and the step
         // bookkeeping): a constant number of converge/broadcasts on the BFS
@@ -226,26 +260,43 @@ impl DistributedPlan {
         per_iteration.add_sequential(pipelined_broadcast_cost(&bfs.tree, 4));
 
         // Repair tree: maximum-weight spanning tree (Kutten–Peleg,
-        // Õ(√n + D)) plus a cached Lemma 9.1 decomposition handle for the
-        // per-query residual aggregation; its deterministic cost is measured
-        // here, once.
+        // Õ(√n + D)) plus the per-query residual aggregation over its cached
+        // Lemma 9.1 decomposition.
         let logn = (n.max(2) as f64).log2().ceil() as u64;
-        let repair_tree_construction = RoundCost::rounds((bfs_depth as u64 + sqrt_n) * logn);
-        let repair =
-            DecomposedTree::sample(session.repair_tree().clone(), cut_probability, &mut rng);
-        let per_query_repair = repair.subtree_sums(&network, &bfs.tree, &unit_values).cost;
-
-        DistributedPlan {
-            network,
-            bfs_tree: bfs.tree,
-            bfs_cost: bfs.cost,
+        let per_query_repair = self
+            .repair
+            .subtree_sums_on(model, &self.network, &bfs.tree, &unit_values)
+            .cost;
+        PlanCosts {
+            bfs: bfs.cost,
             bfs_depth,
             construction,
             per_iteration,
-            repair_tree_construction,
-            virtual_trees,
-            repair,
+            repair_tree_construction: RoundCost::rounds((bfs_depth as u64 + sqrt_n) * logn),
             per_query_repair,
+        }
+    }
+}
+
+impl PlanCosts {
+    /// The standalone bill of one query that ran `iterations` gradient
+    /// iterations: construction charged to the query, then the descent,
+    /// then the repair tree and one repair aggregation.
+    fn breakdown(&self, iterations: usize) -> RoundBreakdown {
+        let gradient_descent = self.per_iteration.repeat(iterations.max(1) as u64);
+        let mut repair = self.repair_tree_construction;
+        repair.add_sequential(self.per_query_repair);
+        RoundBreakdown {
+            bfs_construction: self.bfs,
+            approximator_construction: self.construction,
+            per_iteration: self.per_iteration,
+            gradient_descent,
+            repair,
+            total: self
+                .bfs
+                .then(self.construction)
+                .then(gradient_descent)
+                .then(repair),
         }
     }
 }
@@ -266,47 +317,35 @@ impl<'g> PreparedMaxFlow<'g> {
     /// fixed plan, which [`Self::remeasure_query_costs`] pins).
     pub fn distributed_bill(&mut self) -> SessionBill {
         let num_nodes = self.graph().num_nodes();
-        let plan = self.ensure_plan();
-        let prepare_total = plan
-            .bfs_cost
-            .then(plan.construction)
-            .then(plan.repair_tree_construction);
+        let costs = self.ensure_plan().classic;
         SessionBill {
-            bfs_construction: plan.bfs_cost,
-            approximator_construction: plan.construction,
-            repair_tree_construction: plan.repair_tree_construction,
-            prepare_total,
-            per_iteration: plan.per_iteration,
-            per_query_repair: plan.per_query_repair,
-            bfs_depth: plan.bfs_depth,
+            bfs_construction: costs.bfs,
+            approximator_construction: costs.construction,
+            repair_tree_construction: costs.repair_tree_construction,
+            prepare_total: costs
+                .bfs
+                .then(costs.construction)
+                .then(costs.repair_tree_construction),
+            per_iteration: costs.per_iteration,
+            per_query_repair: costs.per_query_repair,
+            bfs_depth: costs.bfs_depth,
             num_nodes,
         }
     }
 
-    /// Re-runs the per-query protocols through the cached [`DecomposedTree`]
-    /// handles — the subtree-sum ("y-values") and downcast (potential)
-    /// aggregations on every virtual tree plus the global scalar broadcasts,
-    /// and the residual-repair aggregation on the repair tree — and returns
-    /// the freshly measured `(per_iteration, per_query_repair)` costs.
+    /// Re-runs every protocol of the plan through the cached
+    /// [`DecomposedTree`] handles — the BFS flood, the subtree-sum
+    /// ("y-values") and downcast (potential) aggregations on every virtual
+    /// tree plus the global scalar broadcasts, and the residual-repair
+    /// aggregation on the repair tree — and returns the freshly measured
+    /// `(per_iteration, per_query_repair)` costs.
     ///
     /// The protocols are deterministic for a fixed plan, so this equals the
     /// cached [`SessionBill`] figures; the test suite uses it to pin that
     /// the cached handles really are re-runnable.
     pub fn remeasure_query_costs(&mut self) -> (RoundCost, RoundCost) {
-        let plan = self.ensure_plan();
-        let unit_values = vec![1.0; plan.network.num_nodes()];
-        let mut per_iteration = RoundCost::ZERO;
-        for handle in &plan.virtual_trees {
-            let up = handle.subtree_sums(&plan.network, &plan.bfs_tree, &unit_values);
-            let down = handle.prefix_sums(&plan.network, &plan.bfs_tree, &unit_values);
-            per_iteration.add_parallel(up.cost.then(down.cost));
-        }
-        per_iteration.add_sequential(pipelined_broadcast_cost(&plan.bfs_tree, 4));
-        let repair = plan
-            .repair
-            .subtree_sums(&plan.network, &plan.bfs_tree, &unit_values)
-            .cost;
-        (per_iteration, repair)
+        let costs = self.ensure_plan().measure(&CommModel::Classic);
+        (costs.per_iteration, costs.per_query_repair)
     }
 
     /// Runs one s–t query under an arbitrary communication model
@@ -335,9 +374,6 @@ impl<'g> PreparedMaxFlow<'g> {
         t: NodeId,
         model: &CommModel,
     ) -> Result<DistributedMaxFlowResult, GraphError> {
-        if matches!(model, CommModel::Classic) {
-            return self.distributed_max_flow(s, t);
-        }
         if matches!(model, CommModel::Bcast) {
             return Err(GraphError::InvalidConfig {
                 parameter: "comm_model",
@@ -367,58 +403,16 @@ impl<'g> PreparedMaxFlow<'g> {
             }
         }
         let result = self.max_flow(s, t)?;
-        let (num_nodes, num_edges) = (self.graph().num_nodes(), self.graph().num_edges());
-        let decomposition_rounds = self.ensemble_stats().decomposition_rounds as u64;
-        self.ensure_plan();
-        let plan = self.parts.plan.as_ref().expect("plan was just built");
-
-        // Re-measure every protocol of the plan on the model's fabric. The
-        // cached Lemma 8.2 / 9.1 decomposition handles are reused, so the
-        // protocols are the same — only the channel behaves differently.
-        let n = num_nodes;
-        let sqrt_n = (n as f64).sqrt().ceil() as u64;
-        let bfs = build_bfs_tree_on(model, &plan.network, NodeId(0));
-        let bfs_depth = bfs.tree.max_depth();
-        let mut construction = capprox::sparsify::congest_cost(n, bfs_depth);
-        construction.add_sequential(RoundCost::rounds(
-            decomposition_rounds * (bfs_depth as u64 + sqrt_n),
-        ));
-        let unit_values = vec![1.0; n];
-        let mut per_iteration = RoundCost::ZERO;
-        for handle in &plan.virtual_trees {
-            let up = handle.subtree_sums_on(model, &plan.network, &bfs.tree, &unit_values);
-            let down = handle.prefix_sums_on(model, &plan.network, &bfs.tree, &unit_values);
-            construction.add_sequential(up.cost);
-            per_iteration.add_parallel(up.cost.then(down.cost));
-        }
-        per_iteration.add_sequential(pipelined_broadcast_cost(&bfs.tree, 4));
-        let logn = (n.max(2) as f64).log2().ceil() as u64;
-        let repair_tree_construction = RoundCost::rounds((bfs_depth as u64 + sqrt_n) * logn);
-        let per_query_repair = plan
-            .repair
-            .subtree_sums_on(model, &plan.network, &bfs.tree, &unit_values)
-            .cost;
-
-        let gradient_descent = per_iteration.repeat(result.iterations.max(1) as u64);
-        let mut repair = repair_tree_construction;
-        repair.add_sequential(per_query_repair);
-        let total = bfs
-            .cost
-            .then(construction)
-            .then(gradient_descent)
-            .then(repair);
+        let plan = self.ensure_plan();
+        let costs = match model {
+            CommModel::Classic => plan.classic,
+            _ => plan.measure(model),
+        };
         Ok(DistributedMaxFlowResult {
-            rounds: RoundBreakdown {
-                bfs_construction: bfs.cost,
-                approximator_construction: construction,
-                per_iteration,
-                gradient_descent,
-                repair,
-                total,
-            },
-            bfs_depth,
-            num_nodes,
-            num_edges,
+            rounds: costs.breakdown(result.iterations),
+            bfs_depth: costs.bfs_depth,
+            num_nodes: self.graph().num_nodes(),
+            num_edges: self.graph().num_edges(),
             result,
         })
     }
@@ -436,31 +430,7 @@ impl<'g> PreparedMaxFlow<'g> {
         s: NodeId,
         t: NodeId,
     ) -> Result<DistributedMaxFlowResult, GraphError> {
-        let result = self.max_flow(s, t)?;
-        let (num_nodes, num_edges) = (self.graph().num_nodes(), self.graph().num_edges());
-        let plan = self.ensure_plan();
-        let gradient_descent = plan.per_iteration.repeat(result.iterations.max(1) as u64);
-        let mut repair = plan.repair_tree_construction;
-        repair.add_sequential(plan.per_query_repair);
-        let total = plan
-            .bfs_cost
-            .then(plan.construction)
-            .then(gradient_descent)
-            .then(repair);
-        Ok(DistributedMaxFlowResult {
-            rounds: RoundBreakdown {
-                bfs_construction: plan.bfs_cost,
-                approximator_construction: plan.construction,
-                per_iteration: plan.per_iteration,
-                gradient_descent,
-                repair,
-                total,
-            },
-            bfs_depth: plan.bfs_depth,
-            num_nodes,
-            num_edges,
-            result,
-        })
+        self.distributed_max_flow_on(s, t, &CommModel::Classic)
     }
 }
 
@@ -518,32 +488,6 @@ pub fn distributed_approx_max_flow_on(
         return Err(GraphError::NotConnected);
     }
     PreparedMaxFlow::prepare(g, config)?.distributed_max_flow_on(s, t, model)
-}
-
-/// Routes a demand over a rooted spanning tree while accounting the CONGEST
-/// cost of doing so with the decomposition technique of Lemma 9.1 (used by
-/// the trivial "single spanning tree" baseline in the experiments).
-///
-/// # Panics
-///
-/// Panics if the tree is not a spanning subtree of the network graph.
-pub fn distributed_tree_routing_cost(
-    g: &Graph,
-    tree: &RootedTree,
-    seed: u64,
-) -> (RoundCost, usize) {
-    let n = g.num_nodes();
-    let network = Network::new(g.clone());
-    let bfs = build_bfs_tree(&network, tree.root());
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let dec = TreeDecomposition::sample(
-        tree,
-        TreeDecomposition::recommended_probability(n),
-        &mut rng,
-    );
-    let values = vec![1.0; n];
-    let run = congest::treeops::distributed_subtree_sums(&network, tree, &dec, &bfs.tree, &values);
-    (bfs.cost.then(run.cost), bfs.tree.max_depth())
 }
 
 #[cfg(test)]
@@ -796,15 +740,6 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn tree_routing_cost_helper_runs() {
-        let g = gen::path(40, 1.0);
-        let tree = flowgraph::spanning::bfs_tree(&g, NodeId(0)).unwrap();
-        let (cost, depth) = distributed_tree_routing_cost(&g, &tree, 1);
-        assert!(cost.rounds > 0);
-        assert_eq!(depth, 39);
     }
 
     #[test]

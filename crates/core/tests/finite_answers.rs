@@ -1,7 +1,7 @@
 //! Every `Ok` answer is finite. The solvers work on capacities and demands
 //! as given, in plain `f64`; when a sum or a ratio of them overflows, a
 //! query used to answer `Ok` with NaN flow entries and a congestion of 0
-//! (`FlowVec::max_congestion` folds with `f64::max`, which drops NaN). Each
+//! (`FlowVec::max_congestion` folded with `f64::max`, which drops NaN). Each
 //! case below gets a typed [`GraphError::NonFinite`] instead, from every
 //! entry point that answers it.
 

@@ -139,11 +139,12 @@ impl FlowVec {
         self.values[e.index()].abs() / g.capacity(e)
     }
 
-    /// Maximum edge congestion `‖C⁻¹ f‖_∞` (0 for an edgeless graph).
+    /// Maximum edge congestion `‖C⁻¹ f‖_∞` (0 for an edgeless graph; NaN if
+    /// any entry is NaN).
     pub fn max_congestion(&self, g: &Graph) -> f64 {
         g.edge_ids()
             .map(|e| self.edge_congestion(g, e))
-            .fold(0.0, f64::max)
+            .fold(0.0, max_or_nan)
     }
 
     /// Returns `true` if `|f_e| ≤ cap(e) (1 + tol)` for every edge.
@@ -153,14 +154,14 @@ impl FlowVec {
     }
 
     /// Checks flow conservation at every node except `s` and `t` and returns
-    /// the largest absolute violation.
+    /// the largest absolute violation (NaN if any excess is NaN).
     pub fn conservation_violation(&self, g: &Graph, s: NodeId, t: NodeId) -> f64 {
         self.excess(g)
             .iter()
             .enumerate()
             .filter(|(v, _)| *v != s.index() && *v != t.index())
             .map(|(_, ex)| ex.abs())
-            .fold(0.0, f64::max)
+            .fold(0.0, max_or_nan)
     }
 
     /// Verifies that this vector is a feasible s–t flow in `g` within
@@ -168,9 +169,15 @@ impl FlowVec {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidWeight`] describing the first violated
+    /// Returns [`GraphError::NonFinite`] if an entry is NaN or infinite, and
+    /// otherwise [`GraphError::InvalidWeight`] describing the first violated
     /// constraint: a capacity violation or a conservation violation.
     pub fn validate_st_flow(&self, g: &Graph, s: NodeId, t: NodeId, tol: f64) -> Result<f64> {
+        if !self.values.iter().all(|x| x.is_finite()) {
+            return Err(GraphError::NonFinite {
+                quantity: "a flow entry",
+            });
+        }
         for e in g.edge_ids() {
             let over = self.values[e.index()].abs() - g.capacity(e) * (1.0 + tol);
             if over > FLOW_EPS {
@@ -184,6 +191,17 @@ impl FlowVec {
             return Err(GraphError::InvalidWeight { value: violation });
         }
         Ok(self.st_value(g, s))
+    }
+}
+
+/// `f64::max` for folds that must not lose a NaN: `f64::max` returns the
+/// other operand when one is NaN, so a NaN entry would vanish from a
+/// maximum. On numbers this returns what `f64::max` does.
+fn max_or_nan(acc: f64, x: f64) -> f64 {
+    if acc.is_nan() || x.is_nan() {
+        f64::NAN
+    } else {
+        acc.max(x)
     }
 }
 
@@ -429,6 +447,58 @@ mod tests {
         // nothing leaves node 1 towards node 2 -> conservation violated at 1
         assert!(f.conservation_violation(&g, NodeId(0), NodeId(2)) > 0.5);
         assert!(f.validate_st_flow(&g, NodeId(0), NodeId(2), 1e-9).is_err());
+    }
+
+    #[test]
+    fn nan_flows_are_rejected_and_propagate() {
+        // A NaN fails every `>` test and `f64::max` drops it, so these flows
+        // used to validate as `Ok(1.0)` and `Ok(NaN)` with congestion 1 and
+        // no conservation violation.
+        let g = crate::gen::path(4, 1.0);
+        let (s, t) = (NodeId(0), NodeId(3));
+        for values in [vec![1.0, f64::NAN, 1.0], vec![f64::NAN; 3]] {
+            let f = FlowVec::from_values(values.clone());
+            assert_eq!(
+                f.validate_st_flow(&g, s, t, 1e-6),
+                Err(GraphError::NonFinite {
+                    quantity: "a flow entry"
+                }),
+                "{values:?}"
+            );
+            assert!(f.max_congestion(&g).is_nan(), "{values:?}");
+            assert!(f.conservation_violation(&g, s, t).is_nan(), "{values:?}");
+        }
+        let f = FlowVec::from_values(vec![1.0, f64::INFINITY, 1.0]);
+        assert!(matches!(
+            f.validate_st_flow(&g, s, t, 1e-6),
+            Err(GraphError::NonFinite { .. })
+        ));
+    }
+
+    #[test]
+    fn finite_maxima_keep_the_bits_of_f64_max() {
+        let g = crate::gen::path(5, 3.0);
+        for values in [
+            vec![0.0, -0.0, 0.0, 0.0],
+            vec![1.5, -2.25, 1e-300, 3.0],
+            vec![-7.0, 0.1, 0.2, 0.30000000000000004],
+        ] {
+            let f = FlowVec::from_values(values);
+            let plain = g
+                .edge_ids()
+                .map(|e| f.edge_congestion(&g, e))
+                .fold(0.0, f64::max);
+            assert_eq!(f.max_congestion(&g).to_bits(), plain.to_bits());
+            let plain = f
+                .excess(&g)
+                .iter()
+                .skip(1)
+                .take(3)
+                .map(|x| x.abs())
+                .fold(0.0, f64::max);
+            let got = f.conservation_violation(&g, NodeId(0), NodeId(4));
+            assert_eq!(got.to_bits(), plain.to_bits());
+        }
     }
 
     #[test]

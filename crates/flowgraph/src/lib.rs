@@ -16,8 +16,8 @@
 //!   stretch computation and trivial tree routing,
 //! * [`gen`] — workload generators for every graph family used in the
 //!   experiment harness,
-//! * [`contract`] — quotient multigraphs, used by the cluster-graph and
-//!   low-stretch-tree machinery.
+//! * [`contract`] — quotient multigraphs, used by the low-stretch-tree
+//!   machinery.
 //!
 //! # Example
 //!
