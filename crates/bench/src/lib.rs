@@ -24,7 +24,7 @@
 
 use baselines::{dinic, push_relabel, trivial};
 use capprox::{
-    build_hierarchical_ensemble, build_jtree, build_tree_ensemble, sparsify,
+    build_hierarchical_ensemble, build_jtree_top_loaded, build_tree_ensemble, sparsify,
     CongestionApproximator, HierarchyConfig, RackeConfig, SparsifyConfig,
 };
 use congest::primitives::build_bfs_tree;
@@ -295,21 +295,23 @@ pub fn table6_sparsifier(sizes: &[usize]) -> Experiment {
 }
 
 /// E7: j-tree structure (Figure 1 / §8.3) and the recursive hierarchy
-/// (Theorem 8.10).
+/// (Theorem 8.10). Both extract j-trees with the rule the hierarchy runs,
+/// [`build_jtree_top_loaded`].
 pub fn table7_jtrees(n: usize, js: &[usize]) -> Experiment {
     let g = gen::random_gnp(n, 8.0 / n as f64, (1.0, 5.0), 11);
     let ensemble = build_tree_ensemble(&g, &RackeConfig::default().with_num_trees(1).with_seed(5))
         .expect("connected instance");
     let mut out = String::from(
-        "| j (target) | portals | bound 4j | core edges | forest components |\n|---|---|---|---|---|\n",
+        "| j (target) | portals | bound j + 1 | bound 4j + 1 | core edges | forest components |\n|---|---|---|---|---|---|\n",
     );
     for &j in js {
-        let jt = build_jtree(&g, &ensemble.trees[0], j);
+        let jt = build_jtree_top_loaded(&g, &ensemble.trees[0], j);
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} |\n",
             j,
             jt.num_portals(),
-            4 * j,
+            j + 1,
+            4 * j + 1,
             jt.core.num_edges(),
             jt.num_components(),
         ));
@@ -575,8 +577,20 @@ mod tests {
         assert!(e3.table.lines().count() > 3);
         let e6 = table6_sparsifier(&[40]);
         assert!(e6.table.contains("| 40 |"));
-        let e7 = table7_jtrees(40, &[4]);
+        let j = 4;
+        let e7 = table7_jtrees(40, &[j]);
         assert!(e7.table.contains("| 0 | 40 |"), "{}", e7.table);
+        let portals: usize = e7
+            .table
+            .lines()
+            .find(|line| line.starts_with(&format!("| {j} |")))
+            .and_then(|row| row.split('|').nth(2))
+            .and_then(|cell| cell.trim().parse().ok())
+            .expect("a portal count for j = 4");
+        assert!(
+            (j + 1..=4 * j + 1).contains(&portals),
+            "{portals} portals for j = {j}"
+        );
         let e8 = table8_primitives(&[50]);
         assert!(e8.table.contains("| 50 |"));
         let a3 = ablation_decompose(80);

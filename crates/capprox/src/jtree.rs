@@ -16,8 +16,8 @@
 //! recurse on the core) is [`crate::hierarchy`]'s
 //! [`build_hierarchical_ensemble`](crate::build_hierarchical_ensemble). It
 //! extracts each level with [`build_jtree_top_loaded`], which picks `F` as
-//! exactly the `j` most loaded tree edges; [`build_jtree`]'s class rule is
-//! examined on its own by experiment E7.
+//! exactly the `j` most loaded tree edges; experiment E7 tabulates the same
+//! rule.
 
 use flowgraph::{EdgeId, Graph, NodeId};
 
@@ -77,43 +77,22 @@ impl JTree {
 }
 
 /// Builds a j-tree from a capacitated spanning tree of `g` (one level of
-/// Madry's construction, §8.3).
+/// Madry's construction, §8.3), with `F` chosen as *exactly* the
+/// `min(j, n−1)` most loaded tree edges.
 ///
-/// # Panics
-///
-/// Panics if `j == 0`.
-pub fn build_jtree(g: &Graph, tree: &CapacitatedTree, j: usize) -> JTree {
-    // Step 1: pick F = the most loaded tree edges, at most j of them, using
-    // the geometric load classes of §4 step 3.
-    assemble_jtree(g, tree, j, select_high_load_edges(tree, j))
-}
-
-/// [`build_jtree`] with `F` chosen as *exactly* the `min(j, n−1)` most loaded
-/// tree edges instead of the geometric class rule.
-///
-/// The class rule can legitimately select an empty `F` (when the heaviest
-/// class is already large), which collapses the whole graph into a single
-/// component — fine for a one-shot decomposition, fatal for the recursion of
-/// Theorem 8.10 that needs every level to shrink by `≈ β`, no more, no less.
-/// The recursive hierarchy therefore uses this variant: with `|F| = j` the
-/// core has between `j + 1` and `4j + 1` portals, giving the predictable
-/// per-level geometry the recursion is built on.
+/// Section 4's geometric load classes can legitimately select an empty `F`
+/// (when the heaviest class is already large), which collapses the whole
+/// graph into a single component — fatal for the recursion of Theorem 8.10
+/// that needs every level to shrink by `≈ β`, no more, no less. With
+/// `|F| = j` the core has between `j + 1` and `4j + 1` portals, giving the
+/// predictable per-level geometry the recursion is built on.
 ///
 /// # Panics
 ///
 /// Panics if `j == 0`.
 pub fn build_jtree_top_loaded(g: &Graph, tree: &CapacitatedTree, j: usize) -> JTree {
-    assemble_jtree(g, tree, j, select_top_loaded_edges(tree, j))
-}
-
-/// Steps 2–8 of the construction, shared by both `F` selection rules.
-fn assemble_jtree(
-    g: &Graph,
-    tree: &CapacitatedTree,
-    j: usize,
-    removed_high_load: Vec<NodeId>,
-) -> JTree {
     assert!(j >= 1, "j must be at least 1");
+    let removed_high_load = select_top_loaded_edges(tree, j);
     let n = g.num_nodes();
     let root = tree.tree.root();
 
@@ -323,54 +302,6 @@ fn assemble_jtree(
     }
 }
 
-/// Selects the set `F` of at most `j` tree edges with the highest relative
-/// load, using the geometric classes of §4 step 3 (returns the child node of
-/// every selected edge).
-fn select_high_load_edges(tree: &CapacitatedTree, j: usize) -> Vec<NodeId> {
-    let n = tree.tree.num_nodes();
-    let mut candidates: Vec<(f64, NodeId)> = (0..n)
-        .map(|v| NodeId(v as u32))
-        .filter(|&v| tree.tree.parent(v).is_some())
-        .map(|v| (tree.rload[v.index()], v))
-        .collect();
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    let r = candidates[0].0.max(1.0);
-    let imax = ((candidates.len() as f64).log2().ceil() as usize + 1).max(1);
-    // Geometric classes: class i holds rload in (R/2^i, R/2^{i-1}].
-    let class_of = |rload: f64| -> usize {
-        if rload <= 0.0 {
-            return usize::MAX;
-        }
-        let ratio = r / rload;
-        (ratio.log2().floor() as usize) + 1
-    };
-    let mut class_sizes = std::collections::BTreeMap::new();
-    for &(rl, _) in &candidates {
-        *class_sizes.entry(class_of(rl)).or_insert(0usize) += 1;
-    }
-    // Minimal i0 whose class has at least j/imax edges.
-    let threshold = (j / imax).max(1);
-    let mut i0 = *class_sizes.keys().next().unwrap_or(&1);
-    for (&i, &size) in &class_sizes {
-        if size >= threshold {
-            i0 = i;
-            break;
-        }
-    }
-    // F = edges in classes strictly before i0 (rload > R / 2^{i0-1}),
-    // capped at j for safety.
-    let mut f: Vec<NodeId> = candidates
-        .iter()
-        .filter(|(rl, _)| class_of(*rl) < i0)
-        .map(|&(_, v)| v)
-        .collect();
-    f.truncate(j);
-    f
-}
-
 /// Selects exactly the `min(j, n−1)` most loaded tree edges (the `F` rule of
 /// [`build_jtree_top_loaded`]); ties broken by node id for determinism.
 fn select_top_loaded_edges(tree: &CapacitatedTree, j: usize) -> Vec<NodeId> {
@@ -425,7 +356,7 @@ mod tests {
         let g = gen::grid(8, 8, 1.0);
         let tree = capacitated_tree(&g, 1);
         for j in [2usize, 4, 8, 16] {
-            let jt = build_jtree(&g, &tree, j);
+            let jt = build_jtree_top_loaded(&g, &tree, j);
             assert!(
                 jt.num_portals() <= 4 * j + 1,
                 "j = {j}: {} portals exceeds 4j + 1",
@@ -438,7 +369,7 @@ mod tests {
     fn every_component_has_exactly_one_portal() {
         let g = gen::random_gnp(50, 0.15, (1.0, 5.0), 3);
         let tree = capacitated_tree(&g, 2);
-        let jt = build_jtree(&g, &tree, 6);
+        let jt = build_jtree_top_loaded(&g, &tree, 6);
         // portal_of_component is total by construction (panics otherwise);
         // additionally check that no component contains two portals that are
         // *primary* (endpoints of removed edges map to distinct components
@@ -457,7 +388,7 @@ mod tests {
     fn core_edges_connect_distinct_components() {
         let g = gen::grid(6, 6, 1.0);
         let tree = capacitated_tree(&g, 4);
-        let jt = build_jtree(&g, &tree, 5);
+        let jt = build_jtree_top_loaded(&g, &tree, 5);
         assert_eq!(jt.core.num_nodes(), jt.num_components());
         assert_eq!(jt.core.num_edges(), jt.core_origin.len());
         for (_, e) in jt.core.edges() {
@@ -471,7 +402,7 @@ mod tests {
         let tree = capacitated_tree(&g, 5);
         // With j >= n-1 every tree edge may be removed; the construction must
         // still produce a consistent structure.
-        let jt = build_jtree(&g, &tree, 20);
+        let jt = build_jtree_top_loaded(&g, &tree, 20);
         assert!(jt.num_portals() >= 1);
         assert!(jt.num_portals() <= 10);
     }
@@ -480,19 +411,25 @@ mod tests {
     fn removed_edges_have_high_load() {
         let g = gen::barbell(6, 3, 1.0, 1.0);
         let tree = capacitated_tree(&g, 6);
-        let jt = build_jtree(&g, &tree, 3);
-        if jt.removed_high_load.is_empty() {
-            return; // nothing removed: fine for small j on benign trees
+        let jt = build_jtree_top_loaded(&g, &tree, 3);
+        assert_eq!(jt.removed_high_load.len(), 3);
+        let mut removed = vec![false; g.num_nodes()];
+        for v in &jt.removed_high_load {
+            removed[v.index()] = true;
         }
-        let min_removed: f64 = jt
+        let min_removed = jt
             .removed_high_load
             .iter()
             .map(|v| tree.rload[v.index()])
             .fold(f64::INFINITY, f64::min);
-        let max_any = tree.max_rload();
+        let max_kept = g
+            .nodes()
+            .filter(|v| tree.tree.parent(*v).is_some() && !removed[v.index()])
+            .map(|v| tree.rload[v.index()])
+            .fold(f64::NEG_INFINITY, f64::max);
         assert!(
-            min_removed >= max_any / 16.0,
-            "removed edges should be among the most loaded"
+            min_removed >= max_kept,
+            "a removed edge (load {min_removed}) is lighter than a kept one ({max_kept})"
         );
     }
 }

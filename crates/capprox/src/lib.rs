@@ -67,6 +67,6 @@ pub use approximator::{
 pub use hierarchy::{
     build_hierarchical_ensemble, ChainStats, HierarchyConfig, HierarchyLevelStats, HierarchyStats,
 };
-pub use jtree::{build_jtree, build_jtree_top_loaded, CoreEdgeOrigin, JTree};
+pub use jtree::{build_jtree_top_loaded, CoreEdgeOrigin, JTree};
 pub use racke::{build_tree_ensemble, CapacitatedTree, EnsembleStats, RackeConfig, TreeEnsemble};
 pub use sparsify::{forest_indices, sparsify, Sparsifier, SparsifyConfig};

@@ -372,9 +372,9 @@ pub fn almost_route(
 }
 
 /// [`almost_route`] with caller-owned scratch buffers: a one-lane call of
-/// the blocked driver [`almost_route_block_warm`]. After the buffers are
-/// warm (first call per instance shape), the gradient loop performs zero
-/// heap allocations per iteration.
+/// the blocked driver [`almost_route_block`]. After the buffers are warm
+/// (first call per instance shape), the gradient loop performs zero heap
+/// allocations per iteration.
 ///
 /// # Panics
 ///
@@ -386,7 +386,7 @@ pub fn almost_route_with(
     config: &AlmostRouteConfig,
     scratch: &mut AlmostRouteScratch,
 ) -> AlmostRouteResult {
-    almost_route_block_warm(g, r, &[b], &[None], config, scratch)
+    almost_route_block(g, r, std::slice::from_ref(b), config, scratch)
         .pop()
         .expect("one lane in, one result out")
 }
@@ -554,8 +554,6 @@ struct LaneState {
     scaling_steps: usize,
     step_scale: f64,
     last_accepted: Option<f64>,
-    /// Whether this lane started from a warm flow (enables the scaling jump).
-    warm: bool,
     potential: f64,
     hit_cap: bool,
     done: bool,
@@ -588,53 +586,23 @@ pub fn almost_route_block(
     scratch: &mut AlmostRouteScratch,
 ) -> Vec<AlmostRouteResult> {
     let refs: Vec<&Demand> = demands.iter().collect();
-    let warms: Vec<Option<&FlowVec>> = vec![None; demands.len()];
-    almost_route_block_warm(g, r, &refs, &warms, config, scratch)
-}
-
-/// [`almost_route_block`] with an optional warm-start flow per lane, with
-/// the same per-lane byte-identity guarantee.
-///
-/// `warms[l]` is a flow in the scale of `demands[l]` — typically a previous
-/// query's answer for the same (or reversed) terminal pair, rescaled to the
-/// new target. The lane's descent starts from that flow instead of zero: the
-/// demand term of the potential then starts near its minimum, so queries
-/// whose answer is close to the warm flow converge in a handful of
-/// iterations. Any flow is a valid starting point (the descent converges from
-/// anywhere); a bad one merely wastes the head start. A `None` lane is a cold
-/// start and runs exactly the operations of [`almost_route_with`].
-///
-/// # Panics
-///
-/// Panics if `warms.len() != demands.len()`, if any demand does not match
-/// the graph's node count, or if any warm flow does not match the edge count.
-pub fn almost_route_block_warm(
-    g: &Graph,
-    r: &CongestionApproximator,
-    demands: &[&Demand],
-    warms: &[Option<&FlowVec>],
-    config: &AlmostRouteConfig,
-    scratch: &mut AlmostRouteScratch,
-) -> Vec<AlmostRouteResult> {
     let base_norms: Vec<f64> = scratch
-        .congestion_lower_bounds(g, r, demands, &config.parallelism)
+        .congestion_lower_bounds(g, r, &refs, &config.parallelism)
         .to_vec();
-    almost_route_block_with_norms(g, r, demands, warms, &base_norms, config, scratch)
+    almost_route_block_with_norms(g, r, &refs, &base_norms, config, scratch)
 }
 
-/// [`almost_route_block_warm`] with the per-lane `‖R·b‖_∞` already in hand
+/// [`almost_route_block`] with the per-lane `‖R·b‖_∞` already in hand
 /// (the routing engine computes it for its own stopping rule; recomputing it
 /// here would repeat a full blocked operator sweep for bit-identical values).
 pub(crate) fn almost_route_block_with_norms(
     g: &Graph,
     r: &CongestionApproximator,
     demands: &[&Demand],
-    warms: &[Option<&FlowVec>],
     base_norms: &[f64],
     config: &AlmostRouteConfig,
     scratch: &mut AlmostRouteScratch,
 ) -> Vec<AlmostRouteResult> {
-    assert_eq!(demands.len(), warms.len(), "one warm slot per demand");
     assert_eq!(demands.len(), base_norms.len(), "one base norm per demand");
     let k_total = demands.len();
     let mut results: Vec<Option<AlmostRouteResult>> = (0..k_total).map(|_| None).collect();
@@ -687,7 +655,6 @@ pub(crate) fn almost_route_block_with_norms(
                 scaling_steps: 0,
                 step_scale: 1.0,
                 last_accepted: None,
-                warm: warms[idx].is_some(),
                 potential: 0.0,
                 hit_cap: false,
                 done: false,
@@ -697,28 +664,15 @@ pub(crate) fn almost_route_block_with_norms(
 
     let mut k = lanes.len();
     scratch.ensure(g, r, k.max(1));
-    // Lines 1–2 per lane: working demand `k_B · b` and the starting flow
-    // (warm flow in the working scale, zero otherwise), one multiplication
-    // per element.
+    // Lines 1–2 per lane: working demand `k_B · b` and the zero starting
+    // flow.
     for (j, lane) in lanes.iter().enumerate() {
         let kb = lane.total_scale;
         for (v, &x) in demands[lane.idx].values().iter().enumerate() {
             scratch.b_work[v * k + j] = x * kb;
         }
-        match warms[lane.idx] {
-            Some(w) => {
-                assert_eq!(w.len(), m, "warm-start flow length mismatch");
-                for (e, &x) in w.values().iter().enumerate() {
-                    scratch.f[e * k + j] = x * kb;
-                }
-            }
-            None => {
-                for e in 0..m {
-                    scratch.f[e * k + j] = 0.0;
-                }
-            }
-        }
     }
+    scratch.f[..m * k].fill(0.0);
 
     // What one round does to one lane's edge- and node-indexed arrays. The
     // decision is made from per-lane state (potential, δ, iteration counts)
@@ -730,9 +684,8 @@ pub(crate) fn almost_route_block_with_norms(
     enum LaneAction {
         /// Adaptive backtrack: restore the lane's flow from its snapshot.
         Restore,
-        /// One 17/16 scaling round, preceded by an optional warm-start jump
-        /// (two separate multiplies).
-        Scale { jump: Option<f64> },
+        /// One 17/16 scaling round.
+        Scale,
         /// Gradient step of this magnitude (snapshotting first when adaptive).
         Step { step: f64 },
         /// Terminated or undecided: leave the lane's arrays alone.
@@ -779,29 +732,9 @@ pub(crate) fn almost_route_block_with_norms(
             lane.potential = phi;
 
             // Lines 4–5: while φ(f) < 16 ε⁻¹ log n, scale f and b up by
-            // 17/16. A warm start routes the demand almost exactly, so its
-            // potential begins far below the target and the one-step-per-
-            // evaluation schedule would burn one full gradient evaluation per
-            // 17/16 factor. All potential arguments scale linearly with the
-            // flow and demand, so a warm lane jumps most of the remaining
-            // distance in a single multiplication (deliberately undershooting
-            // by one step) and lets the regular steps finish; re-entering
-            // this branch jumps again, which converges in a handful of
-            // evaluations. Cold lanes never jump, keeping the fixed schedule.
+            // 17/16.
             if phi < target && lane.scaling_steps < 10_000 {
-                let mut jump_factor = None;
-                if lane.warm && phi.is_finite() && phi > 0.0 {
-                    let jump = ((target / phi).ln() / (17.0f64 / 16.0).ln() - 1.0).floor();
-                    let remaining = (10_000 - lane.scaling_steps) as f64 - 1.0;
-                    let jump = jump.min(remaining).max(0.0) as usize;
-                    if jump > 0 {
-                        let factor = (17.0f64 / 16.0).powi(jump as i32);
-                        jump_factor = Some(factor);
-                        lane.total_scale *= factor;
-                        lane.scaling_steps += jump;
-                    }
-                }
-                actions[j] = LaneAction::Scale { jump: jump_factor };
+                actions[j] = LaneAction::Scale;
                 lane.total_scale *= 17.0 / 16.0;
                 lane.scaling_steps += 1;
                 // Rescaling moves the potential; the acceptance reference
@@ -867,10 +800,7 @@ pub(crate) fn almost_route_block_with_norms(
                         LaneAction::Restore => {
                             scratch.f[base + j] = scratch.flow_backup[base + j];
                         }
-                        LaneAction::Scale { jump } => {
-                            if let Some(factor) = jump {
-                                scratch.f[base + j] *= factor;
-                            }
+                        LaneAction::Scale => {
                             scratch.f[base + j] *= 17.0 / 16.0;
                         }
                         LaneAction::Step { step } => {
@@ -888,17 +818,12 @@ pub(crate) fn almost_route_block_with_norms(
             }
         }
         // The scaling lanes' working demands, fused the same way.
-        let any_scale = actions[..k]
-            .iter()
-            .any(|a| matches!(a, LaneAction::Scale { .. }));
+        let any_scale = actions[..k].iter().any(|a| matches!(a, LaneAction::Scale));
         if any_scale {
             for v in 0..g.num_nodes() {
                 let base = v * k;
                 for (j, action) in actions[..k].iter().enumerate() {
-                    if let LaneAction::Scale { jump } = *action {
-                        if let Some(factor) = jump {
-                            scratch.b_work[base + j] *= factor;
-                        }
+                    if let LaneAction::Scale = *action {
                         scratch.b_work[base + j] *= 17.0 / 16.0;
                     }
                 }
@@ -1566,36 +1491,18 @@ mod tests {
         let mut lane_scratch = AlmostRouteScratch::for_instance(&g, &r);
         let mut block_scratch = AlmostRouteScratch::default();
         for adaptive in [false, true] {
-            for warm_on in [false, true] {
-                let config = AlmostRouteConfig::default()
-                    .with_epsilon(0.4)
-                    .with_max_iterations(300)
-                    .with_adaptive_steps(adaptive);
-                // Warm flows: each demand's own cold answer (a realistic
-                // serving warm start).
-                let warm_flows: Vec<FlowVec> = demands
-                    .iter()
-                    .map(|b| almost_route_with(&g, &r, b, &config, &mut lane_scratch).flow)
-                    .collect();
-                for k in [1usize, 2, 7, 10] {
-                    let refs: Vec<&Demand> = demands.iter().take(k).collect();
-                    let warms: Vec<Option<&FlowVec>> =
-                        (0..k).map(|l| warm_on.then(|| &warm_flows[l])).collect();
-                    let blocked =
-                        almost_route_block_warm(&g, &r, &refs, &warms, &config, &mut block_scratch);
-                    assert_eq!(blocked.len(), k);
-                    // Lane `l` of the block equals demand `l` alone as one lane.
-                    for (l, blocked_result) in blocked.iter().enumerate() {
-                        let alone = almost_route_block_warm(
-                            &g,
-                            &r,
-                            &refs[l..=l],
-                            &warms[l..=l],
-                            &config,
-                            &mut lane_scratch,
-                        );
-                        assert_results_bit_identical(blocked_result, &alone[0]);
-                    }
+            let config = AlmostRouteConfig::default()
+                .with_epsilon(0.4)
+                .with_max_iterations(300)
+                .with_adaptive_steps(adaptive);
+            for k in [1usize, 2, 7, 10] {
+                let blocked =
+                    almost_route_block(&g, &r, &demands[..k], &config, &mut block_scratch);
+                assert_eq!(blocked.len(), k);
+                // Lane `l` of the block equals demand `l` alone as one lane.
+                for (b, blocked_result) in demands.iter().zip(&blocked) {
+                    let alone = almost_route_with(&g, &r, b, &config, &mut lane_scratch);
+                    assert_results_bit_identical(blocked_result, &alone);
                 }
             }
         }

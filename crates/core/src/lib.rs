@@ -54,7 +54,11 @@
 //! results are byte-identical to `threads = 1` for any thread count. When
 //! serving many queries, the batch fan-out is the primary lever (one worker
 //! team per batch); the in-query operator fan-out re-spawns its scoped
-//! workers every iteration and only pays off on large instances:
+//! workers every iteration, which costs more than a small instance's whole
+//! evaluation. In the `operator_fanout` arms of `dmf-bench`'s `capprox`
+//! bench (2-CPU Xeon, one lane, threads 1 → 2), one `R·b` went from about
+//! 23 to 44 µs on a 16×16 grid and from about 2.0 to 1.2 ms on a 10⁴-node
+//! fat-tree (README, "Parallel execution & determinism policy"):
 //!
 //! ```
 //! use flowgraph::{gen, NodeId};

@@ -15,8 +15,6 @@
 //! remain as thin convenience wrappers that prepare a throwaway session per
 //! call; a session answers byte-identically to them for the same seed.
 
-use std::collections::HashMap;
-
 use capprox::{
     build_tree_ensemble, CapacityChange, CapacityUpdateStats, CongestionApproximator, EnsembleStats,
 };
@@ -27,7 +25,6 @@ use crate::almost_route::AlmostRouteScratch;
 use crate::distributed::DistributedPlan;
 use crate::solver::{
     max_flow_block_engine, route_demand_block_engine, MaxFlowConfig, MaxFlowResult, RoutingResult,
-    WarmCache,
 };
 
 /// Lanes advanced in lockstep per blocked gradient engine call: every batched
@@ -59,8 +56,8 @@ const fn block_lanes(n: usize) -> usize {
 ///
 /// Queries take `&mut self` because they reuse the session's scratch buffers;
 /// results are independent of query order and of how often the session has
-/// been used (every query is answered byte-identically to a fresh one-shot
-/// [`crate::approx_max_flow`] call with the same config).
+/// been used, for every config (every query is answered byte-identically to
+/// a fresh one-shot [`crate::approx_max_flow`] call with the same config).
 ///
 /// The prepared structures themselves (graph, approximator, repair tree) are
 /// immutable and `Send + Sync`; only the scratch is per-worker state. That is
@@ -98,7 +95,8 @@ pub struct PreparedMaxFlow<'g> {
 
 /// The owned prepared state of a session, detached from the graph borrow:
 /// everything [`PreparedMaxFlow`] derives from the graph (approximator,
-/// repair tree, scratch pools, warm cache), without the `&Graph` itself.
+/// repair tree, scratch pools, distributed plan), without the `&Graph`
+/// itself.
 ///
 /// A [`PreparedMaxFlow`] is exactly `(&Graph, PreparedParts)` — split with
 /// [`PreparedMaxFlow::into_parts`], rejoin with
@@ -110,32 +108,32 @@ pub struct PreparedMaxFlow<'g> {
 /// the graph and calls [`Self::refresh_after_capacity_update`].
 ///
 /// Round-tripping through `into_parts`/`from_parts` preserves every byte of
-/// session state (scratch warmth, warm-start cache, distributed plan), so
-/// answers are byte-identical to an undisturbed session.
+/// session state (scratch buffers, distributed plan), and answers never
+/// depend on the scratch's contents anyway, so they are byte-identical to an
+/// undisturbed session.
 #[derive(Debug)]
 pub struct PreparedParts {
     config: MaxFlowConfig,
     approximator: CongestionApproximator,
     ensemble_stats: EnsembleStats,
     repair_tree: RootedTree,
-    /// Lane-major gradient scratch of the sequential entry points: presized
-    /// for one lane at prepare, grown lazily to the widest block and reused.
+    /// Lane-major gradient scratch of the sequential entry points: empty
+    /// after prepare, grown lazily by the first query to the widest block
+    /// and reused.
     scratch: AlmostRouteScratch,
     /// Per-worker scratch buffers for
     /// [`PreparedMaxFlow::par_max_flow_batch`], grown lazily to the
     /// configured thread count and reused across batches.
     scratch_pool: Vec<AlmostRouteScratch>,
-    /// The last answered query, kept to warm-start the next one when
-    /// [`MaxFlowConfig::warm_start`] is enabled (always `None` otherwise).
-    warm_cache: Option<WarmCache>,
     pub(crate) plan: Option<DistributedPlan>,
 }
 
 impl PreparedParts {
     /// Builds the prepared state for `graph`: validates the config and the
-    /// graph, constructs the congestion approximator (the expensive part)
-    /// and the maximum-weight spanning tree for residual repair, and
-    /// pre-sizes the per-query scratch buffers.
+    /// graph, and constructs the congestion approximator (the expensive part)
+    /// and the maximum-weight spanning tree for residual repair. The
+    /// per-query scratch buffers are sized by the first query that uses
+    /// them.
     ///
     /// # Errors
     ///
@@ -174,15 +172,13 @@ impl PreparedParts {
             None => CongestionApproximator::from_ensemble(ensemble)?,
         };
         let repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
-        let scratch = AlmostRouteScratch::for_instance(graph, &approximator);
         Ok(PreparedParts {
             config: config.clone(),
             approximator,
             ensemble_stats,
             repair_tree,
-            scratch,
+            scratch: AlmostRouteScratch::default(),
             scratch_pool: Vec::new(),
-            warm_cache: None,
             plan: None,
         })
     }
@@ -208,9 +204,8 @@ impl PreparedParts {
     /// paths ([`CongestionApproximator::update_capacities`] — work
     /// proportional to the paths, not to the graph), the repair tree is
     /// re-grown against the new capacities (it is a maximum-*weight*
-    /// spanning tree, so its shape may legitimately change), and
-    /// capacity-dependent caches (warm-start flow, distributed plan) are
-    /// dropped.
+    /// spanning tree, so its shape may legitimately change), and the
+    /// capacity-dependent distributed plan is dropped.
     ///
     /// `graph` must already hold the new capacities (apply
     /// [`Graph::set_capacity`] first) and be the same graph the parts were
@@ -237,10 +232,8 @@ impl PreparedParts {
     ) -> Result<CapacityUpdateStats, GraphError> {
         let stats = self.approximator.update_capacities(graph, changes)?;
         self.repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
-        // Both caches embed flows scaled against the old capacities; a warm
-        // start from a stale flow would change answers, and the distributed
-        // plan's congestion accounting would be wrong.
-        self.warm_cache = None;
+        // The distributed plan's congestion accounting was measured against
+        // the old capacities.
         self.plan = None;
         Ok(stats)
     }
@@ -280,7 +273,7 @@ impl<'g> PreparedMaxFlow<'g> {
     }
 
     /// Releases the graph borrow and returns the owned prepared state,
-    /// preserving every byte of it (scratch warmth, warm cache, plan).
+    /// preserving every byte of it (scratch buffers, plan).
     pub fn into_parts(self) -> PreparedParts {
         self.parts
     }
@@ -291,10 +284,6 @@ impl<'g> PreparedMaxFlow<'g> {
     /// The query runs as a block of one lane through the same gradient
     /// engine as the batched entry points.
     ///
-    /// With [`MaxFlowConfig::warm_start`] enabled, the session additionally
-    /// remembers this query's routing and seeds the next query's descent with
-    /// it when the terminal pair repeats (in either orientation).
-    ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] / [`GraphError::SelfLoop`] for
@@ -302,18 +291,14 @@ impl<'g> PreparedMaxFlow<'g> {
     /// overflows `f64`.
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> Result<MaxFlowResult, GraphError> {
         let parts = &mut self.parts;
-        let (mut results, mut warm_out) = max_flow_block_engine(
+        let mut results = max_flow_block_engine(
             self.graph,
             &parts.approximator,
             &parts.repair_tree,
             &[(s, t)],
             &parts.config,
             &mut parts.scratch,
-            &[parts.warm_cache.as_ref()],
-            &[true],
         )?;
-        // The engine hands back a cache entry only under warm starts.
-        parts.warm_cache = warm_out.pop().flatten();
         results.pop().ok_or(GraphError::Internal {
             invariant: "one pair in, one answer out",
         })
@@ -325,18 +310,10 @@ impl<'g> PreparedMaxFlow<'g> {
     /// (tree slots, edge lists, soft-max buffers) **once for all lanes**,
     /// which is what makes large-graph serving memory-bandwidth-efficient.
     ///
-    /// With [`MaxFlowConfig::warm_start`] **off** (the default), the answers
-    /// are byte-identical to calling [`Self::max_flow`] once per pair in
-    /// order (and tested to be exactly that) — the blocked engine preserves
-    /// each lane's floating-point sequence exactly.
-    ///
-    /// With warm starts **on**, the batch warms each query from the previous
-    /// answer for the *same terminal pair* (in either orientation) within
-    /// this batch: repeated pairs form per-pair chains, and chain links are
-    /// processed in waves so unrelated queries can share a block. Answers
-    /// equal replaying each pair's chain on a fresh session (also pinned by
-    /// tests), and the batch neither reads nor writes the session's
-    /// single-query warm slot — interleave [`Self::max_flow`] calls freely.
+    /// The answers are byte-identical to calling [`Self::max_flow`] once per
+    /// pair in order, for every config (and tested to be exactly that) — the
+    /// blocked engine preserves each lane's floating-point sequence exactly,
+    /// so a repeated pair answers like its first occurrence.
     ///
     /// # Errors
     ///
@@ -356,10 +333,7 @@ impl<'g> PreparedMaxFlow<'g> {
     /// pool, so no mutable state is shared between workers. Threads
     /// parallelize **across** blocks while the lanes of each block amortize
     /// the operator walks **within** it; results are **byte-identical** to
-    /// the sequential batch (in order) for any thread count — including under
-    /// [`MaxFlowConfig::warm_start`], where the waves of each per-pair chain
-    /// are barriers: all blocks of a wave finish before the next wave starts,
-    /// so every warm flow is ready regardless of worker scheduling.
+    /// the sequential batch (in order) for any thread count.
     ///
     /// Query fan-out and operator fan-out do not nest: batch workers run
     /// their blocks with sequential operator evaluations, so the thread
@@ -424,7 +398,6 @@ impl<'g> PreparedMaxFlow<'g> {
         let mut results = Vec::with_capacity(demands.len());
         for chunk in demands.chunks(block_lanes(self.graph.num_nodes())) {
             let refs: Vec<&Demand> = chunk.iter().collect();
-            let warms = vec![None; chunk.len()];
             results.extend(route_demand_block_engine(
                 self.graph,
                 &self.parts.approximator,
@@ -432,23 +405,14 @@ impl<'g> PreparedMaxFlow<'g> {
                 &refs,
                 &self.parts.config,
                 &mut self.parts.scratch,
-                &warms,
             )?);
         }
         Ok(results)
     }
 
     /// The shared batched query driver behind [`Self::max_flow_batch`]
-    /// (`workers == 1`) and [`Self::par_max_flow_batch`] (`workers > 1`).
-    ///
-    /// Without warm starts the whole batch is one wave of independent
-    /// blocks. With warm starts, occurrence `w` of every (orientation-
-    /// normalized) terminal pair lands in wave `w`: the waves run in order
-    /// with a barrier between them, each query warms from its pair's answer
-    /// in the previous wave through a batch-scoped map, and an answer is
-    /// kept in the map only while a later occurrence still needs it. Every
-    /// per-pair error surfaces in wave 0 (errors do not depend on warm
-    /// state), so a failed batch never leaves half-finished waves behind.
+    /// (`workers == 1`) and [`Self::par_max_flow_batch`] (`workers > 1`):
+    /// the pairs split into consecutive blocks of independent lanes.
     fn blocked_batch(
         &mut self,
         pairs: &[(NodeId, NodeId)],
@@ -457,170 +421,82 @@ impl<'g> PreparedMaxFlow<'g> {
         if pairs.is_empty() {
             return Ok(Vec::new());
         }
-        let key_of = |s: NodeId, t: NodeId| {
-            if s.index() <= t.index() {
-                (s, t)
-            } else {
-                (t, s)
+        let blocks: Vec<&[(NodeId, NodeId)]> =
+            pairs.chunks(block_lanes(self.graph.num_nodes())).collect();
+        // Worker `w` answers blocks `w, w + T, w + 2T, …` with its own
+        // scratch. A lone worker runs inline on the session scratch with the
+        // configured operator parallelism; fanned-out workers evaluate their
+        // operators sequentially, so query fan-out and operator fan-out do
+        // not nest.
+        let fanned_config;
+        let (worker_config, tasks) = if workers <= 1 {
+            (&self.parts.config, vec![&mut self.parts.scratch])
+        } else {
+            while self.parts.scratch_pool.len() < workers {
+                self.parts.scratch_pool.push(AlmostRouteScratch::default());
             }
+            fanned_config = self
+                .parts
+                .config
+                .clone()
+                .with_parallelism(Parallelism::sequential());
+            (
+                &fanned_config,
+                self.parts.scratch_pool[..workers].iter_mut().collect(),
+            )
         };
-        // Wave index and keep-for-later flag per query. Without warm starts
-        // nothing is warmed or stored, and a single wave holds everything.
-        let mut occurrence = vec![0usize; pairs.len()];
-        let mut store = vec![false; pairs.len()];
-        let mut num_waves = 1usize;
-        if self.parts.config.warm_start {
-            let mut chains: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
-            for (i, &(s, t)) in pairs.iter().enumerate() {
-                chains.entry(key_of(s, t)).or_default().push(i);
-            }
-            for chain in chains.values() {
-                num_waves = num_waves.max(chain.len());
-                for (j, &i) in chain.iter().enumerate() {
-                    occurrence[i] = j;
-                    store[i] = j + 1 < chain.len();
+        let stride = tasks.len();
+        let graph = self.graph;
+        let approximator = &self.parts.approximator;
+        let repair_tree = &self.parts.repair_tree;
+        let blocks = &blocks;
+        // Each worker's stripe: its answers by block index, or the index of
+        // the block whose earliest lane failed. Blocks hold ascending pair
+        // ranges and the engine fails fast on its earliest lane, so the
+        // earliest failing block holds the batch's earliest error.
+        type WorkerStripe = Result<Vec<(usize, Vec<MaxFlowResult>)>, (usize, GraphError)>;
+        let partials: Vec<WorkerStripe> = parallel::join_workers(tasks, |w, scratch| {
+            let mut mine = Vec::with_capacity(blocks.len().div_ceil(stride));
+            for (bi, block) in blocks.iter().enumerate().skip(w).step_by(stride) {
+                match max_flow_block_engine(
+                    graph,
+                    approximator,
+                    repair_tree,
+                    block,
+                    worker_config,
+                    scratch,
+                ) {
+                    Ok(results) => mine.push((bi, results)),
+                    Err(err) => return Err((bi, err)),
                 }
             }
+            Ok(mine)
+        });
+        if let Some((_, err)) = partials
+            .iter()
+            .filter_map(|p| p.as_ref().err())
+            .min_by_key(|(bi, _)| *bi)
+        {
+            return Err(err.clone());
         }
-
-        let mut warm_map: HashMap<(NodeId, NodeId), WarmCache> = HashMap::new();
-        let mut out: Vec<Option<MaxFlowResult>> = (0..pairs.len()).map(|_| None).collect();
-        for wave in 0..num_waves {
-            let lanes: Vec<usize> = (0..pairs.len())
-                .filter(|&i| occurrence[i] == wave)
-                .collect();
-            // Per-block inputs: lane indices, pairs, warm flows from the
-            // previous wave, and keep flags.
-            type BlockInput<'a> = (
-                &'a [usize],
-                Vec<(NodeId, NodeId)>,
-                Vec<Option<&'a WarmCache>>,
-                Vec<bool>,
-            );
-            let blocks: Vec<BlockInput> = lanes
-                .chunks(block_lanes(self.graph.num_nodes()))
-                .map(|block| {
-                    let block_pairs: Vec<_> = block.iter().map(|&i| pairs[i]).collect();
-                    let warm_in: Vec<_> = block
-                        .iter()
-                        .map(|&i| warm_map.get(&key_of(pairs[i].0, pairs[i].1)))
-                        .collect();
-                    let block_store: Vec<_> = block.iter().map(|&i| store[i]).collect();
-                    (block, block_pairs, warm_in, block_store)
-                })
-                .collect();
-
-            // One block's answers with each lane's fresh warm entry — or the
-            // block index whose earliest lane failed. Blocks partition the
-            // wave's lanes in ascending index ranges and the engine fails
-            // fast on its earliest lane, so the earliest failing block holds
-            // the batch's earliest error.
-            type BlockAnswers = Vec<(usize, MaxFlowResult, Option<WarmCache>)>;
-            // Worker `w` answers blocks `w, w + T, w + 2T, …` with its own
-            // scratch. A lone worker runs inline on the session scratch with
-            // the configured operator parallelism; fanned-out workers
-            // evaluate their operators sequentially, so query fan-out and
-            // operator fan-out do not nest.
-            let fanned_config;
-            let (worker_config, tasks): (&MaxFlowConfig, Vec<&mut AlmostRouteScratch>) =
-                if workers <= 1 {
-                    (&self.parts.config, vec![&mut self.parts.scratch])
-                } else {
-                    while self.parts.scratch_pool.len() < workers {
-                        self.parts.scratch_pool.push(AlmostRouteScratch::default());
-                    }
-                    fanned_config = self
-                        .parts
-                        .config
-                        .clone()
-                        .with_parallelism(Parallelism::sequential());
-                    (
-                        &fanned_config,
-                        self.parts.scratch_pool[..workers].iter_mut().collect(),
-                    )
-                };
-            let stride = tasks.len();
-            let graph = self.graph;
-            let approximator = &self.parts.approximator;
-            let repair_tree = &self.parts.repair_tree;
-            let blocks = &blocks;
-            type WorkerStripe = Result<Vec<(usize, BlockAnswers)>, (usize, GraphError)>;
-            let partials: Vec<WorkerStripe> = parallel::join_workers(tasks, |w, scratch| {
-                let mut mine = Vec::with_capacity(blocks.len().div_ceil(stride));
-                for (bi, (block, block_pairs, warm_in, block_store)) in
-                    blocks.iter().enumerate().skip(w).step_by(stride)
-                {
-                    match max_flow_block_engine(
-                        graph,
-                        approximator,
-                        repair_tree,
-                        block_pairs,
-                        worker_config,
-                        scratch,
-                        warm_in,
-                        block_store,
-                    ) {
-                        Ok((results, warm_out)) => mine.push((
-                            bi,
-                            block
-                                .iter()
-                                .zip(results.into_iter().zip(warm_out))
-                                .map(|(&i, (result, warm))| (i, result, warm))
-                                .collect(),
-                        )),
-                        Err(err) => return Err((bi, err)),
-                    }
-                }
-                Ok(mine)
+        let mut answered: Vec<(usize, Vec<MaxFlowResult>)> = Vec::with_capacity(blocks.len());
+        for partial in partials {
+            // The error scan above returned on any Err stripe; a stripe that
+            // still fails here is a bookkeeping bug, reported as a typed
+            // error so a daemon worker thread fails the request instead of
+            // aborting the process.
+            answered.extend(partial.map_err(|_| GraphError::Internal {
+                invariant: "parallel batch stripe failed after the error scan",
+            })?);
+        }
+        answered.sort_unstable_by_key(|&(bi, _)| bi);
+        let out: Vec<MaxFlowResult> = answered.into_iter().flat_map(|(_, r)| r).collect();
+        if out.len() != pairs.len() {
+            return Err(GraphError::Internal {
+                invariant: "batch left a query unanswered",
             });
-            if let Some((_, err)) = partials
-                .iter()
-                .filter_map(|p| p.as_ref().err())
-                .min_by_key(|(bi, _)| *bi)
-            {
-                return Err(err.clone());
-            }
-            let mut answered: Vec<(usize, BlockAnswers)> = Vec::with_capacity(blocks.len());
-            for partial in partials {
-                // The error scan above returned on any Err stripe; a stripe
-                // that still fails here is a bookkeeping bug, reported as a
-                // typed error so a daemon worker thread fails the request
-                // instead of aborting the process.
-                answered.extend(partial.map_err(|_| GraphError::Internal {
-                    invariant: "parallel batch stripe failed after the error scan",
-                })?);
-            }
-
-            for (_, block_answers) in answered {
-                for (i, result, warm) in block_answers {
-                    let key = key_of(pairs[i].0, pairs[i].1);
-                    match warm {
-                        // The engine only produces an entry for store-flagged
-                        // lanes; dropping the map entry after a chain's last
-                        // link keeps the map's footprint at one flow per
-                        // *open* chain.
-                        Some(w) => {
-                            warm_map.insert(key, w);
-                        }
-                        None => {
-                            warm_map.remove(&key);
-                        }
-                    }
-                    out[i] = Some(result);
-                }
-            }
         }
-        // Every wave assigns each of its lane indices to exactly one block,
-        // so every slot must be filled; an unanswered slot is a wave/block
-        // partitioning bug, surfaced as a typed error (never a panic — see
-        // above).
-        out.into_iter()
-            .map(|r| {
-                r.ok_or(GraphError::Internal {
-                    invariant: "batch left a query unanswered",
-                })
-            })
-            .collect()
+        Ok(out)
     }
 
     /// Routes an arbitrary balanced demand vector with near-optimal
@@ -643,7 +519,6 @@ impl<'g> PreparedMaxFlow<'g> {
             &[b],
             &self.parts.config,
             &mut self.parts.scratch,
-            &[None],
         )?;
         routed.pop().ok_or(GraphError::Internal {
             invariant: "one demand in, one routing out",
@@ -728,20 +603,24 @@ mod tests {
 
     #[test]
     fn batch_equals_query_loop() {
+        // A repeated pair shares the batch with its first occurrence, under
+        // either step rule.
         let g = gen::grid(4, 4, 1.0);
-        let cfg = config();
         let pairs = [
             (NodeId(0), NodeId(15)),
             (NodeId(3), NodeId(12)),
             (NodeId(0), NodeId(15)),
         ];
-        let mut batch_session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
-        let batch = batch_session.max_flow_batch(&pairs).unwrap();
-        let mut loop_session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
-        for (b, &(s, t)) in batch.iter().zip(&pairs) {
-            let l = loop_session.max_flow(s, t).unwrap();
-            assert_eq!(b.value.to_bits(), l.value.to_bits());
-            assert_eq!(bits(b.flow.values()), bits(l.flow.values()));
+        for warm_start in [false, true] {
+            let cfg = config().with_warm_start(warm_start);
+            let mut batch_session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
+            let batch = batch_session.max_flow_batch(&pairs).unwrap();
+            let mut loop_session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
+            for (b, &(s, t)) in batch.iter().zip(&pairs) {
+                let l = loop_session.max_flow(s, t).unwrap();
+                assert_eq!(b.value.to_bits(), l.value.to_bits(), "{warm_start}");
+                assert_eq!(bits(b.flow.values()), bits(l.flow.values()));
+            }
         }
     }
 
@@ -794,8 +673,8 @@ mod tests {
     #[test]
     fn parts_round_trip_preserves_session_state_bitwise() {
         // into_parts/from_parts is the daemon's steady-state loop; splitting
-        // and rejoining between every query must not perturb a bit, including
-        // under warm starts (the warm cache rides along in the parts).
+        // and rejoining between every query must not perturb a bit, under
+        // the adaptive step rule too.
         let g = gen::Family::Random.generate(26, 7);
         let cfg = config().with_warm_start(true);
         let mut undisturbed = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
@@ -803,7 +682,7 @@ mod tests {
         let queries = [
             (NodeId(0), NodeId(25)),
             (NodeId(3), NodeId(17)),
-            (NodeId(0), NodeId(25)), // warm repeat
+            (NodeId(0), NodeId(25)), // repeat
         ];
         for &(s, t) in &queries {
             let expected = undisturbed.max_flow(s, t).unwrap();
@@ -1016,31 +895,26 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_reuses_the_previous_answer_and_stays_certified() {
+    fn warm_start_on_is_history_free() {
+        // `warm_start` selects only the step rule: a repeated or reversed
+        // pair answers bit for bit like the same query on a fresh session,
+        // and every answer stays feasible and bracketed.
         let g = gen::grid(5, 5, 1.0);
         let cfg = config().with_warm_start(true);
         let mut session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
-        let cold = session.max_flow(NodeId(0), NodeId(24)).unwrap();
-        // Same pair again: the descent starts from the previous flow and
-        // terminates almost immediately, but the answer stays feasible and
-        // inside the certified bracket.
-        let warm = session.max_flow(NodeId(0), NodeId(24)).unwrap();
-        assert!(warm.iterations <= cold.iterations);
-        assert_eq!(warm.upper_bound.to_bits(), cold.upper_bound.to_bits());
-        let value = warm
-            .flow
-            .validate_st_flow(&g, NodeId(0), NodeId(24), 1e-6)
-            .unwrap();
-        assert!((value - warm.value).abs() < 1e-6 * (1.0 + value.abs()));
-        assert!(warm.value <= warm.upper_bound + 1e-9);
-        assert!(warm.value >= 0.9 * cold.value, "warm answer lost quality");
-        // The reversed pair warms from the negated flow.
-        let reversed = session.max_flow(NodeId(24), NodeId(0)).unwrap();
-        assert!(reversed.value > 0.0);
-        reversed
-            .flow
-            .validate_st_flow(&g, NodeId(24), NodeId(0), 1e-6)
-            .unwrap();
+        for (s, t) in [(0, 24), (0, 24), (24, 0), (0, 24)].map(|(s, t)| (NodeId(s), NodeId(t))) {
+            let got = session.max_flow(s, t).unwrap();
+            let fresh = PreparedMaxFlow::prepare(&g, &cfg)
+                .unwrap()
+                .max_flow(s, t)
+                .unwrap();
+            assert_eq!(got.value.to_bits(), fresh.value.to_bits());
+            assert_eq!(got.iterations, fresh.iterations);
+            assert_eq!(bits(got.flow.values()), bits(fresh.flow.values()));
+            let value = got.flow.validate_st_flow(&g, s, t, 1e-6).unwrap();
+            assert!((value - got.value).abs() < 1e-6 * (1.0 + value.abs()));
+            assert!(got.value > 0.0 && got.value <= got.upper_bound + 1e-9);
+        }
     }
 
     #[test]

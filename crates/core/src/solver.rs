@@ -16,42 +16,6 @@ use parallel::Parallelism;
 
 use crate::almost_route::{almost_route_block_with_norms, AlmostRouteConfig, AlmostRouteScratch};
 
-/// A session's memory of its last answered query, used to warm-start the next
-/// one when [`MaxFlowConfig::warm_start`] is enabled.
-///
-/// The cached flow routes `target · (χ_t − χ_s)` exactly (the residual was
-/// repaired on the spanning tree), so rescaling it to a new target — or
-/// negating it for the reversed pair — yields a starting point whose demand
-/// term of the potential is already near its minimum.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmCache {
-    s: NodeId,
-    t: NodeId,
-    target: f64,
-    flow: FlowVec,
-}
-
-impl WarmCache {
-    /// The cached flow rescaled for a query `(s, t, target)`, or `None` if
-    /// the cache is for a different terminal pair.
-    fn scaled_for(&self, s: NodeId, t: NodeId, target: f64) -> Option<FlowVec> {
-        if !(self.target.is_finite() && self.target > 0.0) {
-            return None;
-        }
-        let ratio = target / self.target;
-        let signed_ratio = if (self.s, self.t) == (s, t) {
-            ratio
-        } else if (self.s, self.t) == (t, s) {
-            -ratio
-        } else {
-            return None;
-        };
-        let mut flow = self.flow.clone();
-        flow.scale(signed_ratio);
-        Some(flow)
-    }
-}
-
 /// Configuration for the approximate max-flow solver.
 #[derive(Debug, Clone)]
 pub struct MaxFlowConfig {
@@ -67,13 +31,13 @@ pub struct MaxFlowConfig {
     /// Number of `AlmostRoute` phases (Algorithm 1 uses `log m + 1`; `None`
     /// selects exactly that).
     pub phases: Option<usize>,
-    /// Warm-start repeated session queries: a [`crate::PreparedMaxFlow`]
-    /// remembers its last answer and, when the next query asks about the same
-    /// (or reversed) terminal pair, starts the gradient descent from that
-    /// flow instead of zero — and lets the descent grow its step size
-    /// adaptively while the potential keeps decreasing. Defaults to **off**;
-    /// when off, every entry point is byte-identical to the history-free
-    /// solver. See [`MaxFlowConfig::with_warm_start`].
+    /// Selects the descent's step rule: `true` runs every `AlmostRoute`
+    /// phase with adaptive steps ([`crate::AlmostRouteConfig::adaptive_steps`]:
+    /// grow the step while the potential keeps decreasing, halve it and
+    /// retry when a step overshoots), `false` (the default) with
+    /// Algorithm 2's fixed `δ/(1+4α²)` step. Either way every answer depends
+    /// only on the graph, its capacities, this config and the query. See
+    /// [`MaxFlowConfig::with_warm_start`].
     pub warm_start: bool,
     /// Worker pool for the parallel execution paths: per-iteration operator
     /// evaluations inside a query and query fan-out in
@@ -151,16 +115,12 @@ impl MaxFlowConfig {
         self
     }
 
-    /// Enables or disables warm-started session queries.
-    ///
-    /// When enabled, a [`crate::PreparedMaxFlow`] session seeds each query's
-    /// gradient descent with its previous answer whenever the terminal pair
-    /// repeats (in either orientation, rescaled to the new target), and the
-    /// descent adapts its step size with backtracking. Answers then depend on
-    /// query history — still `(1+ε)`-approximate and certified by the same
-    /// `value ≤ maxflow ≤ upper_bound` bracket, but no longer byte-identical
-    /// to a fresh query. Leave it off (the default) when reproducibility
-    /// across query orders matters.
+    /// Selects the adaptive step rule (`true`) or Algorithm 2's fixed step
+    /// (`false`, the default) for every query; see
+    /// [`MaxFlowConfig::warm_start`]. The field keeps the name of the
+    /// warm-start answer reuse it once also switched on; it selects only the
+    /// step rule now, and sessions keep no history, so a repeated query
+    /// answers bit for bit like the first.
     ///
     /// ```
     /// use flowgraph::{gen, NodeId};
@@ -171,11 +131,11 @@ impl MaxFlowConfig {
     /// assert!(cfg.warm_start);
     ///
     /// let mut session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
-    /// let cold = session.max_flow(NodeId(0), NodeId(24)).unwrap();
-    /// // The repeat starts from `cold.flow` and stays certified.
-    /// let warm = session.max_flow(NodeId(0), NodeId(24)).unwrap();
-    /// assert!(warm.value > 0.0 && warm.value <= warm.upper_bound + 1e-9);
-    /// assert_eq!(warm.upper_bound.to_bits(), cold.upper_bound.to_bits());
+    /// let first = session.max_flow(NodeId(0), NodeId(24)).unwrap();
+    /// assert!(first.value > 0.0 && first.value <= first.upper_bound + 1e-9);
+    /// let again = session.max_flow(NodeId(0), NodeId(24)).unwrap();
+    /// assert_eq!(again.value.to_bits(), first.value.to_bits());
+    /// assert_eq!(again.iterations, first.iterations);
     /// ```
     #[must_use]
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
@@ -403,8 +363,7 @@ pub fn route_demand(
     }
     let repair_tree = max_weight_spanning_tree(g, NodeId(0))?;
     let mut scratch = AlmostRouteScratch::default();
-    let mut routed =
-        route_demand_block_engine(g, r, &repair_tree, &[b], config, &mut scratch, &[None])?;
+    let mut routed = route_demand_block_engine(g, r, &repair_tree, &[b], config, &mut scratch)?;
     routed.pop().ok_or(GraphError::Internal {
         invariant: "one demand in, one routing out",
     })
@@ -417,14 +376,10 @@ pub fn route_demand(
 /// lockstep through the blocked gradient driver, advancing the phase
 /// schedule per lane (a lane whose residual drops below its stop norm leaves
 /// the batch and stops paying for sweeps). A single demand is a block of one
-/// lane, and `results[l]` is byte-identical to routing `demands[l]` with
-/// `warms[l]` alone.
+/// lane, and `results[l]` is byte-identical to routing `demands[l]` alone.
 ///
 /// The repair tree and the gradient scratch are supplied by the caller, so a
-/// session amortizes both. `warms[l]` optionally seeds lane `l`'s first
-/// `AlmostRoute` phase (whose residual is the demand itself) with a previous
-/// flow; later phases route what the earlier ones left behind, for which no
-/// cached flow applies.
+/// session amortizes both.
 ///
 /// Fails fast on the earliest (by lane index) invalid demand — wrong length,
 /// a non-finite entry or total magnitude, or an imbalance beyond
@@ -440,9 +395,7 @@ pub(crate) fn route_demand_block_engine(
     demands: &[&Demand],
     config: &MaxFlowConfig,
     scratch: &mut AlmostRouteScratch,
-    warms: &[Option<&FlowVec>],
 ) -> Result<Vec<RoutingResult>, GraphError> {
-    debug_assert_eq!(demands.len(), warms.len());
     if g.num_nodes() == 0 {
         return Err(GraphError::Empty);
     }
@@ -518,19 +471,7 @@ pub(crate) fn route_demand_block_engine(
             break;
         }
         let refs: Vec<&Demand> = active.iter().map(|&l| &residuals[l]).collect();
-        let phase_warms: Vec<Option<&FlowVec>> = active
-            .iter()
-            .map(|&l| if phase == 0 { warms[l] } else { None })
-            .collect();
-        let ars = almost_route_block_with_norms(
-            g,
-            r,
-            &refs,
-            &phase_warms,
-            &still_norms,
-            &ar_config,
-            scratch,
-        );
+        let ars = almost_route_block_with_norms(g, r, &refs, &still_norms, &ar_config, scratch);
         for (j, &l) in active.iter().enumerate() {
             iterations[l] += ars[j].iterations;
             executed_phases[l] += 1;
@@ -613,16 +554,7 @@ pub fn approx_max_flow_with(
     }
     let repair_tree = max_weight_spanning_tree(g, NodeId(0))?;
     let mut scratch = AlmostRouteScratch::default();
-    let (mut results, _) = max_flow_block_engine(
-        g,
-        r,
-        &repair_tree,
-        &[(s, t)],
-        config,
-        &mut scratch,
-        &[None],
-        &[false],
-    )?;
+    let mut results = max_flow_block_engine(g, r, &repair_tree, &[(s, t)], config, &mut scratch)?;
     results.pop().ok_or(GraphError::Internal {
         invariant: "one pair in, one answer out",
     })
@@ -677,21 +609,14 @@ fn apply_tree_safety_net(
 /// and every [`crate::PreparedMaxFlow`] max-flow entry point: answers `k`
 /// terminal pairs in lockstep through [`route_demand_block_engine`]. A single
 /// query is a block of one lane, and `results[l]` is byte-identical to
-/// answering `pairs[l]` alone, warm-started from `warm_in[l]`. The graph is
-/// assumed non-empty and connected (validated when the session is prepared);
-/// terminals are validated here, per query.
-///
-/// Warm state flows through explicitly: `warm_in[l]` seeds lane `l` (when
-/// [`MaxFlowConfig::warm_start`] is on and the cached pair matches), and the
-/// second return value carries a fresh [`WarmCache`] for every lane the
-/// caller flagged in `store` — the session layer decides which answers are
-/// worth keeping (its single-query slot, or a batch's later waves).
+/// answering `pairs[l]` alone. The graph is assumed non-empty and connected
+/// (validated when the session is prepared); terminals are validated here,
+/// per query.
 ///
 /// Fails fast on the earliest (by lane index) invalid pair; all per-lane
 /// validation happens before any gradient work. An answer whose flow, value
 /// or upper bound is not finite fails the call with [`GraphError::NonFinite`]
 /// (one scan per answer, after the descent).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub(crate) fn max_flow_block_engine(
     g: &Graph,
     r: &CongestionApproximator,
@@ -699,14 +624,10 @@ pub(crate) fn max_flow_block_engine(
     pairs: &[(NodeId, NodeId)],
     config: &MaxFlowConfig,
     scratch: &mut AlmostRouteScratch,
-    warm_in: &[Option<&WarmCache>],
-    store: &[bool],
-) -> Result<(Vec<MaxFlowResult>, Vec<Option<WarmCache>>), GraphError> {
-    debug_assert_eq!(pairs.len(), warm_in.len());
-    debug_assert_eq!(pairs.len(), store.len());
+) -> Result<Vec<MaxFlowResult>, GraphError> {
     let k = pairs.len();
     if k == 0 {
-        return Ok((Vec::new(), Vec::new()));
+        return Ok(Vec::new());
     }
     for &(s, t) in pairs {
         for v in [s, t] {
@@ -758,35 +679,12 @@ pub(crate) fn max_flow_block_engine(
         .zip(&targets)
         .map(|(&(s, t), &target)| Demand::st(g, s, t, target))
         .collect();
-    let warm_flows: Vec<Option<FlowVec>> = pairs
-        .iter()
-        .enumerate()
-        .map(|(l, &(s, t))| {
-            if config.warm_start {
-                warm_in[l].and_then(|state| state.scaled_for(s, t, targets[l]))
-            } else {
-                None
-            }
-        })
-        .collect();
-
     let demand_refs: Vec<&Demand> = demands.iter().collect();
-    let warm_refs: Vec<Option<&FlowVec>> = warm_flows.iter().map(|w| w.as_ref()).collect();
-    let routings =
-        route_demand_block_engine(g, r, repair_tree, &demand_refs, config, scratch, &warm_refs)?;
+    let routings = route_demand_block_engine(g, r, repair_tree, &demand_refs, config, scratch)?;
 
     let mut results = Vec::with_capacity(k);
-    let mut warm_out: Vec<Option<WarmCache>> = vec![None; k];
     for (l, routing) in routings.into_iter().enumerate() {
         let (s, t) = pairs[l];
-        if config.warm_start && store[l] {
-            warm_out[l] = Some(WarmCache {
-                s,
-                t,
-                target: targets[l],
-                flow: routing.flow.clone(),
-            });
-        }
         // Scale down to feasibility. If the congestion is below 1 the flow
         // is already feasible and ships the full upper bound (then it is
         // exactly optimal, since value ≤ maxflow ≤ upper bound = value).
@@ -807,7 +705,7 @@ pub(crate) fn max_flow_block_engine(
             approximator: r.stats(),
         });
     }
-    Ok((results, warm_out))
+    Ok(results)
 }
 
 #[cfg(test)]

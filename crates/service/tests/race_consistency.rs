@@ -8,7 +8,7 @@
 //! pre-update reference is a session built offline on the old graph with
 //! the same config, and the post-update reference replays the server's own
 //! incremental path ([`PreparedParts::refresh_after_capacity_update`]) on a
-//! copy. Queries are stateless with warm starts off and batched answers are
+//! copy. Queries are stateless under every config and batched answers are
 //! pinned byte-identical to sequential ones, so any interleaving the server
 //! picks must reproduce one of the two references bit for bit.
 

@@ -6,20 +6,13 @@
 //! grouping must never change a single bit of any answer**. Pinned here
 //! across seeded families:
 //!
-//! 1. **Cold batches are the query loop**: without warm starts, batches of
-//!    every size — through the sequential and the parallel entry point, with
-//!    the direct and the hierarchical approximator — answer byte-identically
-//!    to calling `max_flow` once per pair.
-//! 2. **Warm batches are per-pair chain replays**: with warm starts, a
-//!    batch's answer for the `j`-th occurrence of a terminal pair equals the
-//!    `j`-th query of that pair on a fresh warm session (the documented wave
-//!    semantics), again bit for bit and thread-count-invariant — the PR-6
-//!    parallel warm fallback is gone.
-//! 3. **Batches leave the session's single-query warm slot untouched.**
-//! 4. **`route_many` is `route` per lane**, and batched answers hold the
+//! 1. **Batches are the query loop**: batches of every size — through the
+//!    sequential and the parallel entry point, with the direct and the
+//!    hierarchical approximator, under either step rule
+//!    (`MaxFlowConfig::warm_start`) — answer byte-identically to calling
+//!    `max_flow` once per pair, repeated and reversed pairs included.
+//! 2. **`route_many` is `route` per lane**, and batched answers hold the
 //!    `(1 ± ε)` oracle band at the oracle suite's verified budget.
-
-use std::collections::HashMap;
 
 use capprox::{HierarchyConfig, RackeConfig};
 use flowgraph::{Demand, Graph, NodeId};
@@ -48,8 +41,9 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Deterministic query mix with repeats and reversals (the patterns warm
-/// starts react to), seeded so failures reproduce.
+/// Deterministic query mix with repeats and reversals (where an answer that
+/// leaked session or batch history would show), seeded so failures
+/// reproduce.
 fn query_pairs(g: &Graph, k: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
     let n = g.num_nodes() as u64;
     let mut state = seed | 1;
@@ -116,70 +110,39 @@ fn assert_batches_bit_identical(
     Ok(())
 }
 
-/// The documented warm-batch semantics: each orientation-normalized terminal
-/// pair forms a chain through the batch, and the chain replays on a fresh
-/// warm session.
-fn warm_chain_reference(
-    g: &Graph,
-    cfg: &MaxFlowConfig,
-    pairs: &[(NodeId, NodeId)],
-) -> Vec<MaxFlowResult> {
-    let mut chains: Vec<((u32, u32), Vec<usize>)> = Vec::new();
-    let mut index: HashMap<(u32, u32), usize> = HashMap::new();
-    for (i, &(s, t)) in pairs.iter().enumerate() {
-        let key = if s.index() <= t.index() {
-            (s.0, t.0)
-        } else {
-            (t.0, s.0)
-        };
-        match index.get(&key) {
-            Some(&c) => chains[c].1.push(i),
-            None => {
-                index.insert(key, chains.len());
-                chains.push((key, vec![i]));
-            }
-        }
-    }
-    let mut out: Vec<Option<MaxFlowResult>> = (0..pairs.len()).map(|_| None).collect();
-    for (_, chain) in chains {
-        let mut session = PreparedMaxFlow::prepare(g, cfg).expect("connected");
-        for i in chain {
-            let (s, t) = pairs[i];
-            out[i] = Some(session.max_flow(s, t).expect("valid pair"));
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every query replayed"))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Property 1 at every batch size that exercises a distinct lane shape:
-    /// a partial block (1, 2, 7) and many full blocks (64).
+    /// Property 1 at every batch size that exercises a distinct lane shape
+    /// (a partial block (1, 2, 7) and many full blocks (64)), under both
+    /// step rules.
     #[test]
     fn cold_batches_match_the_query_loop_at_every_size(
         n in 16usize..28,
         seed in 0u64..10_000,
     ) {
         let inst = &families::oracle_families(n, seed)[1]; // grid
-        let cfg = config(seed ^ 0x11);
-        let par_cfg = cfg.clone().with_parallelism(Parallelism::with_threads(4));
         let pairs = query_pairs(&inst.graph, 64, seed);
-        let mut loop_session = PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
-        let reference: Vec<MaxFlowResult> = pairs
-            .iter()
-            .map(|&(s, t)| loop_session.max_flow(s, t).expect("valid pair"))
-            .collect();
-        let mut seq_session = PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
-        let mut par_session = PreparedMaxFlow::prepare(&inst.graph, &par_cfg).expect("connected");
-        for k in [1usize, 2, 7, 64] {
-            let head = &pairs[..k];
-            let batch = seq_session.max_flow_batch(head).expect("valid pairs");
-            assert_batches_bit_identical(&batch, &reference[..k], &format!("seq batch k={k}"))?;
-            let par = par_session.par_max_flow_batch(head).expect("valid pairs");
-            assert_batches_bit_identical(&par, &reference[..k], &format!("par batch k={k}"))?;
+        for warm_start in [false, true] {
+            let cfg = config(seed ^ 0x11).with_warm_start(warm_start);
+            let par_cfg = cfg.clone().with_parallelism(Parallelism::with_threads(4));
+            let mut loop_session =
+                PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
+            let reference: Vec<MaxFlowResult> = pairs
+                .iter()
+                .map(|&(s, t)| loop_session.max_flow(s, t).expect("valid pair"))
+                .collect();
+            let mut seq_session = PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
+            let mut par_session =
+                PreparedMaxFlow::prepare(&inst.graph, &par_cfg).expect("connected");
+            for k in [1usize, 2, 7, 64] {
+                let head = &pairs[..k];
+                let context = format!("warm_start={warm_start} k={k}");
+                let batch = seq_session.max_flow_batch(head).expect("valid pairs");
+                assert_batches_bit_identical(&batch, &reference[..k], &format!("seq {context}"))?;
+                let par = par_session.par_max_flow_batch(head).expect("valid pairs");
+                assert_batches_bit_identical(&par, &reference[..k], &format!("par {context}"))?;
+            }
         }
     }
 
@@ -208,40 +171,7 @@ proptest! {
         assert_batches_bit_identical(&par, &reference, "hierarchy par batch")?;
     }
 
-    /// Properties 2 and 3: warm batches replay per-pair chains (thread-count
-    /// invariant — the PR-6 silent sequential fallback is gone) and never
-    /// touch the session's single-query warm slot.
-    #[test]
-    fn warm_batches_replay_per_pair_chains(
-        n in 16usize..28,
-        seed in 0u64..10_000,
-    ) {
-        let inst = &families::oracle_families(n, seed)[1]; // grid
-        let cfg = config(seed ^ 0x37).with_warm_start(true);
-        let pairs = query_pairs(&inst.graph, 24, seed);
-        let reference = warm_chain_reference(&inst.graph, &cfg, &pairs);
-        let mut seq_session = PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
-        let seq = seq_session.max_flow_batch(&pairs).expect("valid pairs");
-        assert_batches_bit_identical(&seq, &reference, "warm seq batch")?;
-        let par_cfg = cfg.clone().with_parallelism(Parallelism::with_threads(4));
-        let mut par_session = PreparedMaxFlow::prepare(&inst.graph, &par_cfg).expect("connected");
-        let par = par_session.par_max_flow_batch(&pairs).expect("valid pairs");
-        assert_batches_bit_identical(&par, &reference, "warm par batch")?;
-
-        // The batch must not have seeded the session's single-query slot: a
-        // follow-up query answers like the first query of a fresh session.
-        let (s, t) = pairs[0];
-        let after_batch = seq_session.max_flow(s, t).expect("valid pair");
-        let mut fresh = PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
-        let cold = fresh.max_flow(s, t).expect("valid pair");
-        prop_assert_eq!(
-            after_batch.value.to_bits(), cold.value.to_bits(),
-            "a warm batch leaked state into the session's warm slot"
-        );
-        prop_assert_eq!(bits(after_batch.flow.values()), bits(cold.flow.values()));
-    }
-
-    /// Property 4 (identity half): `route_many` answers each commodity
+    /// Property 2 (identity half): `route_many` answers each commodity
     /// byte-identically to routing it alone.
     #[test]
     fn route_many_matches_independent_route_calls(
@@ -275,7 +205,7 @@ proptest! {
     }
 }
 
-/// Property 4 (quality half): at the oracle suite's verified budget and
+/// Property 2 (quality half): at the oracle suite's verified budget and
 /// seeds, the blocked batch path holds the same `(1 ± ε)` oracle band as the
 /// single-query path — deterministic, can never flake.
 #[test]

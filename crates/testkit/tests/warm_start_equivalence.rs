@@ -1,19 +1,21 @@
-//! Differential suite for warm-started duals (`MaxFlowConfig::warm_start`).
+//! Differential suite for `MaxFlowConfig::warm_start`, which selects the
+//! descent's step rule: adaptive steps when on, Algorithm 2's fixed step
+//! when off (the default).
 //!
 //! Two properties are pinned across the seeded workload families:
 //!
-//! 1. **Off means off**: with the knob disabled (the default), sessions are
-//!    history-free — repeated and interleaved queries answer byte-identically
-//!    to a fresh PR-3-style session and to the one-shot wrapper, so enabling
-//!    the feature elsewhere can never perturb existing callers.
-//! 2. **On stays certified**: with the knob enabled, every answer — cold,
-//!    warm-repeat, and reversed-pair — remains a feasible `s`–`t` flow inside
-//!    the `(1 ± ε)`-style oracle band against the exact Dinic optimum, and
-//!    the certified upper bound still bounds the optimum. Warm starts may
-//!    change the descent trajectory, never the contract.
+//! 1. **History-free either way**: repeated, reversed and interleaved
+//!    queries answer byte-identically to the one-shot wrapper, through the
+//!    single-query, batch and parallel batch entry points, and an explicit
+//!    `false` matches the default bit for bit.
+//! 2. **On stays certified**: every answer under the adaptive step is a
+//!    feasible `s`–`t` flow inside the `(1 ± ε)`-style oracle band against
+//!    the exact Dinic optimum, and the certified upper bound still bounds
+//!    the optimum. The step rule may change the descent trajectory, never
+//!    the contract.
 
 use capprox::RackeConfig;
-use maxflow::{approx_max_flow, MaxFlowConfig, Parallelism, PreparedMaxFlow};
+use maxflow::{approx_max_flow, MaxFlowConfig, MaxFlowResult, Parallelism, PreparedMaxFlow};
 use proptest::prelude::*;
 use testkit::{families, OracleConfig};
 
@@ -40,7 +42,7 @@ proptest! {
         for inst in families::oracle_families(n, seed) {
             let cfg = config(seed ^ 0x5a, 0.3);
             let explicit_off = cfg.clone().with_warm_start(false);
-            // Repeats are exactly where a leaked warm cache would show up.
+            // Repeats are exactly where leaked session history would show up.
             let pairs = [
                 (inst.s, inst.t),
                 (inst.s, inst.t),
@@ -66,7 +68,7 @@ proptest! {
             // for bit, and both equal the stateless one-shot wrapper.
             prop_assert_eq!(
                 bits(default_batch[0].flow.values()), bits(default_batch[1].flow.values()),
-                "family {}: a repeated query diverged without warm starts", inst.name
+                "family {}: a repeated query diverged", inst.name
             );
             prop_assert_eq!(
                 one_shot.value.to_bits(), default_batch[0].value.to_bits(),
@@ -80,43 +82,54 @@ proptest! {
     }
 
     #[test]
-    fn warm_started_queries_stay_certified(
+    fn adaptive_step_queries_are_history_free_and_certified(
         n in 12usize..30,
         seed in 0u64..10_000,
     ) {
         // At the tiny proptest budgets the absolute (1 - ε) floor is out of
-        // reach on some random instances with or without warm starts (the
+        // reach on some random instances under either step rule (the
         // asymptotic guarantee assumes O(ε⁻³) iterations), so this test
-        // pins the budget-independent contract: every warm answer is a
-        // feasible flow bracketed by the optimum and the certificate, and
-        // warm re-use never degrades the answer materially below the
-        // knob-off answer at the same budget. The absolute oracle band is
-        // pinned by `warm_start_holds_the_oracle_band_at_the_full_budget`
-        // below at the oracle suite's verified budget.
+        // pins the budget-independent contract: every answer is a feasible
+        // flow bracketed by the optimum and the certificate, and the
+        // adaptive step never lands materially below the fixed step at the
+        // same budget. The absolute oracle band is pinned by
+        // `warm_start_holds_the_oracle_band_at_the_full_budget` below at the
+        // oracle suite's verified budget.
         let eps = 0.25;
         let tol = 1e-6;
         for inst in families::oracle_families(n, seed) {
             let cfg = config(seed ^ 0xc3, eps).with_warm_start(true);
             let exact = baselines::dinic::max_flow(&inst.graph, inst.s, inst.t)
                 .expect("families are connected");
-            let off = approx_max_flow(&inst.graph, inst.s, inst.t, &cfg.clone().with_warm_start(false))
+            let fixed = approx_max_flow(&inst.graph, inst.s, inst.t, &cfg.clone().with_warm_start(false))
                 .expect("families are connected");
             let mut session = PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
-            // Cold, warm-repeat (cache hit, scaled re-use), warm-repeat
-            // again, and the reversed pair (negated re-use).
             let pairs = [
                 (inst.s, inst.t),
                 (inst.s, inst.t),
-                (inst.s, inst.t),
                 (inst.t, inst.s),
+                (inst.s, inst.t),
             ];
-            for (i, &(s, t)) in pairs.iter().enumerate() {
-                let r = session.max_flow(s, t).expect("valid terminals");
+            let answers: Vec<MaxFlowResult> = pairs
+                .iter()
+                .map(|&(s, t)| session.max_flow(s, t).expect("valid terminals"))
+                .collect();
+            let forward = approx_max_flow(&inst.graph, inst.s, inst.t, &cfg)
+                .expect("families are connected");
+            let reverse = approx_max_flow(&inst.graph, inst.t, inst.s, &cfg)
+                .expect("families are connected");
+            for (i, (r, &(s, t))) in answers.iter().zip(&pairs).enumerate() {
+                let one_shot = if s == inst.s { &forward } else { &reverse };
+                prop_assert_eq!(
+                    bits(r.flow.values()), bits(one_shot.flow.values()),
+                    "family {} query {}: the session answer depends on its history", inst.name, i
+                );
+                prop_assert_eq!(r.value.to_bits(), one_shot.value.to_bits());
                 let validated = r
                     .flow
                     .validate_st_flow(&inst.graph, s, t, tol)
                     .unwrap_or_else(|e| {
-                        panic!("family {} query {i}: infeasible warm flow: {e}", inst.name)
+                        panic!("family {} query {i}: infeasible flow: {e}", inst.name)
                     });
                 prop_assert!(
                     (validated - r.value).abs() <= tol * (1.0 + r.value.abs()),
@@ -133,43 +146,41 @@ proptest! {
                     "family {} query {i}: certificate {} fails to bound the optimum {}",
                     inst.name, r.upper_bound, exact.value
                 );
-                // Forward queries (cold or warm) must not land materially
-                // below the knob-off answer for the same budget.
                 if s == inst.s {
                     prop_assert!(
-                        r.value >= 0.9 * off.value - tol,
-                        "family {} query {i}: warm value {} degraded below 0.9x the \
-                         knob-off value {}",
-                        inst.name, r.value, off.value
+                        r.value >= 0.9 * fixed.value - tol,
+                        "family {} query {i}: adaptive value {} below 0.9x the fixed-step \
+                         value {}",
+                        inst.name, r.value, fixed.value
                     );
                 }
             }
-            // The parallel batch entry point runs warm batches through the
-            // same wave schedule as the sequential one (waves are barriers,
-            // so every warm flow is ready regardless of worker scheduling)
-            // and must agree bit for bit — fresh sessions on both sides so
-            // only the entry point differs.
+            // The batch entry points answer like the query loop, whatever
+            // the thread count.
             let par_cfg = cfg.clone().with_parallelism(Parallelism::with_threads(4));
             let mut par_session =
                 PreparedMaxFlow::prepare(&inst.graph, &par_cfg).expect("connected");
             let par = par_session.par_max_flow_batch(&pairs).expect("valid pairs");
-            let mut seq_session =
-                PreparedMaxFlow::prepare(&inst.graph, &par_cfg).expect("connected");
+            let mut seq_session = PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
             let seq = seq_session.max_flow_batch(&pairs).expect("valid pairs");
-            for (p, q) in par.iter().zip(&seq) {
+            for ((p, q), a) in par.iter().zip(&seq).zip(&answers) {
                 prop_assert_eq!(
-                    bits(p.flow.values()), bits(q.flow.values()),
-                    "family {}: warm parallel batch diverged from sequential", inst.name
+                    bits(p.flow.values()), bits(a.flow.values()),
+                    "family {}: parallel batch diverged from the query loop", inst.name
+                );
+                prop_assert_eq!(
+                    bits(q.flow.values()), bits(a.flow.values()),
+                    "family {}: batch diverged from the query loop", inst.name
                 );
             }
         }
     }
 }
 
-/// The full `(1 ± ε)`-style oracle band under warm starts, at the oracle
-/// suite's verified budget and seeds (deterministic — can never flake):
-/// cold, warm-repeat and reversed-pair answers all land between the quality
-/// floor and the exact optimum, with a valid certificate.
+/// The full `(1 ± ε)`-style oracle band under the adaptive step rule, at the
+/// oracle suite's verified budget and seeds (deterministic — can never
+/// flake): first, repeated and reversed-pair answers all land between the
+/// quality floor and the exact optimum, with a valid certificate.
 #[test]
 fn warm_start_holds_the_oracle_band_at_the_full_budget() {
     let oracle = OracleConfig::default();
@@ -185,9 +196,7 @@ fn warm_start_holds_the_oracle_band_at_the_full_budget() {
             let r = session.max_flow(s, t).expect("valid terminals");
             r.flow
                 .validate_st_flow(&inst.graph, s, t, tol)
-                .unwrap_or_else(|e| {
-                    panic!("family {} query {i}: infeasible warm flow: {e}", inst.name)
-                });
+                .unwrap_or_else(|e| panic!("family {} query {i}: infeasible flow: {e}", inst.name));
             // The graph is undirected, so the reversed optimum equals the
             // forward optimum and the same band applies to every query.
             assert!(

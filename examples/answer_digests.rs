@@ -1,9 +1,11 @@
 //! Answer digests: the bits of eight fixed answers and one prepared
 //! session, one line each. A change that promises unchanged answers prints
-//! the same nine lines before and after.
+//! the same nine lines before and after; CI diffs them against
+//! `examples/answer_digests.expected`.
 //!
 //! ```text
-//! cargo run --release -p dmf-bench --example answer_digests
+//! cargo run --release -q -p dmf-bench --example answer_digests \
+//!     | diff -u examples/answer_digests.expected -
 //! ```
 //!
 //! The answers are the certified-answer benchmark's: two pairs of the 1k
