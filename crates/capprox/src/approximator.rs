@@ -508,9 +508,8 @@ impl CongestionApproximator {
     ///
     /// # Errors
     ///
-    /// Returns an error — after which the approximator may be partially
-    /// patched and **must be discarded and rebuilt** (the caller's full-
-    /// rebuild fallback path) — when:
+    /// Returns an error, and leaves every cut capacity and relative load
+    /// exactly as it was, when:
     ///
     /// - `g`'s node count differs from the approximator's
     ///   ([`GraphError::DemandMismatch`]);
@@ -523,7 +522,8 @@ impl CongestionApproximator {
     ///   `set_capacity`, listed an edge twice, or is racing the update;
     /// - a patched cut capacity degenerates to a non-finite or non-positive
     ///   value ([`GraphError::InvalidWeight`]), which accumulated rounding
-    ///   can produce only when `|delta|` dwarfs the surviving cut.
+    ///   can produce only when `|delta|` dwarfs the surviving cut. The
+    ///   entries patched before it are written back from an undo log.
     pub fn update_capacities(
         &mut self,
         g: &Graph,
@@ -562,49 +562,66 @@ impl CongestionApproximator {
             trees_total: self.trees.len(),
             ..CapacityUpdateStats::default()
         };
-        for (t, slots) in self.trees.iter_mut().zip(&mut self.slots) {
-            let mut patched_here = 0usize;
-            for c in changes {
-                let delta = c.new - c.old;
-                if delta == 0.0 {
-                    continue;
-                }
-                let e = g.edge(c.edge);
-                // Edge {u, v} crosses exactly the cuts of the nodes strictly
-                // below the LCA on the u–v tree path; walk both legs.
-                let meet = t.tree.lca(e.tail, e.head);
-                for leg in [e.tail, e.head] {
-                    let mut v = leg;
-                    while v != meet {
-                        let vi = v.index();
-                        let cut = t.cut_capacity[vi] + delta;
-                        if !(cut.is_finite() && cut > 0.0) {
-                            return Err(GraphError::InvalidWeight { value: cut });
+        // `(tree, node, old cut, old rload)` of every entry patched so far.
+        let mut undo: Vec<(usize, usize, f64, f64)> = Vec::new();
+        let patched = 'patch: {
+            for (ti, (t, slots)) in self.trees.iter_mut().zip(&mut self.slots).enumerate() {
+                let mut patched_here = 0usize;
+                for c in changes {
+                    let delta = c.new - c.old;
+                    if delta == 0.0 {
+                        continue;
+                    }
+                    let e = g.edge(c.edge);
+                    // Edge {u, v} crosses exactly the cuts of the nodes
+                    // strictly below the LCA on the u–v tree path; walk both
+                    // legs.
+                    let meet = t.tree.lca(e.tail, e.head);
+                    for leg in [e.tail, e.head] {
+                        let mut v = leg;
+                        while v != meet {
+                            let vi = v.index();
+                            let cut = t.cut_capacity[vi] + delta;
+                            if !(cut.is_finite() && cut > 0.0) {
+                                break 'patch Err(GraphError::InvalidWeight { value: cut });
+                            }
+                            undo.push((ti, vi, t.cut_capacity[vi], t.rload[vi]));
+                            t.cut_capacity[vi] = cut;
+                            slots.cut_capacity[slots.slot_of_node[vi] as usize] = cut;
+                            let (Some(parent_edge), Some(parent)) =
+                                (t.tree.parent_edge(v), t.tree.parent(v))
+                            else {
+                                // Unreachable for spanning trees of `g`:
+                                // every node strictly below an ancestor has
+                                // a parent realized by a graph edge.
+                                break 'patch Err(GraphError::Internal {
+                                    invariant: "tree path node below the LCA lacks a parent edge",
+                                });
+                            };
+                            t.rload[vi] = cut / g.capacity(parent_edge);
+                            patched_here += 1;
+                            v = parent;
                         }
-                        t.cut_capacity[vi] = cut;
-                        slots.cut_capacity[slots.slot_of_node[vi] as usize] = cut;
-                        let (Some(parent_edge), Some(parent)) =
-                            (t.tree.parent_edge(v), t.tree.parent(v))
-                        else {
-                            // Unreachable for spanning trees of `g`: every
-                            // node strictly below an ancestor has a parent
-                            // realized by a graph edge.
-                            return Err(GraphError::Internal {
-                                invariant: "tree path node below the LCA lacks a parent edge",
-                            });
-                        };
-                        t.rload[vi] = cut / g.capacity(parent_edge);
-                        patched_here += 1;
-                        v = parent;
                     }
                 }
+                if patched_here > 0 {
+                    stats.trees_touched += 1;
+                    stats.slots_patched += patched_here;
+                }
             }
-            if patched_here > 0 {
-                stats.trees_touched += 1;
-                stats.slots_patched += patched_here;
+            Ok(stats)
+        };
+        if patched.is_err() {
+            // Newest first, so an entry patched twice ends at its first old
+            // value.
+            for &(ti, vi, cut, rload) in undo.iter().rev() {
+                let (t, slots) = (&mut self.trees[ti], &mut self.slots[ti]);
+                t.cut_capacity[vi] = cut;
+                t.rload[vi] = rload;
+                slots.cut_capacity[slots.slot_of_node[vi] as usize] = cut;
             }
         }
-        Ok(stats)
+        patched
     }
 
     /// The trees backing the approximator.
@@ -1522,6 +1539,46 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn a_degenerate_patch_writes_every_entry_back() {
+        // Capacities spanning 1e-300 to 1e307 on a 7-cycle: the deltas
+        // cancel a cut to a non-positive value partway through the patch.
+        let mut g = gen::cycle(7, 1.0);
+        let mut approx = build(&g, 2, 2);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let b = Demand::st(&g, NodeId(0), NodeId(3), 1.0);
+        let before: Vec<(Vec<u64>, Vec<u64>)> = approx
+            .trees()
+            .iter()
+            .map(|t| (bits(&t.cut_capacity), bits(&t.rload)))
+            .collect();
+        let rows_before = bits(&approx.apply(&b).unwrap());
+        let mut changes = Vec::new();
+        for (i, new) in [1e-300, 1e-10, 1e10, 1e-300, 1e307, 1e10, 1e300]
+            .into_iter()
+            .enumerate()
+        {
+            let edge = EdgeId(i as u32);
+            g.set_capacity(edge, new).unwrap();
+            changes.push(CapacityChange {
+                edge,
+                old: 1.0,
+                new,
+            });
+        }
+        assert!(matches!(
+            approx.update_capacities(&g, &changes),
+            Err(GraphError::InvalidWeight { .. })
+        ));
+        let after: Vec<(Vec<u64>, Vec<u64>)> = approx
+            .trees()
+            .iter()
+            .map(|t| (bits(&t.cut_capacity), bits(&t.rload)))
+            .collect();
+        assert_eq!(before, after);
+        assert_eq!(rows_before, bits(&approx.apply(&b).unwrap()));
     }
 
     #[test]

@@ -303,10 +303,10 @@ impl PlanCosts {
 
 impl<'g> PreparedMaxFlow<'g> {
     fn ensure_plan(&mut self) -> &DistributedPlan {
-        if self.parts.plan.is_none() {
-            self.parts.plan = Some(DistributedPlan::build(self));
+        if self.plan.is_none() {
+            self.plan = Some(DistributedPlan::build(self));
         }
-        self.parts.plan.as_ref().expect("plan was just built")
+        self.plan.as_ref().expect("plan was just built")
     }
 
     /// The amortized CONGEST bill of this session: construction costs charged

@@ -110,7 +110,7 @@ pub use distributed::{
     RoundBreakdown, SessionBill,
 };
 pub use parallel::Parallelism;
-pub use session::{PreparedMaxFlow, PreparedParts};
+pub use session::{CapacityUpdate, PreparedMaxFlow};
 pub use solver::{
     approx_max_flow, approx_max_flow_with, route_demand, MaxFlowConfig, MaxFlowResult,
     RoutingResult, DEMAND_BALANCE_TOLERANCE,

@@ -11,14 +11,23 @@
 //! the session-owned scratch buffers, with zero heap allocation per gradient
 //! iteration in the steady state.
 //!
+//! A session holds its graph, borrowed or owned, next to everything derived
+//! from it. [`PreparedMaxFlow::update_capacities`] moves both to new edge
+//! capacities in one step: it re-capacitates the prepared trees in place
+//! (a capacity change alters the trees' cut capacities, not their shapes)
+//! or rebuilds them, and on any error it changes nothing.
+//!
 //! The free functions [`crate::approx_max_flow`] / [`crate::route_demand`]
 //! remain as thin convenience wrappers that prepare a throwaway session per
 //! call; a session answers byte-identically to them for the same seed.
 
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
+
 use capprox::{
     build_tree_ensemble, CapacityChange, CapacityUpdateStats, CongestionApproximator, EnsembleStats,
 };
-use flowgraph::{max_weight_spanning_tree, Demand, Graph, GraphError, NodeId, RootedTree};
+use flowgraph::{max_weight_spanning_tree, Demand, EdgeId, Graph, GraphError, NodeId, RootedTree};
 use parallel::Parallelism;
 
 use crate::almost_route::AlmostRouteScratch;
@@ -54,17 +63,24 @@ const fn block_lanes(n: usize) -> usize {
 /// tree and scratch buffers are built once, then arbitrarily many queries are
 /// answered against them.
 ///
+/// The session holds its graph next to everything it derives from it,
+/// borrowed from the caller ([`Self::prepare`]) or owned
+/// ([`Self::prepare_owned`], for a server whose sessions outlive the request
+/// that loaded them). [`Self::update_capacities`] moves the graph and the
+/// derived structures to new capacities in one step, or leaves both as they
+/// were, so they always describe the same graph version.
+///
 /// Queries take `&mut self` because they reuse the session's scratch buffers;
 /// results are independent of query order and of how often the session has
 /// been used, for every config (every query is answered byte-identically to
 /// a fresh one-shot [`crate::approx_max_flow`] call with the same config).
 ///
 /// The prepared structures themselves (graph, approximator, repair tree) are
-/// immutable and `Send + Sync`; only the scratch is per-worker state. That is
-/// what lets [`Self::par_max_flow_batch`] run independent `(s, t)` queries
-/// concurrently — each worker borrows the shared structures and owns one
-/// scratch from the session's pool — while staying byte-identical to the
-/// sequential [`Self::max_flow_batch`].
+/// immutable between updates and `Send + Sync`; only the scratch is
+/// per-worker state. That is what lets [`Self::par_max_flow_batch`] run
+/// independent `(s, t)` queries concurrently — each worker borrows the shared
+/// structures and owns one scratch from the session's pool — while staying
+/// byte-identical to the sequential [`Self::max_flow_batch`].
 ///
 /// # Example
 ///
@@ -89,30 +105,7 @@ const fn block_lanes(n: usize) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct PreparedMaxFlow<'g> {
-    graph: &'g Graph,
-    pub(crate) parts: PreparedParts,
-}
-
-/// The owned prepared state of a session, detached from the graph borrow:
-/// everything [`PreparedMaxFlow`] derives from the graph (approximator,
-/// repair tree, scratch pools, distributed plan), without the `&Graph`
-/// itself.
-///
-/// A [`PreparedMaxFlow`] is exactly `(&Graph, PreparedParts)` — split with
-/// [`PreparedMaxFlow::into_parts`], rejoin with
-/// [`PreparedMaxFlow::from_parts`]. The split is what lets a long-lived
-/// server *own* a mutable graph alongside its prepared state without a
-/// self-referential struct: between requests the server holds
-/// `(Graph, PreparedParts)`; to answer a batch it borrows the graph and
-/// rejoins the parts into a session; to apply capacity updates it mutates
-/// the graph and calls [`Self::refresh_after_capacity_update`].
-///
-/// Round-tripping through `into_parts`/`from_parts` preserves every byte of
-/// session state (scratch buffers, distributed plan), and answers never
-/// depend on the scratch's contents anyway, so they are byte-identical to an
-/// undisturbed session.
-#[derive(Debug)]
-pub struct PreparedParts {
+    graph: Cow<'g, Graph>,
     config: MaxFlowConfig,
     approximator: CongestionApproximator,
     ensemble_stats: EnsembleStats,
@@ -121,15 +114,64 @@ pub struct PreparedParts {
     /// after prepare, grown lazily by the first query to the widest block
     /// and reused.
     scratch: AlmostRouteScratch,
-    /// Per-worker scratch buffers for
-    /// [`PreparedMaxFlow::par_max_flow_batch`], grown lazily to the
-    /// configured thread count and reused across batches.
+    /// Per-worker scratch buffers for [`Self::par_max_flow_batch`], grown
+    /// lazily to the configured thread count and reused across batches.
     scratch_pool: Vec<AlmostRouteScratch>,
     pub(crate) plan: Option<DistributedPlan>,
 }
 
-impl PreparedParts {
-    /// Builds the prepared state for `graph`: validates the config and the
+/// What one [`PreparedMaxFlow::update_capacities`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CapacityUpdate {
+    /// Distinct edges the update named; a repeated edge counts once.
+    pub changes: usize,
+    /// The patch's work counters when the trees were re-capacitated in
+    /// place, or `None` when the session was rebuilt with its config.
+    pub patched: Option<CapacityUpdateStats>,
+}
+
+/// Validates `config` and `graph`, then builds the congestion approximator
+/// (the expensive part) and the maximum-weight spanning tree for residual
+/// repair.
+fn build_structures(
+    graph: &Graph,
+    config: &MaxFlowConfig,
+) -> Result<(CongestionApproximator, EnsembleStats, RootedTree), GraphError> {
+    config.validate()?;
+    if graph.num_nodes() == 0 {
+        return Err(GraphError::Empty);
+    }
+    if !graph.is_connected() {
+        return Err(GraphError::NotConnected);
+    }
+    if graph.num_edges() == 0 {
+        // A connected graph without edges is a single node; there is
+        // nothing to route and the gradient potential is undefined on an
+        // empty edge set (see `almost_route::smax_and_weights_into`).
+        return Err(GraphError::NoEdges);
+    }
+    // The scalable preparation path assembles the ensemble level by level
+    // through the recursive j-tree hierarchy (Theorem 8.10); the default
+    // path builds the Räcke ensemble directly on the graph.
+    let (ensemble, hierarchy_stats) = match &config.hierarchy {
+        Some(hierarchy) => {
+            let (ensemble, stats) =
+                capprox::build_hierarchical_ensemble(graph, hierarchy, &config.racke)?;
+            (ensemble, Some(stats))
+        }
+        None => (build_tree_ensemble(graph, &config.racke)?, None),
+    };
+    let ensemble_stats = ensemble.stats.clone();
+    let approximator = match hierarchy_stats {
+        Some(stats) => CongestionApproximator::from_ensemble_with_hierarchy(ensemble, stats)?,
+        None => CongestionApproximator::from_ensemble(ensemble)?,
+    };
+    let repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
+    Ok((approximator, ensemble_stats, repair_tree))
+}
+
+impl<'g> PreparedMaxFlow<'g> {
+    /// Builds the session for a borrowed graph: validates the config and the
     /// graph, and constructs the congestion approximator (the expensive part)
     /// and the maximum-weight spanning tree for residual repair. The
     /// per-query scratch buffers are sized by the first query that uses
@@ -141,38 +183,24 @@ impl PreparedParts {
     /// never produce a meaningful run (see [`MaxFlowConfig::validate`]) and
     /// [`GraphError::Empty`] / [`GraphError::NotConnected`] /
     /// [`GraphError::NoEdges`] for degenerate graphs.
-    pub fn build(graph: &Graph, config: &MaxFlowConfig) -> Result<Self, GraphError> {
-        config.validate()?;
-        if graph.num_nodes() == 0 {
-            return Err(GraphError::Empty);
-        }
-        if !graph.is_connected() {
-            return Err(GraphError::NotConnected);
-        }
-        if graph.num_edges() == 0 {
-            // A connected graph without edges is a single node; there is
-            // nothing to route and the gradient potential is undefined on an
-            // empty edge set (see `almost_route::smax_and_weights_into`).
-            return Err(GraphError::NoEdges);
-        }
-        // The scalable preparation path assembles the ensemble level by
-        // level through the recursive j-tree hierarchy (Theorem 8.10); the
-        // default path builds the Räcke ensemble directly on the graph.
-        let (ensemble, hierarchy_stats) = match &config.hierarchy {
-            Some(hierarchy) => {
-                let (ensemble, stats) =
-                    capprox::build_hierarchical_ensemble(graph, hierarchy, &config.racke)?;
-                (ensemble, Some(stats))
-            }
-            None => (build_tree_ensemble(graph, &config.racke)?, None),
-        };
-        let ensemble_stats = ensemble.stats.clone();
-        let approximator = match hierarchy_stats {
-            Some(stats) => CongestionApproximator::from_ensemble_with_hierarchy(ensemble, stats)?,
-            None => CongestionApproximator::from_ensemble(ensemble)?,
-        };
-        let repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
-        Ok(PreparedParts {
+    pub fn prepare(graph: &'g Graph, config: &MaxFlowConfig) -> Result<Self, GraphError> {
+        Self::with_graph(Cow::Borrowed(graph), config)
+    }
+
+    /// [`Self::prepare`] for a graph the session takes over, so that it
+    /// borrows nothing.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::prepare`].
+    pub fn prepare_owned(graph: Graph, config: &MaxFlowConfig) -> Result<Self, GraphError> {
+        Self::with_graph(Cow::Owned(graph), config)
+    }
+
+    fn with_graph(graph: Cow<'g, Graph>, config: &MaxFlowConfig) -> Result<Self, GraphError> {
+        let (approximator, ensemble_stats, repair_tree) = build_structures(&graph, config)?;
+        Ok(PreparedMaxFlow {
+            graph,
             config: config.clone(),
             approximator,
             ensemble_stats,
@@ -183,99 +211,113 @@ impl PreparedParts {
         })
     }
 
-    /// Node count of the graph these parts were prepared for.
-    pub fn num_nodes(&self) -> usize {
-        self.approximator.num_nodes()
-    }
-
-    /// The solver configuration the parts were built with.
-    pub fn config(&self) -> &MaxFlowConfig {
-        &self.config
-    }
-
-    /// The prepared congestion approximator.
-    pub fn approximator(&self) -> &CongestionApproximator {
-        &self.approximator
-    }
-
-    /// Re-prepares the parts in place after a batch of edge-capacity changes
-    /// on the graph, without rebuilding the tree ensemble: the approximator's
-    /// cut capacities are patched incrementally along the changed edges' tree
-    /// paths ([`CongestionApproximator::update_capacities`] — work
-    /// proportional to the paths, not to the graph), the repair tree is
-    /// re-grown against the new capacities (it is a maximum-*weight*
-    /// spanning tree, so its shape may legitimately change), and the
-    /// capacity-dependent distributed plan is dropped.
+    /// Sets the capacities of the listed edges and re-derives the session
+    /// from them; the last write wins when an edge repeats. A borrowed graph
+    /// is copied first, so the caller's graph never changes.
     ///
-    /// `graph` must already hold the new capacities (apply
-    /// [`Graph::set_capacity`] first) and be the same graph the parts were
-    /// prepared for, topologically: same nodes, same edges, only capacities
-    /// changed.
-    ///
-    /// After a successful refresh, queries through a rejoined
-    /// [`PreparedMaxFlow`] answer byte-identically to a session freshly
-    /// prepared from an ensemble with the *same tree topologies* at the new
-    /// capacities — but **not** necessarily to a full
-    /// [`PreparedMaxFlow::prepare`], which re-samples the ensemble and may
-    /// draw different trees. Both are valid `(1+ε)` certificates; the
-    /// equivalence suites pin the former.
+    /// Up to `max(16, m/8)` changed edges patch the trees in place
+    /// ([`CongestionApproximator::update_capacities`]: work proportional to
+    /// the changed edges' tree paths, not to the graph) and re-grow the
+    /// repair tree, a maximum-*weight* spanning tree whose shape may change.
+    /// Answers are then byte-identical to a session prepared from an
+    /// ensemble with the *same tree topologies* at the new capacities, but
+    /// not necessarily to a full [`Self::prepare`], which may draw different
+    /// trees; both are valid `(1+ε)` certificates. More changed edges, or a
+    /// patch that fails, rebuild the session with its own config, which
+    /// answers bit for bit like [`Self::prepare`] on the updated graph.
     ///
     /// # Errors
     ///
-    /// Propagates [`CongestionApproximator::update_capacities`] errors, after
-    /// which the parts may be partially patched and **must be discarded and
-    /// rebuilt** with [`Self::build`] — the caller's full-rebuild fallback.
-    pub fn refresh_after_capacity_update(
+    /// The update is all or nothing: on any error the session keeps its
+    /// capacities and answers exactly as before. Errors are
+    /// [`GraphError::EdgeOutOfRange`] for an edge the graph lacks,
+    /// [`GraphError::InvalidWeight`] for a capacity that is not finite and
+    /// positive, and whatever a needed rebuild returns for the new
+    /// capacities.
+    pub fn update_capacities(
         &mut self,
-        graph: &Graph,
-        changes: &[CapacityChange],
-    ) -> Result<CapacityUpdateStats, GraphError> {
-        let stats = self.approximator.update_capacities(graph, changes)?;
-        self.repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
-        // The distributed plan's congestion accounting was measured against
-        // the old capacities.
-        self.plan = None;
-        Ok(stats)
-    }
-}
-
-impl<'g> PreparedMaxFlow<'g> {
-    /// Builds the session: [`PreparedParts::build`] plus the graph borrow.
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedParts::build`].
-    pub fn prepare(graph: &'g Graph, config: &MaxFlowConfig) -> Result<Self, GraphError> {
-        Ok(PreparedMaxFlow {
-            graph,
-            parts: PreparedParts::build(graph, config)?,
-        })
-    }
-
-    /// Rejoins owned [`PreparedParts`] with the graph they were prepared for
-    /// (the inverse of [`Self::into_parts`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::DemandMismatch`] when `graph`'s node count does
-    /// not match the parts' — the strongest structural check available
-    /// without storing a full graph fingerprint; pairing parts with the
-    /// wrong same-sized graph is on the caller (a server keys parts by graph
-    /// fingerprint for exactly this reason).
-    pub fn from_parts(graph: &'g Graph, parts: PreparedParts) -> Result<Self, GraphError> {
-        if parts.num_nodes() != graph.num_nodes() {
-            return Err(GraphError::DemandMismatch {
-                expected: parts.num_nodes(),
-                actual: graph.num_nodes(),
+        changes: &[(EdgeId, f64)],
+    ) -> Result<CapacityUpdate, GraphError> {
+        let num_edges = self.graph.num_edges();
+        let mut collapsed: Vec<CapacityChange> = Vec::with_capacity(changes.len());
+        let mut position: HashMap<EdgeId, usize> = HashMap::with_capacity(changes.len());
+        for &(edge, new) in changes {
+            if edge.index() >= num_edges {
+                return Err(GraphError::EdgeOutOfRange {
+                    edge: edge.index(),
+                    num_edges,
+                });
+            }
+            if !(new.is_finite() && new > 0.0) {
+                return Err(GraphError::InvalidWeight { value: new });
+            }
+            match position.entry(edge) {
+                Entry::Occupied(at) => collapsed[*at.get()].new = new,
+                Entry::Vacant(at) => {
+                    at.insert(collapsed.len());
+                    collapsed.push(CapacityChange {
+                        edge,
+                        old: self.graph.capacity(edge),
+                        new,
+                    });
+                }
+            }
+        }
+        if collapsed.is_empty() {
+            return Ok(CapacityUpdate {
+                changes: 0,
+                patched: Some(CapacityUpdateStats {
+                    trees_total: self.approximator.trees().len(),
+                    ..CapacityUpdateStats::default()
+                }),
             });
         }
-        Ok(PreparedMaxFlow { graph, parts })
+        // Both loops write capacities checked above (or read from the
+        // graph), so neither can fail partway.
+        let graph = self.graph.to_mut();
+        for c in &collapsed {
+            graph.set_capacity(c.edge, c.new)?;
+        }
+        match self.rederive(&collapsed) {
+            Ok(patched) => {
+                // The distributed plan was measured on the old capacities.
+                self.plan = None;
+                Ok(CapacityUpdate {
+                    changes: collapsed.len(),
+                    patched,
+                })
+            }
+            Err(err) => {
+                let graph = self.graph.to_mut();
+                for c in &collapsed {
+                    graph.set_capacity(c.edge, c.old)?;
+                }
+                Err(err)
+            }
+        }
     }
 
-    /// Releases the graph borrow and returns the owned prepared state,
-    /// preserving every byte of it (scratch buffers, plan).
-    pub fn into_parts(self) -> PreparedParts {
-        self.parts
+    /// Re-derives the approximator and the repair tree from the graph's new
+    /// capacities: patches the trees for up to `max(16, m/8)` changes, and
+    /// rebuilds past that bound or when the patch fails. On error the
+    /// structures are unchanged.
+    fn rederive(
+        &mut self,
+        changes: &[CapacityChange],
+    ) -> Result<Option<CapacityUpdateStats>, GraphError> {
+        let graph: &Graph = &self.graph;
+        if changes.len() <= 16.max(graph.num_edges() / 8) {
+            let repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
+            if let Ok(stats) = self.approximator.update_capacities(graph, changes) {
+                self.repair_tree = repair_tree;
+                return Ok(Some(stats));
+            }
+        }
+        let (approximator, ensemble_stats, repair_tree) = build_structures(graph, &self.config)?;
+        self.approximator = approximator;
+        self.ensemble_stats = ensemble_stats;
+        self.repair_tree = repair_tree;
+        Ok(None)
     }
 
     /// Computes a `(1+ε)`-approximate maximum s–t flow using the prepared
@@ -290,14 +332,13 @@ impl<'g> PreparedMaxFlow<'g> {
     /// invalid terminals, and [`GraphError::NonFinite`] if the answer
     /// overflows `f64`.
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> Result<MaxFlowResult, GraphError> {
-        let parts = &mut self.parts;
         let mut results = max_flow_block_engine(
-            self.graph,
-            &parts.approximator,
-            &parts.repair_tree,
+            &self.graph,
+            &self.approximator,
+            &self.repair_tree,
             &[(s, t)],
-            &parts.config,
-            &mut parts.scratch,
+            &self.config,
+            &mut self.scratch,
         )?;
         results.pop().ok_or(GraphError::Internal {
             invariant: "one pair in, one answer out",
@@ -349,7 +390,7 @@ impl<'g> PreparedMaxFlow<'g> {
         pairs: &[(NodeId, NodeId)],
     ) -> Result<Vec<MaxFlowResult>, GraphError> {
         let blocks = pairs.len().div_ceil(block_lanes(self.graph.num_nodes()));
-        let workers = self.parts.config.parallelism.threads().min(blocks.max(1));
+        let workers = self.config.parallelism.threads().min(blocks.max(1));
         self.blocked_batch(pairs, workers)
     }
 
@@ -399,12 +440,12 @@ impl<'g> PreparedMaxFlow<'g> {
         for chunk in demands.chunks(block_lanes(self.graph.num_nodes())) {
             let refs: Vec<&Demand> = chunk.iter().collect();
             results.extend(route_demand_block_engine(
-                self.graph,
-                &self.parts.approximator,
-                &self.parts.repair_tree,
+                &self.graph,
+                &self.approximator,
+                &self.repair_tree,
                 &refs,
-                &self.parts.config,
-                &mut self.parts.scratch,
+                &self.config,
+                &mut self.scratch,
             )?);
         }
         Ok(results)
@@ -430,25 +471,24 @@ impl<'g> PreparedMaxFlow<'g> {
         // not nest.
         let fanned_config;
         let (worker_config, tasks) = if workers <= 1 {
-            (&self.parts.config, vec![&mut self.parts.scratch])
+            (&self.config, vec![&mut self.scratch])
         } else {
-            while self.parts.scratch_pool.len() < workers {
-                self.parts.scratch_pool.push(AlmostRouteScratch::default());
+            while self.scratch_pool.len() < workers {
+                self.scratch_pool.push(AlmostRouteScratch::default());
             }
             fanned_config = self
-                .parts
                 .config
                 .clone()
                 .with_parallelism(Parallelism::sequential());
             (
                 &fanned_config,
-                self.parts.scratch_pool[..workers].iter_mut().collect(),
+                self.scratch_pool[..workers].iter_mut().collect(),
             )
         };
         let stride = tasks.len();
-        let graph = self.graph;
-        let approximator = &self.parts.approximator;
-        let repair_tree = &self.parts.repair_tree;
+        let graph: &Graph = &self.graph;
+        let approximator = &self.approximator;
+        let repair_tree = &self.repair_tree;
         let blocks = &blocks;
         // Each worker's stripe: its answers by block index, or the index of
         // the block whose earliest lane failed. Blocks hold ascending pair
@@ -513,41 +553,41 @@ impl<'g> PreparedMaxFlow<'g> {
     /// overflows `f64`.
     pub fn route(&mut self, b: &Demand) -> Result<RoutingResult, GraphError> {
         let mut routed = route_demand_block_engine(
-            self.graph,
-            &self.parts.approximator,
-            &self.parts.repair_tree,
+            &self.graph,
+            &self.approximator,
+            &self.repair_tree,
             &[b],
-            &self.parts.config,
-            &mut self.parts.scratch,
+            &self.config,
+            &mut self.scratch,
         )?;
         routed.pop().ok_or(GraphError::Internal {
             invariant: "one demand in, one routing out",
         })
     }
 
-    /// The graph this session was prepared for.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
+    /// The graph at the session's current capacities.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
     }
 
     /// The session's solver configuration.
     pub fn config(&self) -> &MaxFlowConfig {
-        &self.parts.config
+        &self.config
     }
 
     /// The prepared congestion approximator.
     pub fn approximator(&self) -> &CongestionApproximator {
-        &self.parts.approximator
+        &self.approximator
     }
 
     /// Construction statistics of the underlying tree ensemble.
     pub fn ensemble_stats(&self) -> &EnsembleStats {
-        &self.parts.ensemble_stats
+        &self.ensemble_stats
     }
 
     /// The maximum-weight spanning tree used for residual repair.
     pub fn repair_tree(&self) -> &RootedTree {
-        &self.parts.repair_tree
+        &self.repair_tree
     }
 }
 
@@ -670,101 +710,163 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn parts_round_trip_preserves_session_state_bitwise() {
-        // into_parts/from_parts is the daemon's steady-state loop; splitting
-        // and rejoining between every query must not perturb a bit, under
-        // the adaptive step rule too.
-        let g = gen::Family::Random.generate(26, 7);
-        let cfg = config().with_warm_start(true);
-        let mut undisturbed = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
-        let mut parts = PreparedParts::build(&g, &cfg).unwrap();
-        let queries = [
-            (NodeId(0), NodeId(25)),
-            (NodeId(3), NodeId(17)),
-            (NodeId(0), NodeId(25)), // repeat
-        ];
-        for &(s, t) in &queries {
-            let expected = undisturbed.max_flow(s, t).unwrap();
-            let mut session = PreparedMaxFlow::from_parts(&g, parts).unwrap();
-            let got = session.max_flow(s, t).unwrap();
-            parts = session.into_parts();
-            assert_eq!(expected.value.to_bits(), got.value.to_bits());
-            assert_eq!(expected.iterations, got.iterations);
-            assert_eq!(bits(expected.flow.values()), bits(got.flow.values()));
-        }
+    /// Bit patterns of a session's answer to one pair.
+    fn answer_bits(session: &mut PreparedMaxFlow, s: u32, t: u32) -> (u64, u64, Vec<u64>) {
+        let r = session.max_flow(NodeId(s), NodeId(t)).unwrap();
+        (
+            r.value.to_bits(),
+            r.upper_bound.to_bits(),
+            bits(r.flow.values()),
+        )
+    }
+
+    fn capacities(g: &Graph) -> Vec<u64> {
+        g.edge_ids().map(|e| g.capacity(e).to_bits()).collect()
     }
 
     #[test]
-    fn from_parts_rejects_a_mismatched_graph() {
-        let g = gen::grid(4, 4, 1.0);
-        let parts = PreparedParts::build(&g, &config()).unwrap();
-        let other = gen::grid(3, 3, 1.0);
-        assert!(matches!(
-            PreparedMaxFlow::from_parts(&other, parts),
-            Err(GraphError::DemandMismatch {
-                expected: 16,
-                actual: 9
-            })
-        ));
-    }
-
-    #[test]
-    fn refresh_after_capacity_update_matches_fresh_prepare_on_a_path() {
+    fn update_capacities_matches_fresh_prepare_on_a_path() {
         // A path has exactly one spanning tree, so the re-sampled ensemble of
-        // a fresh prepare() and the kept ensemble of the incremental refresh
-        // have identical topologies — and with integer capacities the cut
-        // sums are exact, so the two sessions must answer BITWISE equal.
-        // (General graphs re-sample different trees; the capprox suites pin
-        // the same-topology equivalence there.)
-        let mut g = gen::path(12, 4.0);
-        let mut parts = PreparedParts::build(&g, &config()).unwrap();
+        // a fresh prepare() and the patched ensemble of the update have
+        // identical topologies — and with integer capacities the cut sums
+        // are exact, so the two sessions must answer BITWISE equal. (General
+        // graphs re-sample different trees; the capprox suites pin the
+        // same-topology equivalence there.)
+        let g = gen::path(12, 4.0);
+        let mut session = PreparedMaxFlow::prepare(&g, &config()).unwrap();
         let e = g.edge_ids().nth(5).unwrap();
-        g.set_capacity(e, 2.0).unwrap();
-        let stats = parts
-            .refresh_after_capacity_update(
-                &g,
-                &[capprox::CapacityChange {
-                    edge: e,
-                    old: 4.0,
-                    new: 2.0,
-                }],
-            )
-            .unwrap();
+        let update = session.update_capacities(&[(e, 2.0)]).unwrap();
+        assert_eq!(update.changes, 1);
+        let stats = update.patched.expect("one edge is patched in place");
         assert!(stats.trees_touched >= 1 && stats.slots_patched >= 1);
-        let mut refreshed = PreparedMaxFlow::from_parts(&g, parts).unwrap();
-        let mut fresh = PreparedMaxFlow::prepare(&g, &config()).unwrap();
-        let a = refreshed.max_flow(NodeId(0), NodeId(11)).unwrap();
-        let b = fresh.max_flow(NodeId(0), NodeId(11)).unwrap();
-        assert_eq!(a.value.to_bits(), b.value.to_bits());
-        assert_eq!(a.upper_bound.to_bits(), b.upper_bound.to_bits());
-        assert_eq!(bits(a.flow.values()), bits(b.flow.values()));
+        let mut updated = g.clone();
+        updated.set_capacity(e, 2.0).unwrap();
+        let mut fresh = PreparedMaxFlow::prepare(&updated, &config()).unwrap();
+        assert_eq!(
+            answer_bits(&mut session, 0, 11),
+            answer_bits(&mut fresh, 0, 11)
+        );
         // The bottleneck the update created is certified by the bracket.
+        let a = session.max_flow(NodeId(0), NodeId(11)).unwrap();
         assert!(a.value <= 2.0 + 1e-9 && a.upper_bound >= 2.0 - 1e-9);
     }
 
     #[test]
-    fn refresh_rejects_stale_graph_capacities() {
-        // The graph must already hold the new capacities; refresh with a
-        // stale graph is the misuse the typed error (and the daemon's full-
-        // rebuild fallback) exists for.
+    fn update_capacities_rejects_invalid_changes_and_leaves_the_session_untouched() {
         let g = gen::grid(4, 4, 1.0);
-        let mut parts = PreparedParts::build(&g, &config()).unwrap();
-        let e = g.edge_ids().next().unwrap();
-        assert!(matches!(
-            parts.refresh_after_capacity_update(
-                &g,
-                &[capprox::CapacityChange {
-                    edge: e,
-                    old: 1.0,
-                    new: 5.0,
-                }],
-            ),
-            Err(GraphError::InvalidConfig {
-                parameter: "changes",
-                ..
-            })
-        ));
+        let mut session = PreparedMaxFlow::prepare(&g, &config()).unwrap();
+        let before = answer_bits(&mut session, 0, 15);
+        let e = EdgeId(0);
+        for (changes, expected_invalid_weight) in [
+            (vec![(e, 2.0), (EdgeId(999), 1.0)], false),
+            (vec![(e, 2.0), (EdgeId(1), 0.0)], true),
+            (vec![(e, -1.0)], true),
+            (vec![(e, f64::NAN)], true),
+            (vec![(e, f64::INFINITY)], true),
+        ] {
+            match session.update_capacities(&changes) {
+                Err(GraphError::InvalidWeight { .. }) => assert!(expected_invalid_weight),
+                Err(GraphError::EdgeOutOfRange { edge: 999, .. }) => {
+                    assert!(!expected_invalid_weight)
+                }
+                other => panic!("{changes:?}: expected a typed refusal, got {other:?}"),
+            }
+            // Refused before anything was copied: the session still reads
+            // the caller's graph, at its capacities.
+            assert!(std::ptr::eq(session.graph(), &g));
+            assert_eq!(answer_bits(&mut session, 0, 15), before);
+        }
+    }
+
+    #[test]
+    fn update_capacities_keeps_a_repeated_edges_last_write() {
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(NodeId(0), NodeId(1), 4.0).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), 2.0).unwrap();
+        let mut session = PreparedMaxFlow::prepare(&g, &config()).unwrap();
+        let update = session
+            .update_capacities(&[(EdgeId(0), 5.0), (EdgeId(1), 9.0), (EdgeId(0), 6.0)])
+            .unwrap();
+        assert_eq!(update.changes, 2);
+        assert!(update.patched.is_some());
+        assert_eq!(session.graph().capacity(EdgeId(0)), 6.0);
+        assert_eq!(session.graph().capacity(EdgeId(1)), 9.0);
+        // An empty update names no edge and changes nothing.
+        let empty = session.update_capacities(&[]).unwrap();
+        assert_eq!(empty.changes, 0);
+        assert_eq!(capacities(session.graph()), bits(&[6.0, 9.0]));
+    }
+
+    #[test]
+    fn update_capacities_never_modifies_a_borrowed_graph() {
+        let g = gen::path(8, 4.0);
+        let original = capacities(&g);
+        let mut session = PreparedMaxFlow::prepare(&g, &config()).unwrap();
+        session.update_capacities(&[(EdgeId(3), 1.0)]).unwrap();
+        assert_eq!(capacities(&g), original);
+        assert!(!std::ptr::eq(session.graph(), &g));
+        assert_eq!(session.graph().capacity(EdgeId(3)), 1.0);
+        // An owned session updates its own graph.
+        let mut owned = PreparedMaxFlow::prepare_owned(g.clone(), &config()).unwrap();
+        owned.update_capacities(&[(EdgeId(3), 1.0)]).unwrap();
+        assert_eq!(capacities(owned.graph()), capacities(session.graph()));
+        assert_eq!(
+            answer_bits(&mut owned, 0, 7),
+            answer_bits(&mut session, 0, 7)
+        );
+    }
+
+    #[test]
+    fn update_capacities_past_the_patch_bound_rebuilds_like_a_fresh_prepare() {
+        // 39 edges: max(16, 39/8) = 16, so 20 changed edges rebuild with
+        // the session's config, as prepare() does on the updated graph.
+        let g = gen::path(40, 4.0);
+        let mut session = PreparedMaxFlow::prepare(&g, &config()).unwrap();
+        let changes: Vec<(EdgeId, f64)> =
+            (0..20).map(|i| (EdgeId(i), 1.0 + f64::from(i))).collect();
+        let update = session.update_capacities(&changes).unwrap();
+        assert_eq!(update.changes, 20);
+        assert_eq!(update.patched, None);
+        let mut updated = g.clone();
+        for &(e, cap) in &changes {
+            updated.set_capacity(e, cap).unwrap();
+        }
+        let mut fresh = PreparedMaxFlow::prepare(&updated, &config()).unwrap();
+        assert_eq!(
+            answer_bits(&mut session, 0, 39),
+            answer_bits(&mut fresh, 0, 39)
+        );
+        assert_eq!(
+            answer_bits(&mut session, 5, 30),
+            answer_bits(&mut fresh, 5, 30)
+        );
+    }
+
+    #[test]
+    fn a_refused_update_keeps_the_old_capacities_and_answers() {
+        // Capacities spanning 1e-300 to 1e307 on a 7-cycle: the patch meets
+        // a non-positive cut, and the rebuild that follows fails on a tree
+        // load that cancels below zero. Neither may leave a trace.
+        let g = gen::cycle(7, 1.0);
+        let cfg = MaxFlowConfig::default()
+            .with_epsilon(0.5)
+            .with_racke(RackeConfig::default().with_num_trees(2).with_seed(2))
+            .with_phases(Some(2));
+        let mut session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
+        let before = answer_bits(&mut session, 0, 3);
+        let extremes: Vec<(EdgeId, f64)> = [1e-300, 1e-10, 1e10, 1e-300, 1e307, 1e10, 1e300]
+            .into_iter()
+            .enumerate()
+            .map(|(i, cap)| (EdgeId(i as u32), cap))
+            .collect();
+        if session.update_capacities(&extremes).is_err() {
+            assert_eq!(capacities(session.graph()), capacities(&g));
+            assert_eq!(answer_bits(&mut session, 0, 3), before);
+        }
+        // Either way the session takes the next update.
+        let update = session.update_capacities(&[(EdgeId(2), 3.0)]).unwrap();
+        assert_eq!(update.changes, 1);
+        assert!(session.max_flow(NodeId(0), NodeId(3)).is_ok());
     }
 
     #[test]

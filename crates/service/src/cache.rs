@@ -1,12 +1,14 @@
 //! Session-cache keys and the LRU policy of the daemon.
 //!
 //! A prepared session is expensive (ensemble of Räcke trees, spanning tree
-//! and scratch); `flowd` keys each one by a **fingerprint** of exactly the
-//! inputs that determine the prepared bytes: node count, edge list with
-//! capacity bit patterns, and the canonical JSON of the solver config.
-//! Clients that resend the same graph get the cached session back; the
-//! cache holds at most `capacity` sessions and evicts the least recently
-//! *used* one (queries and updates both count as use).
+//! and scratch); `flowd` keys each one by a **fingerprint** of its
+//! `load_graph` request: node count, edge list with capacity bit patterns,
+//! and the canonical JSON of the solver config. The fingerprint names the
+//! session as loaded; updates change its capacities but not its key, so a
+//! client that resends the same graph gets the cached session back at its
+//! current capacities. The cache holds at most `capacity` sessions and
+//! evicts the least recently *used* one (queries and updates both count as
+//! use).
 
 /// 64-bit FNV-1a — tiny, dependency-free, and stable across platforms. The
 /// fingerprint is a cache key, not a security boundary; collisions merely
@@ -54,7 +56,8 @@ impl Default for Fnv1a {
 /// Fingerprints a `load_graph` request: node count, every `(u, v)` edge with
 /// the exact capacity bit pattern, and the config JSON (empty string for the
 /// server default). Two requests collide only if they would prepare
-/// byte-identical sessions (up to 64-bit hash collisions).
+/// byte-identical sessions (up to 64-bit hash collisions); the key keeps
+/// naming a session after updates move it away from those bytes.
 pub fn graph_fingerprint(nodes: u64, edges: &[(u32, u32, f64)], config_json: &str) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(nodes);

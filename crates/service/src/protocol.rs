@@ -50,9 +50,9 @@ pub enum Request {
     Update {
         /// Session fingerprint from `load_graph`.
         graph: u64,
-        /// `(edge index, new capacity)` pairs; the last write wins when an
-        /// edge repeats.
-        changes: Vec<(u32, f64)>,
+        /// `(edge, new capacity)` pairs; the last write wins when an edge
+        /// repeats.
+        changes: Vec<(EdgeId, f64)>,
     },
     /// Server-wide serving counters.
     Stats,
@@ -208,7 +208,7 @@ pub fn parse_request(doc: &Value) -> Result<Request, String> {
             for (i, c) in changes_v.iter().enumerate() {
                 let parsed = c.as_arr().filter(|p| p.len() == 2).and_then(|p| {
                     let e = u32::try_from(p[0].as_index()?).ok()?;
-                    Some((e, p[1].as_f64()?))
+                    Some((EdgeId(e), p[1].as_f64()?))
                 });
                 match parsed {
                     Some(p) => changes.push(p),
@@ -241,39 +241,6 @@ fn node_field(doc: &Value, key: &str) -> Result<NodeId, String> {
         .ok_or_else(|| format!("\"{key}\" must be a node index"))
 }
 
-/// Converts a typed update list into [`capprox::CapacityChange`] records
-/// against the graph's *current* capacities, collapsing repeated edges to
-/// their last write. The graph is read, not written — the caller applies the
-/// changes after validating them.
-pub fn collapse_changes(
-    g: &flowgraph::Graph,
-    changes: &[(u32, f64)],
-) -> Result<Vec<capprox::CapacityChange>, flowgraph::GraphError> {
-    let mut collapsed: Vec<capprox::CapacityChange> = Vec::with_capacity(changes.len());
-    for &(e, new) in changes {
-        let edge = EdgeId(e);
-        if e as usize >= g.num_edges() {
-            return Err(flowgraph::GraphError::EdgeOutOfRange {
-                edge: e as usize,
-                num_edges: g.num_edges(),
-            });
-        }
-        if !(new.is_finite() && new > 0.0) {
-            return Err(flowgraph::GraphError::InvalidWeight { value: new });
-        }
-        match collapsed.iter_mut().find(|c| c.edge == edge) {
-            // Last write wins; `old` stays the pre-batch capacity.
-            Some(c) => c.new = new,
-            None => collapsed.push(capprox::CapacityChange {
-                edge,
-                old: g.capacity(edge),
-                new,
-            }),
-        }
-    }
-    Ok(collapsed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +265,7 @@ mod tests {
                 r#"{"op":"update","graph":"0000000000000001","changes":[[3,2.5],[9,0.125]]}"#,
                 Request::Update {
                     graph: 1,
-                    changes: vec![(3, 2.5), (9, 0.125)],
+                    changes: vec![(EdgeId(3), 2.5), (EdgeId(9), 0.125)],
                 },
             ),
             (
@@ -366,22 +333,5 @@ mod tests {
         for bad in ["", "123", "zzzzzzzzzzzzzzzz", "00000000000000001"] {
             assert_eq!(fingerprint_from_wire(bad), None);
         }
-    }
-
-    #[test]
-    fn collapse_changes_keeps_last_write_and_prebatch_old() {
-        let mut g = flowgraph::Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 4.0).unwrap();
-        g.add_edge(NodeId(1), NodeId(2), 2.0).unwrap();
-        let collapsed = collapse_changes(&g, &[(0, 5.0), (1, 9.0), (0, 6.0)]).unwrap();
-        assert_eq!(collapsed.len(), 2);
-        assert_eq!(collapsed[0].edge, EdgeId(0));
-        assert_eq!(collapsed[0].old, 4.0);
-        assert_eq!(collapsed[0].new, 6.0);
-        assert_eq!(collapsed[1].new, 9.0);
-        // Out-of-range and non-positive are typed errors.
-        assert!(collapse_changes(&g, &[(7, 1.0)]).is_err());
-        assert!(collapse_changes(&g, &[(0, 0.0)]).is_err());
-        assert!(collapse_changes(&g, &[(0, f64::NAN)]).is_err());
     }
 }

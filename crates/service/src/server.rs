@@ -2,10 +2,11 @@
 //!
 //! # Architecture
 //!
-//! One **worker thread per cached graph** owns that graph's `(Graph,
-//! PreparedParts)` pair outright — no lock is ever held across a gradient
-//! iteration. Connection threads translate frames into jobs and post them to
-//! the owning worker over an `mpsc` channel, then block for the reply.
+//! One **worker thread per cached graph** owns that graph's
+//! [`PreparedMaxFlow`] outright, graph included — no lock is ever held
+//! across a gradient iteration. Connection threads translate frames into
+//! jobs and post them to the owning worker over an `mpsc` channel, then
+//! block for the reply.
 //!
 //! **Coalescing**: a worker drains its queue before serving, so queries that
 //! arrive while a previous answer is being computed are batched into one
@@ -19,10 +20,11 @@
 //! interleaved inside a batch, so every answer is computed against exactly
 //! one graph version — the `version` field of each response names it, and a
 //! concurrent reader sees the old answer or the new answer, never a torn
-//! one. Small updates re-prepare incrementally via
-//! [`PreparedParts::refresh_after_capacity_update`]; large batches (more
-//! than `max(16, m/8)` edges) or a failed refresh fall back to a full
-//! rebuild.
+//! one. The worker hands each update to
+//! [`PreparedMaxFlow::update_capacities`], which patches the trees in place
+//! for up to `max(16, m/8)` changed edges and rebuilds the session
+//! otherwise. An update it refuses answers `graph_error`, and the graph
+//! keeps serving its current version.
 //!
 //! **Eviction**: the cache is an [`Lru`] keyed by graph fingerprint.
 //! Evicting an entry drops its job sender; the worker drains already-queued
@@ -36,14 +38,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use flowgraph::{Graph, NodeId};
-use maxflow::{MaxFlowConfig, PreparedMaxFlow, PreparedParts};
+use flowgraph::{EdgeId, Graph, NodeId};
+use maxflow::{MaxFlowConfig, PreparedMaxFlow};
 
 use crate::cache::{graph_fingerprint, Lru};
 use crate::json::{parse, Value};
-use crate::protocol::{
-    collapse_changes, error_response, fingerprint_to_wire, parse_request, ErrorCode, Request,
-};
+use crate::protocol::{error_response, fingerprint_to_wire, parse_request, ErrorCode, Request};
 use crate::wire::{is_timeout, read_frame, write_frame, WireError};
 
 /// How often an idle connection thread wakes up to check the shutdown flag.
@@ -68,6 +68,9 @@ impl Default for ServerOptions {
 }
 
 /// Per-graph serving counters (all monotone; read by the `stats` op).
+///
+/// A refused update (an invalid change, or capacities the session cannot be
+/// rebuilt for) bumps none of them: the graph keeps its version.
 #[derive(Debug, Default)]
 pub struct EntryStats {
     /// Queries answered (max_flow + route).
@@ -76,13 +79,15 @@ pub struct EntryStats {
     pub coalesced_batches: AtomicU64,
     /// Largest number of queries served by one engine call.
     pub max_batch: AtomicU64,
-    /// Capacity-update requests applied.
+    /// Capacity updates applied: `incremental_updates + full_rebuilds`.
     pub updates: AtomicU64,
-    /// Updates served by the incremental refresh path.
+    /// Updates that patched the trees in place (an empty update counts
+    /// here).
     pub incremental_updates: AtomicU64,
-    /// Updates that fell back to a full session rebuild.
+    /// Updates that rebuilt the session.
     pub full_rebuilds: AtomicU64,
-    /// Current graph version (number of applied updates).
+    /// Current graph version: the number of applied updates that named at
+    /// least one edge.
     pub version: AtomicU64,
 }
 
@@ -99,7 +104,7 @@ enum Job {
         reply: mpsc::Sender<Value>,
     },
     Update {
-        changes: Vec<(u32, f64)>,
+        changes: Vec<(EdgeId, f64)>,
         reply: mpsc::Sender<Value>,
     },
 }
@@ -414,8 +419,8 @@ fn load_graph(
             return error_response(ErrorCode::GraphError, &e.to_string());
         }
     }
-    let parts = match PreparedParts::build(&g, &config) {
-        Ok(p) => p,
+    let session = match PreparedMaxFlow::prepare_owned(g, &config) {
+        Ok(session) => session,
         Err(e) => return error_response(ErrorCode::GraphError, &e.to_string()),
     };
     let (sender, receiver) = mpsc::channel();
@@ -423,7 +428,7 @@ fn load_graph(
     let worker_stats = Arc::clone(&stats);
     let spawned = thread::Builder::new()
         .name("flowd-worker".into())
-        .spawn(move || worker_loop(g, parts, receiver, worker_stats));
+        .spawn(move || worker_loop(session, receiver, worker_stats));
     if spawned.is_err() {
         return error_response(ErrorCode::GraphError, "could not spawn a session worker");
     }
@@ -459,15 +464,13 @@ fn dispatch(shared: &Shared, fp: u64, job: impl FnOnce(mpsc::Sender<Value>) -> J
         .unwrap_or_else(|_| error_response(ErrorCode::GraphError, "session worker died"))
 }
 
-/// The per-graph worker: owns the graph and its prepared session, drains its
-/// queue into coalesced batches, and treats updates as barriers.
+/// The per-graph worker: owns the prepared session, drains its queue into
+/// coalesced batches, and treats updates as barriers.
 fn worker_loop(
-    mut graph: Graph,
-    parts: PreparedParts,
+    mut session: PreparedMaxFlow<'static>,
     receiver: mpsc::Receiver<Job>,
     stats: Arc<EntryStats>,
 ) {
-    let mut parts = Some(parts);
     let mut version: u64 = 0;
     while let Ok(first) = receiver.recv() {
         // Coalesce: everything already queued is served in this pass.
@@ -479,14 +482,8 @@ fn worker_loop(
         while let Some(job) = pending.pop_front() {
             match job {
                 Job::Update { changes, reply } => {
-                    apply_update(
-                        &mut graph,
-                        &mut parts,
-                        &stats,
-                        &mut version,
-                        &changes,
-                        &reply,
-                    );
+                    let response = apply_update(&mut session, &stats, &mut version, &changes);
+                    let _ = reply.send(response);
                 }
                 Job::MaxFlow {
                     s,
@@ -507,7 +504,7 @@ fn worker_loop(
                         };
                         run.push((s, t, include_flow, reply));
                     }
-                    serve_max_flow_run(&graph, &mut parts, &stats, version, run);
+                    serve_max_flow_run(&mut session, &stats, version, run);
                 }
                 Job::Route { demand, reply } => {
                     let mut run = vec![(demand, reply)];
@@ -517,23 +514,8 @@ fn worker_loop(
                         };
                         run.push((demand, reply));
                     }
-                    serve_route_run(&graph, &mut parts, &stats, version, run);
+                    serve_route_run(&mut session, &stats, version, run);
                 }
-            }
-            if parts.is_none() {
-                // The session is poisoned (rebuild failed); refuse the rest.
-                for job in pending.drain(..) {
-                    let reply = match job {
-                        Job::MaxFlow { reply, .. }
-                        | Job::Route { reply, .. }
-                        | Job::Update { reply, .. } => reply,
-                    };
-                    let _ = reply.send(error_response(
-                        ErrorCode::GraphError,
-                        "session is poisoned after a failed rebuild; re-send load_graph",
-                    ));
-                }
-                return;
             }
         }
     }
@@ -566,22 +548,11 @@ fn max_flow_response(r: &maxflow::MaxFlowResult, version: u64, include_flow: boo
 }
 
 fn serve_max_flow_run(
-    graph: &Graph,
-    parts_slot: &mut Option<PreparedParts>,
+    session: &mut PreparedMaxFlow,
     stats: &EntryStats,
     version: u64,
     run: Vec<(NodeId, NodeId, bool, mpsc::Sender<Value>)>,
 ) {
-    let parts = parts_slot.take().expect("live session");
-    let mut session = match PreparedMaxFlow::from_parts(graph, parts) {
-        Ok(s) => s,
-        Err(e) => {
-            for (_, _, _, reply) in run {
-                let _ = reply.send(error_response(ErrorCode::GraphError, &e.to_string()));
-            }
-            return;
-        }
-    };
     note_batch(stats, run.len());
     let pairs: Vec<(NodeId, NodeId)> = run.iter().map(|&(s, t, _, _)| (s, t)).collect();
     match session.par_max_flow_batch(&pairs) {
@@ -603,7 +574,6 @@ fn serve_max_flow_run(
             }
         }
     }
-    *parts_slot = Some(session.into_parts());
 }
 
 fn route_response(r: &maxflow::RoutingResult, version: u64) -> Value {
@@ -617,22 +587,11 @@ fn route_response(r: &maxflow::RoutingResult, version: u64) -> Value {
 }
 
 fn serve_route_run(
-    graph: &Graph,
-    parts_slot: &mut Option<PreparedParts>,
+    session: &mut PreparedMaxFlow,
     stats: &EntryStats,
     version: u64,
     run: Vec<(Vec<f64>, mpsc::Sender<Value>)>,
 ) {
-    let parts = parts_slot.take().expect("live session");
-    let mut session = match PreparedMaxFlow::from_parts(graph, parts) {
-        Ok(s) => s,
-        Err(e) => {
-            for (_, reply) in run {
-                let _ = reply.send(error_response(ErrorCode::GraphError, &e.to_string()));
-            }
-            return;
-        }
-    };
     note_batch(stats, run.len());
     let demands: Vec<flowgraph::Demand> = run
         .iter()
@@ -654,91 +613,38 @@ fn serve_route_run(
             }
         }
     }
-    *parts_slot = Some(session.into_parts());
 }
 
-/// Applies one capacity-update barrier: mutate the graph, then refresh the
-/// prepared parts incrementally when the batch is small enough, falling back
-/// to a full rebuild otherwise (or when the refresh degenerates).
+/// Applies one capacity-update barrier. An update that names an edge makes
+/// a new version; a refused one leaves the session and counters as they
+/// were.
 fn apply_update(
-    graph: &mut Graph,
-    parts_slot: &mut Option<PreparedParts>,
+    session: &mut PreparedMaxFlow,
     stats: &EntryStats,
     version: &mut u64,
-    changes: &[(u32, f64)],
-    reply: &mpsc::Sender<Value>,
-) {
-    let collapsed = match collapse_changes(graph, changes) {
-        Ok(c) => c,
-        Err(e) => {
-            // Nothing was mutated; the session is untouched.
-            let _ = reply.send(error_response(ErrorCode::GraphError, &e.to_string()));
-            return;
-        }
+    changes: &[(EdgeId, f64)],
+) -> Value {
+    let update = match session.update_capacities(changes) {
+        Ok(update) => update,
+        Err(e) => return error_response(ErrorCode::GraphError, &e.to_string()),
     };
-    // Captured up front: a failed refresh discards the parts, and the
-    // rebuild must still use the session's own config, not the default.
-    let config = parts_slot.as_ref().expect("live session").config().clone();
     stats.updates.fetch_add(1, Ordering::Relaxed);
-    if collapsed.is_empty() {
-        let _ = reply.send(Value::obj(vec![
-            ("ok", Value::Bool(true)),
-            ("version", Value::index(*version)),
-            ("incremental", Value::Bool(true)),
-            ("changes", Value::index(0)),
-            ("trees_touched", Value::index(0)),
-            ("slots_patched", Value::index(0)),
-        ]));
-        return;
+    match update.patched {
+        Some(_) => &stats.incremental_updates,
+        None => &stats.full_rebuilds,
     }
-    for c in &collapsed {
-        graph
-            .set_capacity(c.edge, c.new)
-            .expect("changes were validated against this graph");
+    .fetch_add(1, Ordering::Relaxed);
+    if update.changes > 0 {
+        *version += 1;
+        stats.version.store(*version, Ordering::Relaxed);
     }
-    let incremental_bound = 16usize.max(graph.num_edges() / 8);
-    let mut refresh_stats = None;
-    if collapsed.len() <= incremental_bound {
-        if let Some(parts) = parts_slot.as_mut() {
-            match parts.refresh_after_capacity_update(graph, &collapsed) {
-                Ok(s) => refresh_stats = Some(s),
-                // A failed refresh leaves the parts partially patched —
-                // discard them; the rebuild below starts from the graph.
-                Err(_) => *parts_slot = None,
-            }
-        }
-    } else {
-        // Too many edges changed for path-patching to win; rebuild.
-        *parts_slot = None;
-    }
-    let incremental = refresh_stats.is_some();
-    if incremental {
-        stats.incremental_updates.fetch_add(1, Ordering::Relaxed);
-    } else {
-        match PreparedParts::build(graph, &config) {
-            Ok(p) => *parts_slot = Some(p),
-            Err(e) => {
-                // Leave parts_slot empty: the worker poisons itself and the
-                // caller re-loads. (Unreachable for valid capacities, but
-                // never serve stale state silently.)
-                *parts_slot = None;
-                let _ = reply.send(error_response(ErrorCode::GraphError, &e.to_string()));
-                return;
-            }
-        }
-        stats.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-    *version += 1;
-    stats.version.store(*version, Ordering::Relaxed);
-    let (trees, slots) = refresh_stats
-        .map(|s| (s.trees_touched as u64, s.slots_patched as u64))
-        .unwrap_or((0, 0));
-    let _ = reply.send(Value::obj(vec![
+    let patch = update.patched.unwrap_or_default();
+    Value::obj(vec![
         ("ok", Value::Bool(true)),
         ("version", Value::index(*version)),
-        ("incremental", Value::Bool(incremental)),
-        ("changes", Value::index(collapsed.len() as u64)),
-        ("trees_touched", Value::index(trees)),
-        ("slots_patched", Value::index(slots)),
-    ]));
+        ("incremental", Value::Bool(update.patched.is_some())),
+        ("changes", Value::index(update.changes as u64)),
+        ("trees_touched", Value::index(patch.trees_touched as u64)),
+        ("slots_patched", Value::index(patch.slots_patched as u64)),
+    ])
 }

@@ -7,22 +7,23 @@
 //! The oracle is exact because the whole pipeline is deterministic: the
 //! pre-update reference is a session built offline on the old graph with
 //! the same config, and the post-update reference replays the server's own
-//! incremental path ([`PreparedParts::refresh_after_capacity_update`]) on a
-//! copy. Queries are stateless under every config and batched answers are
-//! pinned byte-identical to sequential ones, so any interleaving the server
-//! picks must reproduce one of the two references bit for bit.
+//! update code ([`PreparedMaxFlow::update_capacities`]) on that session.
+//! Queries are stateless under every config and batched answers are pinned
+//! byte-identical to sequential ones, so any interleaving the server picks
+//! must reproduce one of the two references bit for bit. One case changes
+//! one edge, which patches the trees in place; the other changes more than
+//! `max(16, m/8)` edges, so a full rebuild lands mid-stream.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use flowgraph::{gen, Demand, Graph, NodeId};
-use maxflow::{MaxFlowConfig, PreparedMaxFlow, PreparedParts};
+use flowgraph::{gen, Demand, EdgeId, Graph, NodeId};
+use maxflow::{MaxFlowConfig, PreparedMaxFlow};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use service::client::Client;
 use service::json::Value;
-use service::protocol::collapse_changes;
 use service::server::{start, ServerOptions};
 
 struct References {
@@ -35,7 +36,7 @@ struct References {
 }
 
 /// Replays the server's exact serving paths offline: build on the old
-/// graph, answer; apply + refresh incrementally, answer again.
+/// graph, answer; update the session, answer again.
 fn compute_references(
     graph: &Graph,
     config: &MaxFlowConfig,
@@ -44,21 +45,12 @@ fn compute_references(
     demand: &Demand,
     changes: &[(u32, f64)],
 ) -> References {
-    let parts = PreparedParts::build(graph, config).unwrap();
-    let mut session = PreparedMaxFlow::from_parts(graph, parts).unwrap();
+    let mut session = PreparedMaxFlow::prepare(graph, config).unwrap();
     let old = session.max_flow(s, t).unwrap();
     let old_route = session.route(demand).unwrap();
 
-    let mut updated = graph.clone();
-    let collapsed = collapse_changes(&updated, changes).unwrap();
-    for c in &collapsed {
-        updated.set_capacity(c.edge, c.new).unwrap();
-    }
-    let mut parts = session.into_parts();
-    parts
-        .refresh_after_capacity_update(&updated, &collapsed)
-        .unwrap();
-    let mut session = PreparedMaxFlow::from_parts(&updated, parts).unwrap();
+    let changes: Vec<(EdgeId, f64)> = changes.iter().map(|&(e, c)| (EdgeId(e), c)).collect();
+    session.update_capacities(&changes).unwrap();
     let new = session.max_flow(s, t).unwrap();
     let new_route = session.route(demand).unwrap();
 
@@ -97,50 +89,50 @@ fn fast_config() -> MaxFlowConfig {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+/// Three client threads stream queries on an `n`-node path while the main
+/// thread fires one capacity update; every served answer must carry a
+/// version and be bitwise equal to that version's offline reference.
+/// `incremental` is the path the server must report for the update.
+fn race(n: u32, changes: &[(u32, f64)], incremental: bool) -> Result<(), TestCaseError> {
+    let graph = gen::path(n as usize, 4.0);
+    let config = fast_config();
+    let s = NodeId(0);
+    let t = NodeId(n - 1);
+    let mut demand = Demand::zeros(n as usize);
+    demand.set(s, -2.0);
+    demand.set(t, 2.0);
+    let refs = compute_references(&graph, &config, s, t, &demand, changes);
 
-    /// Three client threads stream queries while the main thread fires one
-    /// capacity update; every served answer must carry a version and be
-    /// bitwise equal to that version's offline reference.
-    #[test]
-    fn concurrent_queries_see_old_or_new_answers_never_torn(seed in 0u64..1000) {
-        let n = 8 + (seed % 5) as u32;
-        let graph = gen::path(n as usize, 4.0);
-        let config = fast_config();
-        let s = NodeId(0);
-        let t = NodeId(n - 1);
-        // One mid-path capacity drop: certifiably changes the bottleneck.
-        let changed_edge = n / 2;
-        let changes = vec![(changed_edge, 1.0 + (seed % 3) as f64 * 0.5)];
-        let mut demand = Demand::zeros(n as usize);
-        demand.set(s, -2.0);
-        demand.set(t, 2.0);
-        let refs = compute_references(&graph, &config, s, t, &demand, &changes);
+    let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    let config_value = config.to_value().unwrap();
+    let edges: Vec<(u32, u32, f64)> = graph
+        .edge_ids()
+        .map(|e| {
+            let edge = graph.edge(e);
+            (edge.tail.0, edge.head.0, edge.capacity)
+        })
+        .collect();
+    let loaded = client
+        .load_graph(u64::from(n), &edges, Some(config_value))
+        .unwrap();
+    prop_assert_eq!(loaded.get("ok").and_then(Value::as_bool), Some(true));
+    let fp = Arc::new(
+        loaded
+            .get("graph")
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_string(),
+    );
 
-        let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
-        let addr = server.local_addr();
-        let mut client = Client::connect(addr).unwrap();
-        let config_value = config.to_value().unwrap();
-        let edges: Vec<(u32, u32, f64)> = graph
-            .edge_ids()
-            .map(|e| {
-                let edge = graph.edge(e);
-                (edge.tail.0, edge.head.0, edge.capacity)
-            })
-            .collect();
-        let loaded = client.load_graph(u64::from(n), &edges, Some(config_value)).unwrap();
-        prop_assert_eq!(loaded.get("ok").and_then(Value::as_bool), Some(true));
-        let fp = Arc::new(
-            loaded.get("graph").and_then(Value::as_str).unwrap().to_string(),
-        );
-
-        let demand_values: Arc<Vec<f64>> = Arc::new(demand.values().to_vec());
-        let mut workers = Vec::new();
-        for worker in 0..3u32 {
-            let fp = Arc::clone(&fp);
-            let demand_values = Arc::clone(&demand_values);
-            workers.push(thread::spawn(move || -> Result<Vec<Observation>, String> {
+    let demand_values: Arc<Vec<f64>> = Arc::new(demand.values().to_vec());
+    let mut workers = Vec::new();
+    for worker in 0..3u32 {
+        let fp = Arc::clone(&fp);
+        let demand_values = Arc::clone(&demand_values);
+        workers.push(thread::spawn(
+            move || -> Result<Vec<Observation>, String> {
                 let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
                 let mut seen = Vec::new();
                 for i in 0..12 {
@@ -160,15 +152,17 @@ proptest! {
                                 .to_bits(),
                         }
                     } else {
-                        let reply = client
-                            .max_flow(&fp, 0, n - 1)
-                            .map_err(|e| e.to_string())?;
+                        let reply = client.max_flow(&fp, 0, n - 1).map_err(|e| e.to_string())?;
                         if reply.get("ok").and_then(Value::as_bool) != Some(true) {
                             return Err(format!("max_flow failed: {reply:?}"));
                         }
                         Observation::MaxFlow {
                             version: reply.get("version").and_then(Value::as_index).unwrap(),
-                            value: reply.get("value").and_then(Value::as_f64).unwrap().to_bits(),
+                            value: reply
+                                .get("value")
+                                .and_then(Value::as_f64)
+                                .unwrap()
+                                .to_bits(),
                             upper: reply
                                 .get("upper_bound")
                                 .and_then(Value::as_f64)
@@ -179,64 +173,101 @@ proptest! {
                     seen.push(reply);
                 }
                 Ok(seen)
-            }));
+            },
+        ));
+    }
+
+    // Land the update in the middle of the query storm.
+    thread::sleep(Duration::from_millis(5));
+    let updated = client.update(&fp, changes).unwrap();
+    prop_assert_eq!(
+        updated.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{:?}",
+        &updated
+    );
+    prop_assert_eq!(
+        updated.get("incremental").and_then(Value::as_bool),
+        Some(incremental)
+    );
+    prop_assert_eq!(updated.get("version").and_then(Value::as_index), Some(1));
+
+    let mut observations = Vec::new();
+    for w in workers {
+        let seen = w.join().expect("query thread panicked");
+        match seen {
+            Ok(seen) => observations.extend(seen),
+            Err(e) => return Err(TestCaseError::fail(format!("query thread: {e}"))),
         }
+    }
+    prop_assert_eq!(observations.len(), 36);
 
-        // Land the update in the middle of the query storm.
-        thread::sleep(Duration::from_millis(5));
-        let updated = client.update(&fp, &changes).unwrap();
-        prop_assert_eq!(
-            updated.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "{:?}",
-            &updated
-        );
-        // One edge changed: the server must have taken the incremental path.
-        prop_assert_eq!(updated.get("incremental").and_then(Value::as_bool), Some(true));
-        prop_assert_eq!(updated.get("version").and_then(Value::as_index), Some(1));
-
-        let mut observations = Vec::new();
-        for w in workers {
-            let seen = w.join().expect("query thread panicked");
-            match seen {
-                Ok(seen) => observations.extend(seen),
-                Err(e) => return Err(TestCaseError::fail(format!("query thread: {e}"))),
-            }
+    // Every answer is bitwise the reference of the version it names.
+    for obs in &observations {
+        match *obs {
+            Observation::MaxFlow {
+                version,
+                value,
+                upper,
+            } => match version {
+                0 => {
+                    prop_assert_eq!(value, refs.old_value, "torn old max_flow: {:?}", obs);
+                    prop_assert_eq!(upper, refs.old_upper);
+                }
+                1 => {
+                    prop_assert_eq!(value, refs.new_value, "torn new max_flow: {:?}", obs);
+                    prop_assert_eq!(upper, refs.new_upper);
+                }
+                v => return Err(TestCaseError::fail(format!("impossible version {v}"))),
+            },
+            Observation::Route {
+                version,
+                congestion,
+            } => match version {
+                0 => prop_assert_eq!(congestion, refs.old_congestion, "torn old route: {:?}", obs),
+                1 => prop_assert_eq!(congestion, refs.new_congestion, "torn new route: {:?}", obs),
+                v => return Err(TestCaseError::fail(format!("impossible version {v}"))),
+            },
         }
-        prop_assert_eq!(observations.len(), 36);
+    }
+    // The two references genuinely differ (the update moved the
+    // bottleneck), so the check above is not vacuous.
+    prop_assert_ne!(refs.old_value, refs.new_value);
 
-        // Every answer is bitwise the reference of the version it names.
-        for obs in &observations {
-            match *obs {
-                Observation::MaxFlow { version, value, upper } => match version {
-                    0 => {
-                        prop_assert_eq!(value, refs.old_value, "torn old max_flow: {:?}", obs);
-                        prop_assert_eq!(upper, refs.old_upper);
-                    }
-                    1 => {
-                        prop_assert_eq!(value, refs.new_value, "torn new max_flow: {:?}", obs);
-                        prop_assert_eq!(upper, refs.new_upper);
-                    }
-                    v => return Err(TestCaseError::fail(format!("impossible version {v}"))),
-                },
-                Observation::Route { version, congestion } => match version {
-                    0 => prop_assert_eq!(congestion, refs.old_congestion, "torn old route: {:?}", obs),
-                    1 => prop_assert_eq!(congestion, refs.new_congestion, "torn new route: {:?}", obs),
-                    v => return Err(TestCaseError::fail(format!("impossible version {v}"))),
-                },
-            }
-        }
-        // The two references genuinely differ (the update moved the
-        // bottleneck), so the check above is not vacuous.
-        prop_assert_ne!(refs.old_value, refs.new_value);
+    // After the dust settles every new answer is the new reference.
+    let reply = client.max_flow(&fp, 0, n - 1).unwrap();
+    prop_assert_eq!(reply.get("version").and_then(Value::as_index), Some(1));
+    prop_assert_eq!(
+        reply
+            .get("value")
+            .and_then(Value::as_f64)
+            .unwrap()
+            .to_bits(),
+        refs.new_value
+    );
+    server.shutdown();
+    Ok(())
+}
 
-        // After the dust settles every new answer is the new reference.
-        let reply = client.max_flow(&fp, 0, n - 1).unwrap();
-        prop_assert_eq!(reply.get("version").and_then(Value::as_index), Some(1));
-        prop_assert_eq!(
-            reply.get("value").and_then(Value::as_f64).unwrap().to_bits(),
-            refs.new_value
-        );
-        server.shutdown();
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// One mid-path capacity drop certifiably changes the bottleneck and is
+    /// patched in place.
+    #[test]
+    fn concurrent_queries_see_old_or_new_answers_never_torn(seed in 0u64..1000) {
+        let n = 8 + (seed % 5) as u32;
+        race(n, &[(n / 2, 1.0 + (seed % 3) as f64 * 0.5)], true)?;
+    }
+
+    /// Seventeen changed edges on a path of 18 to 22 nodes exceed
+    /// `max(16, m/8)`, so the session is rebuilt while queries stream.
+    #[test]
+    fn a_rebuild_mid_stream_is_never_torn(seed in 0u64..1000) {
+        let n = 18 + (seed % 5) as u32;
+        let changes: Vec<(u32, f64)> = (0..17)
+            .map(|e| (e, 1.0 + (seed % 3) as f64 * 0.5))
+            .collect();
+        race(n, &changes, false)?;
     }
 }

@@ -384,6 +384,81 @@ fn bulk_updates_fall_back_to_a_full_rebuild() {
 }
 
 #[test]
+fn a_refused_update_leaves_the_graph_serving_its_version() {
+    // At capacities spanning 1e-300 to 1e307 this 7-cycle's rebuild fails:
+    // a tree load cancels below zero and the next tree length reads -inf.
+    // The refusal must not stop the graph's worker: later queries answer
+    // `ok` (not `unknown_graph`), and a re-sent `load_graph` returns the
+    // live session. Should a later engine rebuild at these capacities, the
+    // update applies and the test follows version 1.
+    let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let config = parse(r#"{"epsilon":0.5,"racke":{"num_trees":2,"seed":2},"phases":2}"#).unwrap();
+    let edges: Vec<(u32, u32, f64)> = (0..7).map(|i| (i, (i + 1) % 7, 1.0)).collect();
+    let graph = load(&mut client, 7, &edges, &config);
+    let query = Value::obj(vec![
+        ("op", Value::Str("max_flow".into())),
+        ("graph", Value::Str(graph.clone())),
+        ("s", Value::index(0)),
+        ("t", Value::index(3)),
+        ("include_flow", Value::Bool(true)),
+    ]);
+    let ok_at = |reply: &Value, version: u64| {
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{reply:?}"
+        );
+        assert_eq!(
+            reply.get("version").and_then(Value::as_index),
+            Some(version)
+        );
+    };
+    let before = client.call(&query).unwrap();
+    ok_at(&before, 0);
+
+    let extremes: Vec<(u32, f64)> = [1e-300, 1e-10, 1e10, 1e-300, 1e307, 1e10, 1e300]
+        .into_iter()
+        .enumerate()
+        .map(|(e, cap)| (e as u32, cap))
+        .collect();
+    let updated = client.update(&graph, &extremes).unwrap();
+    let version = if is_error(&updated, ErrorCode::GraphError) {
+        // The graph keeps serving version 0, bit for bit, and a re-sent
+        // load_graph returns that same live session.
+        for _ in 0..2 {
+            let reply = client.call(&query).unwrap();
+            assert_eq!(reply.to_json().unwrap(), before.to_json().unwrap());
+        }
+        let again = client.load_graph(7, &edges, Some(config.clone())).unwrap();
+        assert_eq!(again.get("cached").and_then(Value::as_bool), Some(true));
+        assert_eq!(again.get("graph").and_then(Value::as_str), Some(&*graph));
+        ok_at(&client.call(&query).unwrap(), 0);
+        // A refused update bumps no counter.
+        let stats = client.stats().unwrap();
+        let entries = stats.get("entries").and_then(Value::as_arr).unwrap();
+        for key in ["updates", "incremental_updates", "full_rebuilds", "version"] {
+            assert_eq!(
+                entries[0].get(key).and_then(Value::as_index),
+                Some(0),
+                "{key}"
+            );
+        }
+        0
+    } else {
+        ok_at(&updated, 1);
+        ok_at(&client.call(&query).unwrap(), 1);
+        1
+    };
+
+    // A later one-edge update still applies.
+    let updated = client.update(&graph, &[(2, 3.0)]).unwrap();
+    ok_at(&updated, version + 1);
+    ok_at(&client.call(&query).unwrap(), version + 1);
+    server.shutdown();
+}
+
+#[test]
 fn lru_eviction_forgets_graphs_and_reload_revives_them() {
     let (config_value, _) = fast_config();
     let options = ServerOptions {
