@@ -34,7 +34,8 @@
 //! range, every parent precedes its children), and the per-slot parent index
 //! and cut capacity live in flat arrays. Both aggregations then run as plain
 //! index sweeps over contiguous `f64` buffers — a reverse sweep
-//! `buf[parent[i]] += buf[i]` for the subtree sums, a forward sweep
+//! `buf[parent[i]] += buf[i]` for the subtree sums (each run of siblings
+//! summed in registers and stored once), a forward sweep
 //! `buf[i] = buf[parent[i]] + price[i]` for the prefix sums — with no
 //! `Option` branches or per-node child-list chasing on the hot path. The slot
 //! order is exactly the preorder the original per-node walks followed, so
@@ -159,16 +160,38 @@ impl TreeSlots {
         }
         // Subtree sums in slot space: the reverse sweep
         // `buf[parent[i]] += buf[i]` performs the same additions in the same
-        // order as [`flowgraph::RootedTree::subtree_sums_into`].
-        for i in (1..self.parent_slot.len()).rev() {
-            let p = self.parent_slot[i] as usize;
-            // Parents precede children in the level order (`p < i`), so the
-            // parent window and the child window are disjoint; the split lets
-            // the compiler see that and keep the lane loop vectorized.
-            let (head, tail) = buf.split_at_mut(i * k);
-            let parent = &mut head[p * k..p * k + k];
-            for (dst, &add) in parent.iter_mut().zip(&tail[..k]) {
-                *dst += add;
+        // order as [`flowgraph::RootedTree::subtree_sums_into`]. A run of
+        // consecutive slots with one parent (siblings, in level order) adds
+        // into a register copy of the parent's window, stored once per run
+        // instead of once per sibling: the same additions in the same order.
+        // A run's slots are final when it is reached, because their children
+        // come after the run. The dynamic lane count adds in place.
+        let parent_slot = &self.parent_slot;
+        if K == 0 {
+            for i in (1..parent_slot.len()).rev() {
+                let p = parent_slot[i] as usize;
+                // Parents precede children in the level order (`p < i`), so
+                // the parent window and the child window are disjoint.
+                let (head, tail) = buf.split_at_mut(i * k);
+                for (dst, &add) in head[p * k..p * k + k].iter_mut().zip(&tail[..k]) {
+                    *dst += add;
+                }
+            }
+        } else {
+            // `i` is one past the last slot left to add; slot 0, the root,
+            // has no parent.
+            let mut i = parent_slot.len();
+            while i > 1 {
+                let p = parent_slot[i - 1] as usize;
+                let mut acc = [0.0; K];
+                acc.copy_from_slice(&buf[p * K..p * K + K]);
+                while i > 1 && parent_slot[i - 1] as usize == p {
+                    i -= 1;
+                    for (a, &add) in acc.iter_mut().zip(&buf[i * K..i * K + K]) {
+                        *a += add;
+                    }
+                }
+                buf[p * K..p * K + K].copy_from_slice(&acc);
             }
         }
         // Divide by the (lane-independent) cut capacity and gather the rows
@@ -1326,6 +1349,198 @@ mod tests {
                     )
                     .unwrap();
                 assert_eq!(bits(&par_pot), bits(&pot_block), "par transpose k={k}");
+            }
+        }
+    }
+
+    /// `R·b` by the trees' own sweeps: row `(t, v)` is tree `t`'s subtree sum
+    /// at `v` ([`flowgraph::RootedTree::subtree_sums_into`]) over the cut
+    /// capacity, or `0.0` where that capacity is not positive.
+    fn reference_rows(approx: &CongestionApproximator, b: &[f64]) -> Vec<f64> {
+        let mut rows = Vec::with_capacity(approx.num_rows());
+        let mut sums = vec![0.0; approx.num_nodes()];
+        for t in approx.trees() {
+            t.tree.subtree_sums_into(b, &mut sums);
+            rows.extend(sums.iter().zip(&t.cut_capacity).map(|(&sum, &cap)| {
+                if cap > 0.0 {
+                    sum / cap
+                } else {
+                    0.0
+                }
+            }));
+        }
+        rows
+    }
+
+    /// `Rᵀ·y` by the trees' own sweeps: each tree's root-to-node prefix sums
+    /// ([`flowgraph::RootedTree::prefix_sums_from_root_into`]) of `y / cap`
+    /// (`0.0` where the cut capacity is not positive), added in tree order.
+    fn reference_potentials(approx: &CongestionApproximator, y: &[f64]) -> Vec<f64> {
+        let n = approx.num_nodes();
+        let (mut prices, mut prefix) = (vec![0.0; n], vec![0.0; n]);
+        let mut potentials = vec![0.0; n];
+        for (t, y_rows) in approx.trees().iter().zip(y.chunks(n)) {
+            for ((p, &y), &cap) in prices.iter_mut().zip(y_rows).zip(&t.cut_capacity) {
+                *p = if cap > 0.0 { y / cap } else { 0.0 };
+            }
+            t.tree.prefix_sums_from_root_into(&prices, &mut prefix);
+            for (pi, &x) in potentials.iter_mut().zip(&prefix) {
+                *pi += x;
+            }
+        }
+        potentials
+    }
+
+    /// An approximator over explicit spanning trees of `g`, each given by
+    /// its root and edge set, with the cut capacities of `dead` nodes
+    /// overwritten (`0.0` and negative values take the zero-row branch).
+    fn explicit_trees(
+        g: &Graph,
+        trees: &[(NodeId, Vec<EdgeId>)],
+        dead: &[(usize, f64)],
+    ) -> CongestionApproximator {
+        let trees: Vec<CapacitatedTree> = trees
+            .iter()
+            .map(|(root, edges)| {
+                let tree = flowgraph::RootedTree::spanning_from_edges(g, *root, edges).unwrap();
+                let mut t = CapacitatedTree::new(g, tree);
+                for &(v, cap) in dead {
+                    t.cut_capacity[v] = cap;
+                }
+                t
+            })
+            .collect();
+        let num_trees = trees.len();
+        CongestionApproximator::from_ensemble(TreeEnsemble {
+            trees,
+            stats: crate::racke::EnsembleStats {
+                num_trees,
+                max_rloads: vec![1.0; num_trees],
+                decomposition_rounds: 0,
+                average_stretches: vec![1.0; num_trees],
+            },
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn slot_sweeps_match_the_rooted_tree_sweeps_bit_for_bit() {
+        let mut rng = gen::rng(53);
+        // A star rooted at a leaf: one sibling run of 300 slots below the
+        // center. (Below the root, a run's sum reaches no row: the root's
+        // cut capacity is 0.)
+        let star = gen::star(302, 1.0);
+        let star_edges: Vec<EdgeId> = star.edge_ids().collect();
+        // A path rooted in its middle: runs of one slot, and of two at the
+        // root.
+        let path = gen::path(200, 2.0);
+        let path_edges: Vec<EdgeId> = path.edge_ids().collect();
+        // Random recursive trees on shuffled labels, one graph holding three
+        // of them: node `i` of a tree hangs below one of its first
+        // `min(i, fan)` predecessors, so `fan = 3` gives long sibling runs
+        // and `fan = usize::MAX` uniform attachment.
+        let n = 120;
+        let mut random = Graph::with_nodes(n);
+        let mut random_trees = Vec::new();
+        for fan in [3usize, usize::MAX, 8] {
+            let mut label: Vec<u32> = (0..n as u32).collect();
+            rand::seq::SliceRandom::shuffle(&mut label[..], &mut rng);
+            let edges = (1..n)
+                .map(|i| {
+                    let p = rand::Rng::gen_range(&mut rng, 0..i.min(fan));
+                    let cap = rand::Rng::gen_range(&mut rng, 0.5..4.0);
+                    random
+                        .add_edge(NodeId(label[p]), NodeId(label[i]), cap)
+                        .unwrap()
+                })
+                .collect();
+            random_trees.push((NodeId(label[0]), edges));
+        }
+        let instances = [
+            (
+                "star",
+                explicit_trees(
+                    &star,
+                    &[(NodeId(301), star_edges)],
+                    &[(7, 0.0), (150, -1.0)],
+                ),
+            ),
+            (
+                "path",
+                explicit_trees(&path, &[(NodeId(100), path_edges)], &[(40, 0.0)]),
+            ),
+            (
+                "random trees",
+                explicit_trees(&random, &random_trees, &[(5, 0.0), (77, -2.0)]),
+            ),
+            (
+                "1k fat-tree ensemble",
+                CongestionApproximator::build(
+                    &gen::fat_tree(16, 8, 61, 10.0, 40.0),
+                    &RackeConfig::default(),
+                )
+                .unwrap(),
+            ),
+            (
+                "random graph ensemble",
+                build(&gen::random_gnp(60, 0.1, (1.0, 5.0), 3), 5, 9),
+            ),
+        ];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let star_slots = &instances[0].1.slots[0];
+        assert!(star_slots.parent_slot[2..].iter().all(|&p| p == 1));
+        assert_eq!(star_slots.parent_slot.len(), 302);
+        for (name, approx) in &instances {
+            let (n, rows_n) = (approx.num_nodes(), approx.num_rows());
+            let mut scratch = OperatorScratch::default();
+            // One lane through the one-lane entry points.
+            let (demands, _) = random_demand_block(n, 1, &mut rng);
+            let mut rows = vec![0.0; rows_n];
+            approx
+                .apply_into(&demands[0], &mut rows, &mut scratch)
+                .unwrap();
+            let want_rows = reference_rows(approx, demands[0].values());
+            assert_eq!(bits(&rows), bits(&want_rows), "{name}: one-lane R");
+            let y: Vec<f64> = (0..rows_n)
+                .map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0))
+                .collect();
+            let mut pot = vec![0.0; n];
+            approx
+                .apply_transpose_into(&y, &mut pot, &mut scratch)
+                .unwrap();
+            let want_pot = reference_potentials(approx, &y);
+            assert_eq!(bits(&pot), bits(&want_pot), "{name}: one-lane Rᵀ");
+            // Every lane of every block width, against the reference alone.
+            for k in 1..=9usize {
+                let (demands, b_block) = random_demand_block(n, k, &mut rng);
+                let y_block: Vec<f64> = (0..rows_n * k)
+                    .map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0))
+                    .collect();
+                let mut rows_block = vec![0.0; rows_n * k];
+                approx
+                    .apply_block_into(&b_block, k, &mut rows_block, &mut scratch)
+                    .unwrap();
+                let mut pot_block = vec![0.0; n * k];
+                approx
+                    .apply_transpose_block_into(&y_block, k, &mut pot_block, &mut scratch)
+                    .unwrap();
+                for (l, b) in demands.iter().enumerate() {
+                    let lane_rows: Vec<f64> = (0..rows_n).map(|r| rows_block[r * k + l]).collect();
+                    let want_rows = reference_rows(approx, b.values());
+                    assert_eq!(
+                        bits(&lane_rows),
+                        bits(&want_rows),
+                        "{name}: R lane {l} of {k}"
+                    );
+                    let y: Vec<f64> = (0..rows_n).map(|r| y_block[r * k + l]).collect();
+                    let lane_pot: Vec<f64> = (0..n).map(|v| pot_block[v * k + l]).collect();
+                    let want_pot = reference_potentials(approx, &y);
+                    assert_eq!(
+                        bits(&lane_pot),
+                        bits(&want_pot),
+                        "{name}: Rᵀ lane {l} of {k}"
+                    );
+                }
             }
         }
     }

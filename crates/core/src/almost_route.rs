@@ -194,7 +194,7 @@ impl AlmostRouteScratch {
     }
 
     /// `‖R·b‖_∞` for every demand in one blocked sweep: packs the demands
-    /// lane-major, applies `R` once, and folds each lane's rows in row order,
+    /// lane-major, applies `R` once, and takes each lane's largest `|row|`,
     /// leaving the per-lane norms in the returned slice. Bit-identical per
     /// lane to [`CongestionApproximator::congestion_lower_bound`] on that
     /// demand.
@@ -231,9 +231,16 @@ impl AlmostRouteScratch {
             par,
         )
         .expect("packed demands match the approximator");
-        let norms = &mut self.norms[..k];
-        norms.fill(0.0);
-        lane_dispatch!(k, row_abs_max_impl(&self.rows[..rows_len], k, norms));
+        lane_dispatch!(
+            k,
+            lane_abs_max_impl(
+                &self.rows[..rows_len],
+                k,
+                1.0,
+                &mut self.acc[..4 * k],
+                &mut self.norms[..k]
+            )
+        );
         &self.norms[..k]
     }
 }
@@ -254,8 +261,9 @@ pub struct AlmostRouteResult {
 }
 
 /// [`exp_nonpos`] returns exactly `+0.0` for arguments at or below this
-/// (and for NaN).
-const EXP_DEAD_AT: f64 = -746.0;
+/// (and for NaN), and a normal number above it: `e^-708 ≈ 3.3·10⁻³⁰⁸`
+/// exceeds `f64::MIN_POSITIVE = 2⁻¹⁰²²`.
+const EXP_DEAD_AT: f64 = -708.0;
 
 /// Branch-free `e^x` for `x ≤ 0`, accurate to ~1 ulp, written so the
 /// autovectorizer can chew on whole slices of arguments (no libm call, no
@@ -263,16 +271,18 @@ const EXP_DEAD_AT: f64 = -746.0;
 ///
 /// Standard Cody–Waite argument reduction `x = n·ln2 + r` with `|r| ≤ ln2/2`,
 /// a degree-13 Taylor polynomial for `e^r` (truncation error < 5e-18 on that
-/// interval), and a branch-free reconstruction of `2^n` as the product of two
-/// half-exponent powers, so that results in the subnormal range (arguments in
-/// `(-746, -708.4)`) come out of one correctly rounded product.
+/// interval), and a branch-free reconstruction of `2^n` as one power built
+/// from its exponent bits. Every live `n` is at least `-1021`, so the power
+/// and the product are normal and the scaling is exact.
 ///
-/// Arguments at or below `-746` (and NaN) return exactly `+0.0` by mask:
+/// Arguments at or below `-708` (and NaN) return exactly `+0.0` by mask:
 /// the polynomial runs on `0.0` for those lanes and the result is selected
-/// away. The product would round them to `+0.0` as well, but a multiply that
-/// underflows takes the processor's slow microcode path, and at the default
-/// ε most soft-max arguments lie that far below the row peak. The mask
-/// changes the time, not a single result bit.
+/// away. Their exponentials would be subnormal or zero, and on common x86
+/// cores every multiply or divide a subnormal operand enters takes a
+/// microcode assist of tens of nanoseconds. In the soft-max a term below
+/// `e^-708` of the peak term cannot change a sum that is at least 1; it
+/// decides only whether a weight is a subnormal or exactly zero, a cutoff
+/// that f64 itself applies at 2⁻¹⁰⁷⁴.
 #[inline(always)]
 fn exp_nonpos(x: f64) -> f64 {
     const LOG2_E: f64 = std::f64::consts::LOG2_E;
@@ -287,7 +297,7 @@ fn exp_nonpos(x: f64) -> f64 {
     // in the low mantissa bits (round-to-nearest-even, same as `round_ties_even`),
     // without the data-dependent branch sequence `f64::round` lowers to.
     const SHIFT: f64 = 6_755_399_441_055_744.0;
-    // All-ones for a live lane, all-zeros at or below -746 and for NaN. A dead
+    // All-ones for a live lane, all-zeros at or below -708 and for NaN. A dead
     // lane evaluates e^0 (no underflowing multiply, shifted exponent in range)
     // and its result is masked to +0.0 below.
     let live = u64::from(x > EXP_DEAD_AT).wrapping_neg();
@@ -313,11 +323,10 @@ fn exp_nonpos(x: f64) -> f64 {
     // `t` lives in [2^52, 2^53), so its mantissa field is exactly `2^51 + n`;
     // extract n without a float→int conversion instruction.
     let n = (t.to_bits() & 0x000F_FFFF_FFFF_FFFF) as i64 - (1i64 << 51);
-    // 2^n = 2^(n/2) · 2^(n - n/2): each half exponent is ≥ -1022, so both
-    // factors are normal and a subnormal result is rounded once.
-    let half = n >> 1;
-    let pow2 = |e: i64| f64::from_bits(((e + 1023) as u64) << 52);
-    f64::from_bits((p * pow2(half) * pow2(n - half)).to_bits() & live)
+    // A live x > -708 rounds to n ≥ -1021, so 2^n has a biased exponent of
+    // at least 2 and p · 2^n ≥ 2^-1022 stays normal.
+    let pow2 = f64::from_bits(((n + 1023) as u64) << 52);
+    f64::from_bits((p * pow2).to_bits() & live)
 }
 
 /// Fused soft-max + gradient weights: computes
@@ -443,16 +452,16 @@ fn smax_and_weights_block_into(
 /// reads the runtime `k_dyn`. Identical operations in identical order for
 /// either path.
 ///
-/// Dead groups: when some lane peaks at `m ≥ 746`, each flat group of `4k`
+/// Dead groups: when some lane peaks at `m ≥ 708`, each flat group of `4k`
 /// values is first tested with the comparisons [`exp_nonpos`]'s mask makes,
-/// `y − m > −746` and `−y − m > −746` for `y = in_scale·x`. A group where
+/// `y − m > −708` and `−y − m > −708` for `y = in_scale·x`. A group where
 /// none holds writes `+0.0` weights and leaves its accumulators alone, and
 /// only groups with a live argument evaluate the exponentials. Both
 /// exponentials of a dead value are masked to `+0.0`, so its weight is
 /// `+0.0 − +0.0 = +0.0`, and the accumulators, sums of non-negative terms
 /// that start at `+0.0`, satisfy `s + (+0.0 + +0.0) = s`: skipping changes no
-/// bit of any weight or soft-max. Below a peak of 746 no value is dead
-/// (`|y| − m ≥ −m > −746`), so those blocks run the loop without the test.
+/// bit of any weight or soft-max. Below a peak of 708 no value is dead
+/// (`|y| − m ≥ −m > −708`), so those blocks run the loop without the test.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn smax_and_weights_block_impl<const K: usize>(
@@ -472,12 +481,9 @@ fn smax_and_weights_block_impl<const K: usize>(
         return;
     }
     let maxes = &mut maxes[..k];
-    maxes.fill(0.0);
-    for chunk in values.chunks_exact(k) {
-        for (m, &y) in maxes.iter_mut().zip(chunk) {
-            *m = m.max((in_scale * y).abs());
-        }
-    }
+    let (sums, group_max) = acc[..8 * k].split_at_mut(4 * k);
+    // `group_max` holds the partial peaks first, each value's lane peak after.
+    lane_abs_max_impl::<K>(values, k, in_scale, group_max, maxes);
     // Element `i` of every lane folds into accumulator `i % 4`, and the
     // trailing `len % 4` elements into accumulator 0. In a group of four
     // elements, value `j` of the flat `4k`-wide window is element `j / k` of
@@ -485,7 +491,6 @@ fn smax_and_weights_block_impl<const K: usize>(
     // `sums[slot*k + l]`) against the lane max `group_max[j]`: one flat,
     // contiguous loop whose add chains stay independent at every lane
     // count, one lane included.
-    let (sums, group_max) = acc[..8 * k].split_at_mut(4 * k);
     sums.fill(0.0);
     for (j, m) in group_max.iter_mut().enumerate() {
         *m = maxes[j % k];
@@ -973,15 +978,48 @@ fn potential_and_gradient_block(
     }
 }
 
-/// Per-lane `max |rows[i*k + l]|` folds in row order, with a monomorphized
-/// lane count (see [`lane_dispatch!`]).
+/// Per-lane peaks `maxes[l] = max_i |in_scale·values[i*k + l]|` (`+0.0` for
+/// an empty or all-NaN lane), with a monomorphized lane count (see
+/// [`lane_dispatch!`]). Value `j` of each flat `4k`-wide window folds into
+/// its own partial maximum `partial[j]`, the `len % 4` tail into the first
+/// `k`, and each lane reduces its four partials at the end: four
+/// independent chains per lane instead of one serial one. A partial starts
+/// at `+0.0` and takes `a = |in_scale·x|` only when `a` is larger, which a
+/// NaN never is, so it equals `f64::max` folded over the same values. A
+/// maximum does not depend on the order it is taken in, so the peaks are
+/// bit-identical to one fold in element order.
 #[inline(always)]
-fn row_abs_max_impl<const K: usize>(rows: &[f64], k_dyn: usize, norms: &mut [f64]) {
+fn lane_abs_max_impl<const K: usize>(
+    values: &[f64],
+    k_dyn: usize,
+    in_scale: f64,
+    partial: &mut [f64],
+    maxes: &mut [f64],
+) {
     let k = if K > 0 { K } else { k_dyn };
-    for chunk in rows.chunks_exact(k) {
-        for (nm, &y) in norms.iter_mut().zip(chunk) {
-            *nm = nm.max(y.abs());
+    // A compare and select lowers to one `maxpd`, where `f64::max` adds a
+    // NaN fix-up to every step of the chain.
+    let fold = |m: &mut f64, x: f64| {
+        let a = (in_scale * x).abs();
+        if a > *m {
+            *m = a;
         }
+    };
+    let partial = &mut partial[..4 * k];
+    partial.fill(0.0);
+    let mut windows = values.chunks_exact(4 * k);
+    for window in &mut windows {
+        for (m, &x) in partial.iter_mut().zip(window) {
+            fold(m, x);
+        }
+    }
+    for (m, &x) in partial.iter_mut().zip(windows.remainder()) {
+        fold(m, x);
+    }
+    for (l, m) in maxes[..k].iter_mut().enumerate() {
+        *m = partial[l]
+            .max(partial[k + l])
+            .max(partial[2 * k + l].max(partial[3 * k + l]));
     }
 }
 
@@ -1068,13 +1106,14 @@ mod tests {
         }
         // A start-of-descent vector at the default ε: the peak sits near
         // 16·ln n/ε ≈ 1,100 and nine entries in ten are exactly 0, so most
-        // arguments are at or below -746.
+        // arguments are at or below -708.
         let mut y = vec![0.0; 1000];
         for (i, v) in y.iter_mut().enumerate().step_by(10) {
             *v = 1100.0 * (2.0 * (i as f64 * 0.618_034).fract() - 1.0);
         }
         y[0] = 1100.0;
-        // Two arguments with subnormal exponentials: -720 and -744.
+        // Two arguments whose exponentials would be subnormal, -720 and -744:
+        // they are dead, so their weights are exactly zero.
         y[10] = 380.0;
         y[20] = -356.0;
         let m = 1100.0;
@@ -1086,17 +1125,19 @@ mod tests {
             let direct = ((v - m).exp() - (-v - m).exp()) / sum;
             assert!((wi - direct).abs() < 1e-12, "y = {v}: {wi} vs {direct}");
         }
+        assert_eq!(w[10].to_bits(), 0, "{:e}", w[10]);
+        assert_eq!(w[20].to_bits(), 0, "{:e}", w[20]);
     }
 
-    /// The kernel before arguments at or below -746 were masked: clamp to
-    /// the threshold, then let the product round to zero.
+    /// The kernel's formula without its mask: clamp to the threshold, so
+    /// that `2^n` stays one normal power, and scale once.
     fn exp_nonpos_clamped(x: f64) -> f64 {
         const SHIFT: f64 = 6_755_399_441_055_744.0;
         #[allow(clippy::excessive_precision)]
         const LN2_HI: f64 = 6.931_471_803_691_238_16e-1;
         #[allow(clippy::excessive_precision)]
         const LN2_LO: f64 = 1.908_214_929_270_587_70e-10;
-        let x = x.max(-746.0);
+        let x = x.max(-708.0);
         let t = x * std::f64::consts::LOG2_E + SHIFT;
         let n = t - SHIFT;
         let r = (x - n * LN2_HI) - n * LN2_LO;
@@ -1121,39 +1162,33 @@ mod tests {
         }
         p = p * r + 1.0;
         let n = (t.to_bits() & 0x000F_FFFF_FFFF_FFFF) as i64 - (1i64 << 51);
-        let half = n >> 1;
-        let pow2 = |e: i64| f64::from_bits(((e + 1023) as u64) << 52);
-        p * pow2(half) * pow2(n - half)
+        p * f64::from_bits(((n + 1023) as u64) << 52)
     }
 
     #[test]
     fn exp_nonpos_masks_at_the_underflow_threshold() {
         let zero = 0.0f64.to_bits();
-        let threshold = -746.0f64;
-        // Exactly +0.0 at and below -746, at -∞ and for NaN of either sign.
+        let threshold = -708.0f64;
+        // Exactly +0.0 at and below -708, at -∞ and for NaN of either sign.
         let below = (0..100_000u64).map(|u| f64::from_bits(threshold.to_bits() + u));
-        let far = [-746.5, -1000.0, -1e300, f64::MIN, f64::NEG_INFINITY];
+        let far = [-708.5, -746.0, -1000.0, -1e300, f64::MIN, f64::NEG_INFINITY];
         for x in below.chain(far).chain([f64::NAN, -f64::NAN]) {
             assert_eq!(exp_nonpos(x).to_bits(), zero, "x = {x:e}");
         }
-        // Bit-identical to the clamp-and-multiply formula on every f64
-        // within 10⁵ ulps of -746 (the subnormal tail ends just above it)
-        // and on a grid over [-2000, 0].
-        let near =
-            (threshold.to_bits() - 100_000..=threshold.to_bits() + 100_000).map(f64::from_bits);
-        let grid = (0..=2_000_000u32).map(|i| -2000.0 * f64::from(i) / 2e6);
-        for x in near.chain(grid) {
-            assert_eq!(
-                exp_nonpos(x).to_bits(),
-                exp_nonpos_clamped(x).to_bits(),
-                "x = {x:e}"
+        // Above -708, on every f64 within 10⁵ ulps of it and on a grid over
+        // (-708, 0]: a normal number, bit-identical to the clamp-and-scale
+        // formula, and within two ulps of libm's e^x.
+        let above = (1..=100_000u64).map(|u| f64::from_bits(threshold.to_bits() - u));
+        let grid = (0..2_000_000u32).map(|i| -708.0 * f64::from(i) / 2e6);
+        for x in above.chain(grid) {
+            let e = exp_nonpos(x);
+            assert!(
+                e >= f64::MIN_POSITIVE,
+                "x = {x:e}: e^x = {e:e} is not normal"
             );
-        }
-        // Within two ulps of libm's e^x over the normal range.
-        for i in 0..=1_000_000u32 {
-            let x = -708.0 * f64::from(i) / 1e6;
-            let ulps = exp_nonpos(x).to_bits().abs_diff(x.exp().to_bits());
-            assert!(ulps <= 2, "x = {x}: {ulps} ulps from f64::exp");
+            assert_eq!(e.to_bits(), exp_nonpos_clamped(x).to_bits(), "x = {x:e}");
+            let ulps = e.to_bits().abs_diff(x.exp().to_bits());
+            assert!(ulps <= 2, "x = {x:e}: {ulps} ulps from f64::exp");
         }
     }
 
@@ -1225,13 +1260,13 @@ mod tests {
 
     #[test]
     fn skipping_dead_groups_matches_the_unskipped_loop_bit_for_bit() {
-        let below_746 = 746.0f64.next_down();
+        let below_708 = 708.0f64.next_down();
         // One live value, of either sign, at each position of a flat group
         // (group 1) whose other values are dead; groups 2.. are entirely
-        // dead. Lanes peak at element 0, in group 0. At a peak below 746 no
+        // dead. Lanes peak at element 0, in group 0. At a peak below 708 no
         // value is dead and the unskipped loop runs.
         for k in 1..=9 {
-            for peak in [746.0, below_746, 1100.0] {
+            for peak in [708.0, below_708, 1100.0] {
                 for pos in 0..4 * k {
                     for live in [peak - 100.0, 100.0 - peak] {
                         let mut lanes = vec![vec![0.0; 24]; k];
@@ -1268,11 +1303,14 @@ mod tests {
                 .wrapping_add(1);
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        for k in 2..=9 {
-            for len in [17, 40] {
+        // Lengths 1, 7, 9, 17 and 33 end in a tail of 1 to 3 elements, which
+        // the lanes' partial peaks fold apart from the main groups; odd lanes
+        // peak at their last element.
+        for k in 1..=9 {
+            for len in [1, 7, 9, 17, 33, 40] {
                 let lanes: Vec<Vec<f64>> = (0..k)
                     .map(|l| {
-                        let peak = [1100.0, 221.0, 746.0, below_746][l % 4];
+                        let peak = [1100.0, 221.0, 708.0, below_708][l % 4];
                         let mut lane: Vec<f64> = (0..len)
                             .map(|_| {
                                 let u = uniform();
@@ -1283,7 +1321,7 @@ mod tests {
                                 }
                             })
                             .collect();
-                        lane[len / 2] = -peak;
+                        lane[if l % 2 == 0 { len / 2 } else { len - 1 }] = -peak;
                         lane
                     })
                     .collect();
