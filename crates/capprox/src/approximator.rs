@@ -43,7 +43,7 @@
 //! values: results are bit-for-bit identical to the pointer-chasing
 //! evaluation, just faster.
 
-use flowgraph::{Demand, EdgeId, Graph, GraphError};
+use flowgraph::{Demand, Graph, GraphError};
 use parallel::Parallelism;
 
 use crate::hierarchy::{build_hierarchical_ensemble, HierarchyConfig, HierarchyStats};
@@ -380,36 +380,6 @@ pub struct ApproximatorStats {
     pub provable_alpha: f64,
 }
 
-/// One edge-capacity change for
-/// [`CongestionApproximator::update_capacities`]: `edge` moved from capacity
-/// `old` to capacity `new`. The graph passed alongside the changes must
-/// already hold the new capacities (apply [`Graph::set_capacity`] first).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CapacityChange {
-    /// The edge whose capacity changed.
-    pub edge: EdgeId,
-    /// The capacity the approximator was last prepared with.
-    pub old: f64,
-    /// The capacity the graph now holds.
-    pub new: f64,
-}
-
-/// Work counters from one incremental
-/// [`CongestionApproximator::update_capacities`] call, for asserting that the
-/// incremental path actually ran (and how much it touched) instead of a
-/// silent full rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CapacityUpdateStats {
-    /// Trees in the ensemble (all of them are inspected).
-    pub trees_total: usize,
-    /// Trees where at least one cut capacity changed.
-    pub trees_touched: usize,
-    /// Total `(tree, node)` cut-capacity entries patched — the actual work
-    /// done, proportional to the tree-path lengths of the changed edges, not
-    /// to the graph size.
-    pub slots_patched: usize,
-}
-
 impl CongestionApproximator {
     /// Wraps an explicit tree ensemble as an approximator, building the
     /// flattened slot views the operator sweeps run over.
@@ -503,148 +473,6 @@ impl CongestionApproximator {
     /// `None` when the ensemble was built directly.
     pub fn hierarchy_stats(&self) -> Option<&HierarchyStats> {
         self.hierarchy.as_ref()
-    }
-
-    /// Re-prepares the approximator in place after a batch of edge-capacity
-    /// changes, touching only the affected rows instead of rebuilding every
-    /// tree from scratch.
-    ///
-    /// The tree *topologies* are kept: a row of `R` is the cut induced by a
-    /// tree node's parent edge, and its capacity is linear in the graph's
-    /// edge capacities — edge `e = {u, v}` contributes `cap(e)` to exactly
-    /// the cuts of the nodes on the tree path between `u` and `v` (the LCA
-    /// marking identity behind [`crate::racke::tree_loads`]). So a change of
-    /// `new − old` on `e` patches each tree by adding that delta along one
-    /// tree path, then refreshing the affected relative loads from the
-    /// graph's current parent-edge capacities. Cost is
-    /// `O(Σ_changes Σ_trees pathlen)` — independent of graph size for short
-    /// paths — versus the full `O(trees · (m + n))` rebuild.
-    ///
-    /// `g` must already hold the new capacities (call
-    /// [`Graph::set_capacity`] first); each edge may appear in `changes` at
-    /// most once. Note the re-sampled ensemble a fresh build would draw can
-    /// differ *topologically*: this method keeps the prepared trees and
-    /// re-capacitates them, which preserves every certificate (each row
-    /// remains a genuine cut of `g` at its true capacity). Hierarchy
-    /// bookkeeping from [`Self::build_hierarchical`] is construction-time
-    /// metadata and is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error, and leaves every cut capacity and relative load
-    /// exactly as it was, when:
-    ///
-    /// - `g`'s node count differs from the approximator's
-    ///   ([`GraphError::DemandMismatch`]);
-    /// - a change names an edge out of range
-    ///   ([`GraphError::EdgeOutOfRange`]);
-    /// - a change's `old` or `new` capacity is non-finite or not positive
-    ///   ([`GraphError::InvalidWeight`]);
-    /// - `g`'s capacity for a changed edge is not bit-exactly the declared
-    ///   `new` value ([`GraphError::InvalidConfig`]) — the caller forgot
-    ///   `set_capacity`, listed an edge twice, or is racing the update;
-    /// - a patched cut capacity degenerates to a non-finite or non-positive
-    ///   value ([`GraphError::InvalidWeight`]), which accumulated rounding
-    ///   can produce only when `|delta|` dwarfs the surviving cut. The
-    ///   entries patched before it are written back from an undo log.
-    pub fn update_capacities(
-        &mut self,
-        g: &Graph,
-        changes: &[CapacityChange],
-    ) -> Result<CapacityUpdateStats, GraphError> {
-        if g.num_nodes() != self.num_nodes {
-            return Err(GraphError::DemandMismatch {
-                expected: self.num_nodes,
-                actual: g.num_nodes(),
-            });
-        }
-        // Validate everything before mutating anything: the only errors a
-        // caller can hit mid-patch after this loop are numerical.
-        for c in changes {
-            if c.edge.index() >= g.num_edges() {
-                return Err(GraphError::EdgeOutOfRange {
-                    edge: c.edge.index(),
-                    num_edges: g.num_edges(),
-                });
-            }
-            for cap in [c.old, c.new] {
-                if !(cap.is_finite() && cap > 0.0) {
-                    return Err(GraphError::InvalidWeight { value: cap });
-                }
-            }
-            if g.capacity(c.edge).to_bits() != c.new.to_bits() {
-                return Err(GraphError::InvalidConfig {
-                    parameter: "changes",
-                    reason: "graph capacity is not the declared new value: \
-                             apply Graph::set_capacity before update_capacities \
-                             and list each edge at most once",
-                });
-            }
-        }
-        let mut stats = CapacityUpdateStats {
-            trees_total: self.trees.len(),
-            ..CapacityUpdateStats::default()
-        };
-        // `(tree, node, old cut, old rload)` of every entry patched so far.
-        let mut undo: Vec<(usize, usize, f64, f64)> = Vec::new();
-        let patched = 'patch: {
-            for (ti, (t, slots)) in self.trees.iter_mut().zip(&mut self.slots).enumerate() {
-                let mut patched_here = 0usize;
-                for c in changes {
-                    let delta = c.new - c.old;
-                    if delta == 0.0 {
-                        continue;
-                    }
-                    let e = g.edge(c.edge);
-                    // Edge {u, v} crosses exactly the cuts of the nodes
-                    // strictly below the LCA on the u–v tree path; walk both
-                    // legs.
-                    let meet = t.tree.lca(e.tail, e.head);
-                    for leg in [e.tail, e.head] {
-                        let mut v = leg;
-                        while v != meet {
-                            let vi = v.index();
-                            let cut = t.cut_capacity[vi] + delta;
-                            if !(cut.is_finite() && cut > 0.0) {
-                                break 'patch Err(GraphError::InvalidWeight { value: cut });
-                            }
-                            undo.push((ti, vi, t.cut_capacity[vi], t.rload[vi]));
-                            t.cut_capacity[vi] = cut;
-                            slots.cut_capacity[slots.slot_of_node[vi] as usize] = cut;
-                            let (Some(parent_edge), Some(parent)) =
-                                (t.tree.parent_edge(v), t.tree.parent(v))
-                            else {
-                                // Unreachable for spanning trees of `g`:
-                                // every node strictly below an ancestor has
-                                // a parent realized by a graph edge.
-                                break 'patch Err(GraphError::Internal {
-                                    invariant: "tree path node below the LCA lacks a parent edge",
-                                });
-                            };
-                            t.rload[vi] = cut / g.capacity(parent_edge);
-                            patched_here += 1;
-                            v = parent;
-                        }
-                    }
-                }
-                if patched_here > 0 {
-                    stats.trees_touched += 1;
-                    stats.slots_patched += patched_here;
-                }
-            }
-            Ok(stats)
-        };
-        if patched.is_err() {
-            // Newest first, so an entry patched twice ends at its first old
-            // value.
-            for &(ti, vi, cut, rload) in undo.iter().rev() {
-                let (t, slots) = (&mut self.trees[ti], &mut self.slots[ti]);
-                t.cut_capacity[vi] = cut;
-                t.rload[vi] = rload;
-                slots.cut_capacity[slots.slot_of_node[vi] as usize] = cut;
-            }
-        }
-        patched
     }
 
     /// The trees backing the approximator.
@@ -1028,7 +856,7 @@ pub fn exhaustive_opt_congestion(g: &Graph, b: &Demand) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowgraph::{gen, Demand, NodeId};
+    use flowgraph::{gen, Demand, EdgeId, NodeId};
 
     fn build(g: &Graph, trees: usize, seed: u64) -> CongestionApproximator {
         CongestionApproximator::build(
@@ -1577,260 +1405,5 @@ mod tests {
         let opt = exhaustive_opt_congestion(&g, &b);
         let mincut = flowgraph::cut::exhaustive_min_st_cut(&g, s, t);
         assert!((opt - 3.0 / mincut).abs() < 1e-9);
-    }
-
-    /// A graph with small-integer capacities: every cut capacity is an exact
-    /// integer in f64, so incremental patching (`old_sum + delta`) and fresh
-    /// recomputation (marking-order summation) must agree *bitwise*, not just
-    /// within tolerance.
-    fn integer_cap_graph(seed: u64) -> Graph {
-        let mut g = gen::random_gnp(14, 0.35, (1.0, 4.0), seed);
-        let edges: Vec<EdgeId> = g.edge_ids().collect();
-        for (i, e) in edges.into_iter().enumerate() {
-            g.set_capacity(e, (i % 7 + 1) as f64).unwrap();
-        }
-        g
-    }
-
-    #[test]
-    fn incremental_update_matches_recapacitated_trees_bitwise() {
-        let mut g = integer_cap_graph(31);
-        let mut approx = build(&g, 4, 8);
-        // Change a few spread-out edges to new integer capacities.
-        let targets: Vec<EdgeId> = g.edge_ids().step_by(5).take(4).collect();
-        let mut changes = Vec::new();
-        for (j, &e) in targets.iter().enumerate() {
-            let old = g.capacity(e);
-            let new = (j * 3 + 2) as f64;
-            g.set_capacity(e, new).unwrap();
-            changes.push(CapacityChange { edge: e, old, new });
-        }
-        let stats = approx.update_capacities(&g, &changes).unwrap();
-        assert_eq!(stats.trees_total, 4);
-        assert!(stats.trees_touched >= 1);
-        assert!(stats.slots_patched >= 1);
-
-        // Ground truth: the SAME tree topologies, recapacitated from scratch
-        // against the updated graph.
-        let fresh_trees: Vec<CapacitatedTree> = approx
-            .trees()
-            .iter()
-            .map(|t| CapacitatedTree::new(&g, t.tree.clone()))
-            .collect();
-        for (inc, fresh) in approx.trees().iter().zip(&fresh_trees) {
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&inc.cut_capacity), bits(&fresh.cut_capacity));
-            assert_eq!(bits(&inc.rload), bits(&fresh.rload));
-        }
-        // The patched slot views drive the operators: R·b and Rᵀ·y through
-        // the incrementally updated approximator match a from-scratch wrap of
-        // the recapacitated trees bitwise.
-        let fresh_approx = CongestionApproximator::from_ensemble(TreeEnsemble {
-            trees: fresh_trees,
-            stats: crate::racke::EnsembleStats {
-                num_trees: 4,
-                max_rloads: Vec::new(),
-                decomposition_rounds: 0,
-                average_stretches: Vec::new(),
-            },
-        })
-        .unwrap();
-        let b = Demand::st(&g, NodeId(0), NodeId(13), 2.0);
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&approx.apply(&b).unwrap()),
-            bits(&fresh_approx.apply(&b).unwrap())
-        );
-        let y: Vec<f64> = (0..approx.num_rows())
-            .map(|i| (i % 3) as f64 - 1.0)
-            .collect();
-        assert_eq!(
-            bits(&approx.apply_transpose(&y).unwrap()),
-            bits(&fresh_approx.apply_transpose(&y).unwrap())
-        );
-    }
-
-    #[test]
-    fn incremental_update_counters_and_noop() {
-        let mut g = integer_cap_graph(32);
-        let mut approx = build(&g, 3, 9);
-        // A no-op change (old == new) patches nothing.
-        let e0 = g.edge_ids().next().unwrap();
-        let cap = g.capacity(e0);
-        let stats = approx
-            .update_capacities(
-                &g,
-                &[CapacityChange {
-                    edge: e0,
-                    old: cap,
-                    new: cap,
-                }],
-            )
-            .unwrap();
-        assert_eq!(stats.trees_touched, 0);
-        assert_eq!(stats.slots_patched, 0);
-        // An empty batch is a no-op too.
-        let stats = approx.update_capacities(&g, &[]).unwrap();
-        assert_eq!(
-            stats,
-            CapacityUpdateStats {
-                trees_total: 3,
-                trees_touched: 0,
-                slots_patched: 0
-            }
-        );
-        // A real change touches every tree: the changed edge crosses at
-        // least one cut (its endpoints' tree path is non-empty) per tree.
-        g.set_capacity(e0, cap + 2.0).unwrap();
-        let stats = approx
-            .update_capacities(
-                &g,
-                &[CapacityChange {
-                    edge: e0,
-                    old: cap,
-                    new: cap + 2.0,
-                }],
-            )
-            .unwrap();
-        assert_eq!(stats.trees_touched, 3);
-        assert!(stats.slots_patched >= 3);
-    }
-
-    #[test]
-    fn incremental_update_rejects_bad_inputs() {
-        let g = integer_cap_graph(33);
-        let mut approx = build(&g, 2, 10);
-        let e0 = g.edge_ids().next().unwrap();
-        let cap = g.capacity(e0);
-        // Node-count mismatch.
-        let small = gen::grid(2, 2, 1.0);
-        assert!(matches!(
-            approx.update_capacities(&small, &[]),
-            Err(GraphError::DemandMismatch {
-                expected: 14,
-                actual: 4
-            })
-        ));
-        // Edge out of range.
-        let bogus = EdgeId(u32::MAX);
-        assert!(matches!(
-            approx.update_capacities(
-                &g,
-                &[CapacityChange {
-                    edge: bogus,
-                    old: 1.0,
-                    new: 2.0
-                }]
-            ),
-            Err(GraphError::EdgeOutOfRange { .. })
-        ));
-        // Non-finite / non-positive capacities.
-        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
-            assert!(matches!(
-                approx.update_capacities(
-                    &g,
-                    &[CapacityChange {
-                        edge: e0,
-                        old: cap,
-                        new: bad
-                    }]
-                ),
-                Err(GraphError::InvalidWeight { .. })
-            ));
-        }
-        // Graph not actually updated: the declared new value must match the
-        // graph's capacity bit-exactly.
-        assert!(matches!(
-            approx.update_capacities(
-                &g,
-                &[CapacityChange {
-                    edge: e0,
-                    old: cap,
-                    new: cap + 1.0
-                }]
-            ),
-            Err(GraphError::InvalidConfig {
-                parameter: "changes",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn a_degenerate_patch_writes_every_entry_back() {
-        // Capacities spanning 1e-300 to 1e307 on a 7-cycle: the deltas
-        // cancel a cut to a non-positive value partway through the patch.
-        let mut g = gen::cycle(7, 1.0);
-        let mut approx = build(&g, 2, 2);
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let b = Demand::st(&g, NodeId(0), NodeId(3), 1.0);
-        let before: Vec<(Vec<u64>, Vec<u64>)> = approx
-            .trees()
-            .iter()
-            .map(|t| (bits(&t.cut_capacity), bits(&t.rload)))
-            .collect();
-        let rows_before = bits(&approx.apply(&b).unwrap());
-        let mut changes = Vec::new();
-        for (i, new) in [1e-300, 1e-10, 1e10, 1e-300, 1e307, 1e10, 1e300]
-            .into_iter()
-            .enumerate()
-        {
-            let edge = EdgeId(i as u32);
-            g.set_capacity(edge, new).unwrap();
-            changes.push(CapacityChange {
-                edge,
-                old: 1.0,
-                new,
-            });
-        }
-        assert!(matches!(
-            approx.update_capacities(&g, &changes),
-            Err(GraphError::InvalidWeight { .. })
-        ));
-        let after: Vec<(Vec<u64>, Vec<u64>)> = approx
-            .trees()
-            .iter()
-            .map(|t| (bits(&t.cut_capacity), bits(&t.rload)))
-            .collect();
-        assert_eq!(before, after);
-        assert_eq!(rows_before, bits(&approx.apply(&b).unwrap()));
-    }
-
-    #[test]
-    fn incremental_update_works_on_hierarchical_builds() {
-        // The lifted trees of the j-tree hierarchy are genuine capacitated
-        // spanning trees of `g`, so the same path-patching applies.
-        let mut g = gen::grid(6, 6, 1.0);
-        let mut approx = CongestionApproximator::build_hierarchical(
-            &g,
-            &HierarchyConfig::default().with_direct_threshold(16),
-            &RackeConfig::default().with_num_trees(2).with_seed(3),
-        )
-        .unwrap();
-        let e = g.edge_ids().nth(10).unwrap();
-        g.set_capacity(e, 3.0).unwrap();
-        let stats = approx
-            .update_capacities(
-                &g,
-                &[CapacityChange {
-                    edge: e,
-                    old: 1.0,
-                    new: 3.0,
-                }],
-            )
-            .unwrap();
-        assert!(stats.trees_touched >= 1);
-        let fresh: Vec<CapacitatedTree> = approx
-            .trees()
-            .iter()
-            .map(|t| CapacitatedTree::new(&g, t.tree.clone()))
-            .collect();
-        for (inc, f) in approx.trees().iter().zip(&fresh) {
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&inc.cut_capacity), bits(&f.cut_capacity));
-            assert_eq!(bits(&inc.rload), bits(&f.rload));
-        }
-        // Hierarchy bookkeeping survives as construction-time metadata.
-        assert!(approx.hierarchy_stats().is_some());
     }
 }

@@ -61,8 +61,7 @@ pub mod racke;
 pub mod sparsify;
 
 pub use approximator::{
-    exhaustive_opt_congestion, ApproximatorStats, CapacityChange, CapacityUpdateStats,
-    CongestionApproximator, OperatorScratch,
+    exhaustive_opt_congestion, ApproximatorStats, CongestionApproximator, OperatorScratch,
 };
 pub use hierarchy::{
     build_hierarchical_ensemble, ChainStats, HierarchyConfig, HierarchyLevelStats, HierarchyStats,

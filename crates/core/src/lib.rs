@@ -103,15 +103,15 @@ pub mod solver;
 pub use almost_route::{
     almost_route, almost_route_with, AlmostRouteConfig, AlmostRouteResult, AlmostRouteScratch,
 };
-pub use capprox::{CapacityChange, CapacityUpdateStats, HierarchyConfig, HierarchyStats};
+pub use capprox::{HierarchyConfig, HierarchyStats};
 pub use congest::model::{Adversary, CommModel};
 pub use distributed::{
     distributed_approx_max_flow, distributed_approx_max_flow_on, DistributedMaxFlowResult,
     RoundBreakdown, SessionBill,
 };
 pub use parallel::Parallelism;
-pub use session::{CapacityUpdate, PreparedMaxFlow};
+pub use session::PreparedMaxFlow;
 pub use solver::{
-    approx_max_flow, approx_max_flow_with, route_demand, MaxFlowConfig, MaxFlowResult,
-    RoutingResult, DEMAND_BALANCE_TOLERANCE,
+    approx_max_flow, route_demand, MaxFlowConfig, MaxFlowResult, RoutingResult,
+    DEMAND_BALANCE_TOLERANCE,
 };

@@ -13,20 +13,17 @@
 //!
 //! A session holds its graph, borrowed or owned, next to everything derived
 //! from it. [`PreparedMaxFlow::update_capacities`] moves both to new edge
-//! capacities in one step: it re-capacitates the prepared trees in place
-//! (a capacity change alters the trees' cut capacities, not their shapes)
-//! or rebuilds them, and on any error it changes nothing.
+//! capacities in one step: it prepares the updated graph with the session's
+//! config, and on any error it changes nothing.
 //!
 //! The free functions [`crate::approx_max_flow`] / [`crate::route_demand`]
 //! remain as thin convenience wrappers that prepare a throwaway session per
 //! call; a session answers byte-identically to them for the same seed.
 
 use std::borrow::Cow;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashSet;
 
-use capprox::{
-    build_tree_ensemble, CapacityChange, CapacityUpdateStats, CongestionApproximator, EnsembleStats,
-};
+use capprox::{build_tree_ensemble, CongestionApproximator, EnsembleStats};
 use flowgraph::{max_weight_spanning_tree, Demand, EdgeId, Graph, GraphError, NodeId, RootedTree};
 use parallel::Parallelism;
 
@@ -120,16 +117,6 @@ pub struct PreparedMaxFlow<'g> {
     pub(crate) plan: Option<DistributedPlan>,
 }
 
-/// What one [`PreparedMaxFlow::update_capacities`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapacityUpdate {
-    /// Distinct edges the update named; a repeated edge counts once.
-    pub changes: usize,
-    /// The patch's work counters when the trees were re-capacitated in
-    /// place, or `None` when the session was rebuilt with its config.
-    pub patched: Option<CapacityUpdateStats>,
-}
-
 /// Validates `config` and `graph`, then builds the congestion approximator
 /// (the expensive part) and the maximum-weight spanning tree for residual
 /// repair.
@@ -211,20 +198,14 @@ impl<'g> PreparedMaxFlow<'g> {
         })
     }
 
-    /// Sets the capacities of the listed edges and re-derives the session
-    /// from them; the last write wins when an edge repeats. A borrowed graph
-    /// is copied first, so the caller's graph never changes.
+    /// Sets the capacities of the listed edges and prepares the updated
+    /// graph with the session's config, so that the session answers bit for
+    /// bit like [`Self::prepare`] on the updated graph. The last write wins
+    /// when an edge repeats, and a borrowed graph is copied first, so the
+    /// caller's graph never changes. Returns the number of distinct edges
+    /// the update named.
     ///
-    /// Up to `max(16, m/8)` changed edges patch the trees in place
-    /// ([`CongestionApproximator::update_capacities`]: work proportional to
-    /// the changed edges' tree paths, not to the graph) and re-grow the
-    /// repair tree, a maximum-*weight* spanning tree whose shape may change.
-    /// Answers are then byte-identical to a session prepared from an
-    /// ensemble with the *same tree topologies* at the new capacities, but
-    /// not necessarily to a full [`Self::prepare`], which may draw different
-    /// trees; both are valid `(1+ε)` certificates. More changed edges, or a
-    /// patch that fails, rebuild the session with its own config, which
-    /// answers bit for bit like [`Self::prepare`] on the updated graph.
+    /// An update costs one prepare of the whole graph.
     ///
     /// # Errors
     ///
@@ -232,92 +213,25 @@ impl<'g> PreparedMaxFlow<'g> {
     /// capacities and answers exactly as before. Errors are
     /// [`GraphError::EdgeOutOfRange`] for an edge the graph lacks,
     /// [`GraphError::InvalidWeight`] for a capacity that is not finite and
-    /// positive, and whatever a needed rebuild returns for the new
+    /// positive, and whatever [`Self::prepare`] returns for the new
     /// capacities.
-    pub fn update_capacities(
-        &mut self,
-        changes: &[(EdgeId, f64)],
-    ) -> Result<CapacityUpdate, GraphError> {
-        let num_edges = self.graph.num_edges();
-        let mut collapsed: Vec<CapacityChange> = Vec::with_capacity(changes.len());
-        let mut position: HashMap<EdgeId, usize> = HashMap::with_capacity(changes.len());
-        for &(edge, new) in changes {
-            if edge.index() >= num_edges {
-                return Err(GraphError::EdgeOutOfRange {
-                    edge: edge.index(),
-                    num_edges,
-                });
-            }
-            if !(new.is_finite() && new > 0.0) {
-                return Err(GraphError::InvalidWeight { value: new });
-            }
-            match position.entry(edge) {
-                Entry::Occupied(at) => collapsed[*at.get()].new = new,
-                Entry::Vacant(at) => {
-                    at.insert(collapsed.len());
-                    collapsed.push(CapacityChange {
-                        edge,
-                        old: self.graph.capacity(edge),
-                        new,
-                    });
-                }
-            }
+    pub fn update_capacities(&mut self, changes: &[(EdgeId, f64)]) -> Result<usize, GraphError> {
+        if changes.is_empty() {
+            return Ok(0);
         }
-        if collapsed.is_empty() {
-            return Ok(CapacityUpdate {
-                changes: 0,
-                patched: Some(CapacityUpdateStats {
-                    trees_total: self.approximator.trees().len(),
-                    ..CapacityUpdateStats::default()
-                }),
-            });
+        let mut graph = Graph::clone(&self.graph);
+        for &(edge, capacity) in changes {
+            graph.set_capacity(edge, capacity)?;
         }
-        // Both loops write capacities checked above (or read from the
-        // graph), so neither can fail partway.
-        let graph = self.graph.to_mut();
-        for c in &collapsed {
-            graph.set_capacity(c.edge, c.new)?;
-        }
-        match self.rederive(&collapsed) {
-            Ok(patched) => {
-                // The distributed plan was measured on the old capacities.
-                self.plan = None;
-                Ok(CapacityUpdate {
-                    changes: collapsed.len(),
-                    patched,
-                })
-            }
-            Err(err) => {
-                let graph = self.graph.to_mut();
-                for c in &collapsed {
-                    graph.set_capacity(c.edge, c.old)?;
-                }
-                Err(err)
-            }
-        }
-    }
-
-    /// Re-derives the approximator and the repair tree from the graph's new
-    /// capacities: patches the trees for up to `max(16, m/8)` changes, and
-    /// rebuilds past that bound or when the patch fails. On error the
-    /// structures are unchanged.
-    fn rederive(
-        &mut self,
-        changes: &[CapacityChange],
-    ) -> Result<Option<CapacityUpdateStats>, GraphError> {
-        let graph: &Graph = &self.graph;
-        if changes.len() <= 16.max(graph.num_edges() / 8) {
-            let repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
-            if let Ok(stats) = self.approximator.update_capacities(graph, changes) {
-                self.repair_tree = repair_tree;
-                return Ok(Some(stats));
-            }
-        }
-        let (approximator, ensemble_stats, repair_tree) = build_structures(graph, &self.config)?;
+        let (approximator, ensemble_stats, repair_tree) = build_structures(&graph, &self.config)?;
+        self.graph = Cow::Owned(graph);
         self.approximator = approximator;
         self.ensemble_stats = ensemble_stats;
         self.repair_tree = repair_tree;
-        Ok(None)
+        // The distributed plan was measured on the old capacities.
+        self.plan = None;
+        let named: HashSet<EdgeId> = changes.iter().map(|&(edge, _)| edge).collect();
+        Ok(named.len())
     }
 
     /// Computes a `(1+ε)`-approximate maximum s–t flow using the prepared
@@ -726,19 +640,10 @@ mod tests {
 
     #[test]
     fn update_capacities_matches_fresh_prepare_on_a_path() {
-        // A path has exactly one spanning tree, so the re-sampled ensemble of
-        // a fresh prepare() and the patched ensemble of the update have
-        // identical topologies — and with integer capacities the cut sums
-        // are exact, so the two sessions must answer BITWISE equal. (General
-        // graphs re-sample different trees; the capprox suites pin the
-        // same-topology equivalence there.)
         let g = gen::path(12, 4.0);
         let mut session = PreparedMaxFlow::prepare(&g, &config()).unwrap();
         let e = g.edge_ids().nth(5).unwrap();
-        let update = session.update_capacities(&[(e, 2.0)]).unwrap();
-        assert_eq!(update.changes, 1);
-        let stats = update.patched.expect("one edge is patched in place");
-        assert!(stats.trees_touched >= 1 && stats.slots_patched >= 1);
+        assert_eq!(session.update_capacities(&[(e, 2.0)]).unwrap(), 1);
         let mut updated = g.clone();
         updated.set_capacity(e, 2.0).unwrap();
         let mut fresh = PreparedMaxFlow::prepare(&updated, &config()).unwrap();
@@ -771,8 +676,8 @@ mod tests {
                 }
                 other => panic!("{changes:?}: expected a typed refusal, got {other:?}"),
             }
-            // Refused before anything was copied: the session still reads
-            // the caller's graph, at its capacities.
+            // The session still reads the caller's graph, at its
+            // capacities.
             assert!(std::ptr::eq(session.graph(), &g));
             assert_eq!(answer_bits(&mut session, 0, 15), before);
         }
@@ -787,13 +692,11 @@ mod tests {
         let update = session
             .update_capacities(&[(EdgeId(0), 5.0), (EdgeId(1), 9.0), (EdgeId(0), 6.0)])
             .unwrap();
-        assert_eq!(update.changes, 2);
-        assert!(update.patched.is_some());
+        assert_eq!(update, 2);
         assert_eq!(session.graph().capacity(EdgeId(0)), 6.0);
         assert_eq!(session.graph().capacity(EdgeId(1)), 9.0);
         // An empty update names no edge and changes nothing.
-        let empty = session.update_capacities(&[]).unwrap();
-        assert_eq!(empty.changes, 0);
+        assert_eq!(session.update_capacities(&[]).unwrap(), 0);
         assert_eq!(capacities(session.graph()), bits(&[6.0, 9.0]));
     }
 
@@ -818,15 +721,12 @@ mod tests {
 
     #[test]
     fn update_capacities_past_the_patch_bound_rebuilds_like_a_fresh_prepare() {
-        // 39 edges: max(16, 39/8) = 16, so 20 changed edges rebuild with
-        // the session's config, as prepare() does on the updated graph.
+        // Twenty of a 40-node path's 39 edges change in one update.
         let g = gen::path(40, 4.0);
         let mut session = PreparedMaxFlow::prepare(&g, &config()).unwrap();
         let changes: Vec<(EdgeId, f64)> =
             (0..20).map(|i| (EdgeId(i), 1.0 + f64::from(i))).collect();
-        let update = session.update_capacities(&changes).unwrap();
-        assert_eq!(update.changes, 20);
-        assert_eq!(update.patched, None);
+        assert_eq!(session.update_capacities(&changes).unwrap(), 20);
         let mut updated = g.clone();
         for &(e, cap) in &changes {
             updated.set_capacity(e, cap).unwrap();
@@ -844,9 +744,9 @@ mod tests {
 
     #[test]
     fn a_refused_update_keeps_the_old_capacities_and_answers() {
-        // Capacities spanning 1e-300 to 1e307 on a 7-cycle: the patch meets
-        // a non-positive cut, and the rebuild that follows fails on a tree
-        // load that cancels below zero. Neither may leave a trace.
+        // Capacities spanning 1e-300 to 1e307 on a 7-cycle: preparing them
+        // fails on a tree load that cancels below zero, and the refusal may
+        // leave no trace.
         let g = gen::cycle(7, 1.0);
         let cfg = MaxFlowConfig::default()
             .with_epsilon(0.5)
@@ -864,8 +764,7 @@ mod tests {
             assert_eq!(answer_bits(&mut session, 0, 3), before);
         }
         // Either way the session takes the next update.
-        let update = session.update_capacities(&[(EdgeId(2), 3.0)]).unwrap();
-        assert_eq!(update.changes, 1);
+        assert_eq!(session.update_capacities(&[(EdgeId(2), 3.0)]).unwrap(), 1);
         assert!(session.max_flow(NodeId(0), NodeId(3)).is_ok());
     }
 

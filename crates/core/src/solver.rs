@@ -525,41 +525,6 @@ pub fn approx_max_flow(
     crate::PreparedMaxFlow::prepare(g, config)?.max_flow(s, t)
 }
 
-/// Like [`approx_max_flow`] but re-uses an already constructed congestion
-/// approximator (useful when solving several terminal pairs on one graph, and
-/// for the distributed driver which accounts the construction separately).
-///
-/// Convenience wrapper that still rebuilds the repair tree and scratch
-/// buffers per call; [`crate::PreparedMaxFlow`] amortizes those too.
-///
-/// # Errors
-///
-/// Same conditions as [`approx_max_flow`].
-pub fn approx_max_flow_with(
-    g: &Graph,
-    r: &CongestionApproximator,
-    s: NodeId,
-    t: NodeId,
-    config: &MaxFlowConfig,
-) -> Result<MaxFlowResult, GraphError> {
-    config.validate()?;
-    if g.num_nodes() == 0 {
-        return Err(GraphError::Empty);
-    }
-    if !g.is_connected() {
-        return Err(GraphError::NotConnected);
-    }
-    if g.num_edges() == 0 {
-        return Err(GraphError::NoEdges);
-    }
-    let repair_tree = max_weight_spanning_tree(g, NodeId(0))?;
-    let mut scratch = AlmostRouteScratch::default();
-    let mut results = max_flow_block_engine(g, r, &repair_tree, &[(s, t)], config, &mut scratch)?;
-    results.pop().ok_or(GraphError::Internal {
-        invariant: "one pair in, one answer out",
-    })
-}
-
 /// The max-flow query's safety net: routing the unit demand over the best
 /// single tree of the ensemble and scaling it to feasibility is another
 /// feasible flow; keep whichever is better. This
@@ -605,8 +570,8 @@ fn apply_tree_safety_net(
     Ok((flow, value))
 }
 
-/// The query engine behind [`approx_max_flow`], [`approx_max_flow_with`]
-/// and every [`crate::PreparedMaxFlow`] max-flow entry point: answers `k`
+/// The query engine behind [`approx_max_flow`] and every
+/// [`crate::PreparedMaxFlow`] max-flow entry point: answers `k`
 /// terminal pairs in lockstep through [`route_demand_block_engine`]. A single
 /// query is a block of one lane, and `results[l]` is byte-identical to
 /// answering `pairs[l]` alone. The graph is assumed non-empty and connected

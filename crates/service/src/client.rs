@@ -129,8 +129,8 @@ impl Client {
         ]))
     }
 
-    /// Changes edge capacities in place; the reply reports the new graph
-    /// `version` and whether the refresh ran incrementally.
+    /// Changes edge capacities; the reply reports the new graph `version`
+    /// and the number of distinct edges `changes` named.
     pub fn update(&mut self, graph: &str, changes: &[(u32, f64)]) -> Result<Value, ClientError> {
         let change_values = changes
             .iter()

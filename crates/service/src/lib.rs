@@ -4,8 +4,8 @@
 //! `maxflow` crate: clients load a graph once (the server keeps the
 //! prepared congestion approximator, spanning tree and scratch in an LRU
 //! session cache keyed by graph fingerprint) and then stream cheap
-//! queries — `(1+ε)` max-flow values, demand routings, and in-place
-//! capacity updates — over a std-only TCP wire protocol.
+//! queries — `(1+ε)` max-flow values, demand routings, and capacity
+//! updates — over a std-only TCP wire protocol.
 //!
 //! The wire format is deliberately boring: each frame is a 4-byte
 //! big-endian length prefix followed by one UTF-8 JSON document (see
@@ -44,7 +44,7 @@
 //! let upper = answer.get("upper_bound").and_then(Value::as_f64).unwrap();
 //! assert!(value <= 2.0 + 1e-9 && 2.0 <= upper + 1e-9);
 //!
-//! // Raise the bottleneck in place; the session refreshes incrementally.
+//! // Raise the bottleneck; the graph answers at its new capacities.
 //! let updated = client.update(&graph, &[(1, 8.0)]).unwrap();
 //! assert_eq!(updated.get("ok").and_then(Value::as_bool), Some(true));
 //! let answer = client.max_flow(&graph, 0, 3).unwrap();

@@ -21,10 +21,10 @@
 //! one graph version — the `version` field of each response names it, and a
 //! concurrent reader sees the old answer or the new answer, never a torn
 //! one. The worker hands each update to
-//! [`PreparedMaxFlow::update_capacities`], which patches the trees in place
-//! for up to `max(16, m/8)` changed edges and rebuilds the session
-//! otherwise. An update it refuses answers `graph_error`, and the graph
-//! keeps serving its current version.
+//! [`PreparedMaxFlow::update_capacities`], which prepares the updated graph
+//! with the graph's config, so an updated graph answers like a fresh
+//! `load_graph` of its updated edges. An update it refuses answers
+//! `graph_error`, and the graph keeps serving its current version.
 //!
 //! **Eviction**: the cache is an [`Lru`] keyed by graph fingerprint.
 //! Evicting an entry drops its job sender; the worker drains already-queued
@@ -70,7 +70,7 @@ impl Default for ServerOptions {
 /// Per-graph serving counters (all monotone; read by the `stats` op).
 ///
 /// A refused update (an invalid change, or capacities the session cannot be
-/// rebuilt for) bumps none of them: the graph keeps its version.
+/// prepared for) bumps none of them: the graph keeps its version.
 #[derive(Debug, Default)]
 pub struct EntryStats {
     /// Queries answered (max_flow + route).
@@ -79,13 +79,8 @@ pub struct EntryStats {
     pub coalesced_batches: AtomicU64,
     /// Largest number of queries served by one engine call.
     pub max_batch: AtomicU64,
-    /// Capacity updates applied: `incremental_updates + full_rebuilds`.
+    /// Capacity updates applied, an empty one included.
     pub updates: AtomicU64,
-    /// Updates that patched the trees in place (an empty update counts
-    /// here).
-    pub incremental_updates: AtomicU64,
-    /// Updates that rebuilt the session.
-    pub full_rebuilds: AtomicU64,
     /// Current graph version: the number of applied updates that named at
     /// least one edge.
     pub version: AtomicU64,
@@ -336,14 +331,6 @@ fn stats_response(shared: &Shared) -> Value {
             (
                 "updates",
                 Value::index(stats.updates.load(Ordering::Relaxed)),
-            ),
-            (
-                "incremental_updates",
-                Value::index(stats.incremental_updates.load(Ordering::Relaxed)),
-            ),
-            (
-                "full_rebuilds",
-                Value::index(stats.full_rebuilds.load(Ordering::Relaxed)),
             ),
             (
                 "version",
@@ -624,27 +611,18 @@ fn apply_update(
     version: &mut u64,
     changes: &[(EdgeId, f64)],
 ) -> Value {
-    let update = match session.update_capacities(changes) {
-        Ok(update) => update,
+    let changed = match session.update_capacities(changes) {
+        Ok(changed) => changed,
         Err(e) => return error_response(ErrorCode::GraphError, &e.to_string()),
     };
     stats.updates.fetch_add(1, Ordering::Relaxed);
-    match update.patched {
-        Some(_) => &stats.incremental_updates,
-        None => &stats.full_rebuilds,
-    }
-    .fetch_add(1, Ordering::Relaxed);
-    if update.changes > 0 {
+    if changed > 0 {
         *version += 1;
         stats.version.store(*version, Ordering::Relaxed);
     }
-    let patch = update.patched.unwrap_or_default();
     Value::obj(vec![
         ("ok", Value::Bool(true)),
         ("version", Value::index(*version)),
-        ("incremental", Value::Bool(update.patched.is_some())),
-        ("changes", Value::index(update.changes as u64)),
-        ("trees_touched", Value::index(patch.trees_touched as u64)),
-        ("slots_patched", Value::index(patch.slots_patched as u64)),
+        ("changes", Value::index(changed as u64)),
     ])
 }

@@ -1,6 +1,5 @@
 //! End-to-end tests of the `flowd` daemon over real sockets: protocol
-//! behavior, session-cache eviction, and the incremental-update /
-//! full-rebuild split.
+//! behavior, session-cache eviction, and capacity updates.
 
 use flowgraph::NodeId;
 use maxflow::{MaxFlowConfig, PreparedMaxFlow};
@@ -50,6 +49,69 @@ fn load(client: &mut Client, nodes: u64, edges: &[(u32, u32, f64)], config: &Val
         .and_then(Value::as_str)
         .unwrap()
         .to_string()
+}
+
+/// The flow-carrying `max_flow` reply from `s` to `t`, every field but
+/// `version`.
+fn answer_without_version(
+    client: &mut Client,
+    graph: &str,
+    s: u64,
+    t: u64,
+) -> Vec<(String, Value)> {
+    let reply = client
+        .call(&Value::obj(vec![
+            ("op", Value::Str("max_flow".into())),
+            ("graph", Value::Str(graph.into())),
+            ("s", Value::index(s)),
+            ("t", Value::index(t)),
+            ("include_flow", Value::Bool(true)),
+        ]))
+        .unwrap();
+    assert_eq!(
+        reply.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{reply:?}"
+    );
+    let Value::Obj(fields) = reply else {
+        panic!("a reply is an object: {reply:?}")
+    };
+    fields
+        .into_iter()
+        .filter(|(key, _)| key != "version")
+        .collect()
+}
+
+/// Asserts that `graph`, updated to the capacities of `edges`, answers a
+/// `max_flow` from `s` to `t` like a fresh `load_graph` of `edges` does.
+fn assert_answers_like_a_fresh_load(
+    client: &mut Client,
+    graph: &str,
+    nodes: u64,
+    edges: &[(u32, u32, f64)],
+    config: &Value,
+    (s, t): (u64, u64),
+) {
+    let fresh = load(client, nodes, edges, config);
+    assert_ne!(
+        fresh, graph,
+        "the updated capacities load as a second graph"
+    );
+    assert_eq!(
+        answer_without_version(client, graph, s, t),
+        answer_without_version(client, &fresh, s, t)
+    );
+}
+
+/// The `stats` entry of `graph`.
+fn stats_entry(client: &mut Client, graph: &str) -> Value {
+    let stats = client.stats().unwrap();
+    let entries = stats.get("entries").and_then(Value::as_arr).unwrap();
+    entries
+        .iter()
+        .find(|e| e.get("graph").and_then(Value::as_str) == Some(graph))
+        .unwrap()
+        .clone()
 }
 
 #[test]
@@ -136,20 +198,18 @@ fn load_query_update_round_trip_with_certified_brackets() {
     );
     assert!(f(&routed, "congestion") >= 0.5 - 1e-6, "{routed:?}");
 
-    // A small update takes the incremental path and bumps the version.
+    // An update bumps the version, and the updated graph answers like a
+    // fresh load of its updated edges.
     let updated = client.update(&graph, &[(2, 8.0)]).unwrap();
     assert_eq!(
         updated.get("ok").and_then(Value::as_bool),
         Some(true),
         "{updated:?}"
     );
-    assert_eq!(
-        updated.get("incremental").and_then(Value::as_bool),
-        Some(true)
-    );
     assert_eq!(updated.get("version").and_then(Value::as_index), Some(1));
-    assert!(f(&updated, "trees_touched") >= 1.0);
-    assert!(f(&updated, "slots_patched") >= 1.0);
+    assert_eq!(updated.get("changes").and_then(Value::as_index), Some(1));
+    edges[2].2 = 8.0;
+    assert_answers_like_a_fresh_load(&mut client, &graph, 6, &edges, &config_value, (0, 5));
 
     // The new bottleneck is 4.0 and answers carry the new version.
     let reply = client.max_flow(&graph, 0, 5).unwrap();
@@ -180,21 +240,10 @@ fn load_query_update_round_trip_with_certified_brackets() {
     assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
 
     // Per-entry counters made it into stats.
-    let stats = client.stats().unwrap();
-    let entries = stats.get("entries").and_then(Value::as_arr).unwrap();
-    assert_eq!(entries.len(), 1);
-    assert!(f(&entries[0], "queries") >= 4.0);
-    assert_eq!(entries[0].get("updates").and_then(Value::as_index), Some(1));
-    assert_eq!(
-        entries[0]
-            .get("incremental_updates")
-            .and_then(Value::as_index),
-        Some(1)
-    );
-    assert_eq!(
-        entries[0].get("full_rebuilds").and_then(Value::as_index),
-        Some(0)
-    );
+    let entry = stats_entry(&mut client, &graph);
+    assert!(f(&entry, "queries") >= 4.0);
+    assert_eq!(entry.get("updates").and_then(Value::as_index), Some(1));
+    assert_eq!(entry.get("version").and_then(Value::as_index), Some(1));
     server.shutdown();
 }
 
@@ -338,9 +387,9 @@ fn bulk_updates_fall_back_to_a_full_rebuild() {
     let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    // 40-node path (39 edges): the incremental bound is max(16, 39/8) = 16,
-    // so changing 20 edges must rebuild.
-    let edges = path_edges(40, 4.0);
+    // Twenty of a 40-node path's 39 edges in one update, then one more
+    // edge: after each, the graph answers like a fresh load of its edges.
+    let mut edges = path_edges(40, 4.0);
     let graph = load(&mut client, 40, &edges, &config_value);
     let changes: Vec<(u32, f64)> = (0..20).map(|i| (i, 3.0)).collect();
     let updated = client.update(&graph, &changes).unwrap();
@@ -349,37 +398,24 @@ fn bulk_updates_fall_back_to_a_full_rebuild() {
         Some(true),
         "{updated:?}"
     );
-    assert_eq!(
-        updated.get("incremental").and_then(Value::as_bool),
-        Some(false)
-    );
     assert_eq!(updated.get("version").and_then(Value::as_index), Some(1));
+    for edge in &mut edges[..20] {
+        edge.2 = 3.0;
+    }
+    assert_answers_like_a_fresh_load(&mut client, &graph, 40, &edges, &config_value, (0, 39));
 
-    // A small follow-up update is incremental again (the rebuilt parts are
-    // refreshable), and queries keep certifying the right bottleneck.
+    // Queries keep certifying the right bottleneck.
     let updated = client.update(&graph, &[(5, 0.5)]).unwrap();
-    assert_eq!(
-        updated.get("incremental").and_then(Value::as_bool),
-        Some(true),
-        "{updated:?}"
-    );
+    assert_eq!(updated.get("version").and_then(Value::as_index), Some(2));
+    edges[5].2 = 0.5;
+    assert_answers_like_a_fresh_load(&mut client, &graph, 40, &edges, &config_value, (0, 39));
     let reply = client.max_flow(&graph, 0, 39).unwrap();
     assert!(f(&reply, "value") <= 0.5 + 1e-9);
     assert!(f(&reply, "upper_bound") >= 0.5 - 1e-9);
     assert_eq!(reply.get("version").and_then(Value::as_index), Some(2));
 
-    let stats = client.stats().unwrap();
-    let entries = stats.get("entries").and_then(Value::as_arr).unwrap();
-    assert_eq!(
-        entries[0].get("full_rebuilds").and_then(Value::as_index),
-        Some(1)
-    );
-    assert_eq!(
-        entries[0]
-            .get("incremental_updates")
-            .and_then(Value::as_index),
-        Some(1)
-    );
+    let entry = stats_entry(&mut client, &graph);
+    assert_eq!(entry.get("updates").and_then(Value::as_index), Some(2));
     server.shutdown();
 }
 
@@ -437,7 +473,7 @@ fn a_refused_update_leaves_the_graph_serving_its_version() {
         // A refused update bumps no counter.
         let stats = client.stats().unwrap();
         let entries = stats.get("entries").and_then(Value::as_arr).unwrap();
-        for key in ["updates", "incremental_updates", "full_rebuilds", "version"] {
+        for key in ["updates", "version"] {
             assert_eq!(
                 entries[0].get(key).and_then(Value::as_index),
                 Some(0),

@@ -1,6 +1,6 @@
 //! Differential suite for the build-once / query-many session API.
 //!
-//! Three equivalences are pinned across the seeded workload families:
+//! Four equivalences are pinned across the seeded workload families:
 //!
 //! 1. A [`PreparedMaxFlow`] session answers **byte-identically** to the
 //!    one-shot `approx_max_flow` wrapper for the same seed — the session's
@@ -9,9 +9,12 @@
 //! 2. `max_flow_batch` equals the per-query loop, bit for bit and in order.
 //! 3. `route` on a session equals the free `route_demand` for arbitrary
 //!    balanced demands.
+//! 4. A session after `update_capacities` answers `max_flow` and `route`
+//!    bit for bit like a session prepared on the updated graph: an answer
+//!    depends on the graph's current capacities, not on how it got them.
 
 use capprox::RackeConfig;
-use flowgraph::{Demand, NodeId};
+use flowgraph::{Demand, EdgeId, NodeId};
 use maxflow::{approx_max_flow, route_demand, MaxFlowConfig, PreparedMaxFlow};
 use proptest::prelude::*;
 use testkit::families;
@@ -119,6 +122,66 @@ proptest! {
             prop_assert_eq!(
                 bits(ses.flow.values()), bits(free.flow.values()),
                 "family {} flow differs", inst.name
+            );
+        }
+    }
+
+    #[test]
+    fn updated_session_answers_like_a_fresh_prepare(
+        n in 12usize..30,
+        seed in 0u64..10_000,
+        pick in 0usize..10_000,
+    ) {
+        for inst in families::oracle_families(n, seed) {
+            let cfg = config(seed ^ 0x5e, 0.3);
+            // 1..=m distinct edges at capacities that are not dyadic, so
+            // cut sums round; sent as two updates, the first half empty for
+            // a single edge.
+            let m = inst.graph.num_edges();
+            let count = 1 + pick % m;
+            let changes: Vec<(EdgeId, f64)> = (0..count)
+                .map(|k| (EdgeId(((pick + k) % m) as u32), k as f64 / 7.0 + 0.1))
+                .collect();
+            let mut updated = inst.graph.clone();
+            for &(e, cap) in &changes {
+                updated.set_capacity(e, cap).expect("valid change");
+            }
+            let mut session = PreparedMaxFlow::prepare(&inst.graph, &cfg).expect("connected");
+            let (first, second) = changes.split_at(count / 2);
+            prop_assert_eq!(session.update_capacities(first), Ok(first.len()));
+            prop_assert_eq!(session.update_capacities(second), Ok(second.len()));
+            prop_assert!(session.graph() == &updated, "family {}", inst.name);
+            let mut fresh = PreparedMaxFlow::prepare(&updated, &cfg).expect("connected");
+
+            let ses = session.max_flow(inst.s, inst.t).expect("valid terminals");
+            let new = fresh.max_flow(inst.s, inst.t).expect("valid terminals");
+            prop_assert_eq!(
+                ses.value.to_bits(), new.value.to_bits(),
+                "family {}, {} changed edges: value differs", inst.name, count
+            );
+            prop_assert_eq!(
+                ses.upper_bound.to_bits(), new.upper_bound.to_bits(),
+                "family {}, {} changed edges: upper bound differs", inst.name, count
+            );
+            prop_assert_eq!(ses.iterations, new.iterations, "family {}", inst.name);
+            prop_assert_eq!(ses.phases, new.phases, "family {}", inst.name);
+            prop_assert_eq!(
+                bits(ses.flow.values()), bits(new.flow.values()),
+                "family {} flow differs", inst.name
+            );
+
+            let b = Demand::st(&updated, inst.s, inst.t, 1.5);
+            let ses = session.route(&b).expect("demand covers the graph");
+            let new = fresh.route(&b).expect("demand covers the graph");
+            prop_assert_eq!(
+                ses.congestion.to_bits(), new.congestion.to_bits(),
+                "family {}, {} changed edges: congestion differs", inst.name, count
+            );
+            prop_assert_eq!(ses.iterations, new.iterations, "family {}", inst.name);
+            prop_assert_eq!(ses.phases, new.phases, "family {}", inst.name);
+            prop_assert_eq!(
+                bits(ses.flow.values()), bits(new.flow.values()),
+                "family {} routed flow differs", inst.name
             );
         }
     }

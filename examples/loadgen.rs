@@ -251,20 +251,14 @@ fn main() {
     }
     let wall_s = started.elapsed().as_secs_f64();
 
-    // Server-side counters (also proves the stream really exercised the
-    // incremental path).
+    // Server-side counters.
     let stats = setup.stats().expect("stats");
     let entry = stats
         .get("entries")
         .and_then(Value::as_arr)
         .and_then(|e| e.first())
         .expect("one cached graph");
-    let counter = |key: &str| entry.get(key).and_then(Value::as_index).unwrap_or(0);
-    let (updates, incremental, rebuilds) = (
-        counter("updates"),
-        counter("incremental_updates"),
-        counter("full_rebuilds"),
-    );
+    let updates = entry.get("updates").and_then(Value::as_index).unwrap_or(0);
 
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut lines = Vec::new();
@@ -303,8 +297,6 @@ fn main() {
         ("served", Value::index(all.len() as u64)),
         ("protocol_errors", Value::index(protocol_errors)),
         ("updates", Value::index(updates)),
-        ("incremental_updates", Value::index(incremental)),
-        ("full_rebuilds", Value::index(rebuilds)),
         ("threads", Value::index(threads as u64)),
         ("host_cpus", Value::index(cpus as u64)),
     ]));
@@ -321,7 +313,7 @@ fn main() {
     }
     eprintln!(
         "loadgen: {} events served in {wall_s:.2}s ({:.0}/s), {protocol_errors} protocol errors, \
-         {updates} updates ({incremental} incremental, {rebuilds} rebuilds)",
+         {updates} updates",
         all.len(),
         all.len() as f64 / wall_s
     );

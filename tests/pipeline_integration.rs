@@ -3,9 +3,9 @@
 //! against the exact baselines.
 
 use baselines::{dinic, push_relabel, trivial};
-use capprox::{CongestionApproximator, RackeConfig};
+use capprox::RackeConfig;
 use flowgraph::{gen, NodeId};
-use maxflow::{approx_max_flow, distributed_approx_max_flow, MaxFlowConfig};
+use maxflow::{approx_max_flow, distributed_approx_max_flow, MaxFlowConfig, PreparedMaxFlow};
 
 fn config(eps: f64, seed: u64) -> MaxFlowConfig {
     MaxFlowConfig {
@@ -99,14 +99,12 @@ fn distributed_and_centralized_agree_on_the_flow_value() {
 #[test]
 fn reusing_the_approximator_across_terminal_pairs() {
     let g = gen::Family::Random.generate(36, 15);
-    let r =
-        CongestionApproximator::build(&g, &RackeConfig::default().with_num_trees(6).with_seed(1))
-            .unwrap();
-    let cfg = config(0.2, 1);
+    let cfg = config(0.2, 1).with_racke(RackeConfig::default().with_num_trees(6).with_seed(1));
+    let mut session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
     for (s, t) in [(0u32, 35u32), (3, 30), (10, 20)] {
         let (s, t) = (NodeId(s), NodeId(t));
         let exact = dinic::max_flow(&g, s, t).unwrap();
-        let approx = maxflow::approx_max_flow_with(&g, &r, s, t, &cfg).unwrap();
+        let approx = session.max_flow(s, t).unwrap();
         approx.flow.validate_st_flow(&g, s, t, 1e-6).unwrap();
         assert!(approx.value <= exact.value + 1e-6);
         assert!(approx.value >= 0.5 * exact.value, "pair ({s}, {t})");
