@@ -113,6 +113,14 @@ pub enum GraphError {
         /// The dimension that was supplied.
         actual: usize,
     },
+    /// A tree's parent-edge vector did not have one entry per entry of its
+    /// parent vector ([`RootedTree::from_parents`]).
+    ParentEdgesMismatch {
+        /// Entries of the parent vector (the tree's node count).
+        nodes: usize,
+        /// Entries of the parent-edge vector.
+        parent_edges: usize,
+    },
     /// A demand's entries do not sum to zero beyond rounding: the routing
     /// entry points accept `|Σ_v b_v| ≤ tol · Σ_v |b_v|` with the relative
     /// tolerance `maxflow::solver::DEMAND_BALANCE_TOLERANCE`. A flow's excess
@@ -199,6 +207,16 @@ impl std::fmt::Display for GraphError {
                 write!(
                     f,
                     "vector of length {actual} does not match the expected dimension {expected}"
+                )
+            }
+            GraphError::ParentEdgesMismatch {
+                nodes,
+                parent_edges,
+            } => {
+                write!(
+                    f,
+                    "parent-edge vector has {parent_edges} entries for a tree of {nodes} \
+                     nodes; a tree needs one per node"
                 )
             }
             GraphError::UnbalancedDemand {

@@ -233,6 +233,22 @@ mod tests {
     }
 
     #[test]
+    fn spanning_trees_reject_an_out_of_range_root() {
+        let g = crate::gen::path(3, 1.0);
+        let out_of_range = Err(GraphError::NodeOutOfRange {
+            node: 5,
+            num_nodes: 3,
+        });
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        assert_eq!(max_weight_spanning_tree(&g, NodeId(5)), out_of_range);
+        assert_eq!(
+            minimum_spanning_tree(&g, NodeId(5), |e| g.capacity(e)),
+            out_of_range
+        );
+        assert_eq!(random_spanning_tree(&g, NodeId(5), &mut rng), out_of_range);
+    }
+
+    #[test]
     fn shortest_path_tree_distances() {
         let g = weighted_square();
         // lengths = 1/capacity so heavy edges are short

@@ -1,91 +1,224 @@
 //! Rooted trees over a graph's node set.
 //!
 //! Trees are the workhorse of the paper: low average-stretch spanning trees
-//! (§7), the virtual trees of the congestion approximator (§8), and the
+//! (§7), the trees of the congestion approximator (§8) and the
 //! maximum-weight spanning tree used to repair residual demand (§9, Alg. 1)
 //! all need the same machinery — orientation towards a root, subtree
 //! aggregation, least common ancestors, tree-induced cuts and the trivial
 //! routing of a demand vector over a tree.
+//!
+//! # Layout
+//!
+//! A [`RootedTree`] on `n` nodes is six flat `u32` columns, 24 bytes per node
+//! and no per-node allocation (a congestion approximator holds `O(log n)`
+//! trees):
+//!
+//! ```text
+//! parent:       [p_0, ..., p_{n-1}]   NONE (u32::MAX) at the root
+//! parent_edge:  [e_0, ..., e_{n-1}]   realizing graph edge, or NONE
+//! depth:        [d_0, ..., d_{n-1}]   0 at the root
+//! order:        [root, ...]           BFS preorder
+//! child_start:  [c_0, ..., c_n]       v's children: children[c_v..c_{v+1}]
+//! children:     [w, ...]              n - 1 ids, ascending per parent
+//! ```
+//!
+//! The preorder visits each node's children in ascending id, so it is a
+//! function of the parent array alone. Tree edges carry no capacities of
+//! their own: [`RootedTree::parent_capacity`] reads the realizing graph
+//! edge. The j-trees of §8 (`capprox::jtree`) are a forest of such a tree
+//! plus a core [`Graph`], not trees with capacities of their own.
 
 use crate::cut::Cut;
 use crate::flow::{Demand, FlowVec};
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::{GraphError, Result};
 
-/// A rooted tree on the node set `0..n`.
+/// "No parent" and "no parent edge" in the `u32` columns. No id reaches it:
+/// node ids stay below [`Graph::MAX_NODES`] and edge ids below
+/// [`Graph::MAX_EDGES`].
+const NONE: u32 = u32::MAX;
+
+/// A rooted tree on the node set `0..n`, stored as the `u32` columns of the
+/// [module docs](self).
 ///
-/// The tree may be a spanning subtree of a [`Graph`] (then every non-root node
-/// records the graph edge to its parent) or a purely *virtual* tree whose
-/// edges carry their own capacities (the j-trees of §8).
+/// Every non-root node of a spanning subtree of a [`Graph`] records the
+/// graph edge to its parent; the capacities the tree's cuts and routings
+/// use are those graph edges' capacities.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RootedTree {
     root: NodeId,
-    parent: Vec<Option<NodeId>>,
-    /// Graph edge realizing the parent edge, when the tree is a subtree of a graph.
-    parent_edge: Vec<Option<EdgeId>>,
-    /// Capacity of the parent edge of each node (virtual trees); `None` means
-    /// "inherit from the graph edge".
-    parent_capacity: Vec<Option<f64>>,
-    children: Vec<Vec<NodeId>>,
-    depth: Vec<usize>,
-    /// Nodes in a top-down (preorder/BFS) order; reversing gives bottom-up.
+    /// Parent of each node; `NONE` at the root.
+    parent: Vec<u32>,
+    /// Graph edge realizing each node's parent edge; `NONE` where none does.
+    parent_edge: Vec<u32>,
+    /// Depth of each node (the root has depth 0).
+    depth: Vec<u32>,
+    /// Nodes in BFS preorder, children in ascending id; reversing gives
+    /// bottom-up.
     order: Vec<NodeId>,
+    /// `child_start[v]..child_start[v + 1]` is `v`'s range of `children`.
+    child_start: Vec<u32>,
+    /// The children of every node, in ascending id, grouped by parent.
+    children: Vec<NodeId>,
 }
 
 impl RootedTree {
     /// Builds a rooted tree from a parent array.
     ///
     /// `parent[v]` must be `None` exactly for the root; all other nodes must
-    /// reach the root by following parents.
+    /// reach the root by following parents. `parent_edge[v]` is the graph
+    /// edge realizing `v`'s parent edge, if any; it has one entry per node.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NotConnected`] if some node cannot reach the root
-    /// or the parent pointers contain a cycle.
+    /// Returns [`GraphError::ParentEdgesMismatch`] if `parent_edge` and
+    /// `parent` differ in length, [`GraphError::NodeOutOfRange`] for a root
+    /// or parent outside `0..n`, and [`GraphError::NotConnected`] if some
+    /// node cannot reach the root or the parent pointers contain a cycle.
     pub fn from_parents(
         root: NodeId,
         parent: Vec<Option<NodeId>>,
         parent_edge: Vec<Option<EdgeId>>,
     ) -> Result<Self> {
         let n = parent.len();
+        if parent_edge.len() != n {
+            return Err(GraphError::ParentEdgesMismatch {
+                nodes: n,
+                parent_edges: parent_edge.len(),
+            });
+        }
         if root.index() >= n {
             return Err(GraphError::NodeOutOfRange {
                 node: root.index(),
                 num_nodes: n,
             });
         }
-        let mut children = vec![Vec::new(); n];
+        let mut parent_col = Vec::with_capacity(n);
         for (v, &p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                if p.index() >= n {
+            match p {
+                Some(p) if p.index() >= n => {
                     return Err(GraphError::NodeOutOfRange {
                         node: p.index(),
                         num_nodes: n,
                     });
                 }
-                children[p.index()].push(NodeId(v as u32));
-            } else if v != root.index() {
-                return Err(GraphError::NotConnected);
+                Some(p) => parent_col.push(p.0),
+                None if v != root.index() => return Err(GraphError::NotConnected),
+                None => parent_col.push(NONE),
             }
         }
-        if parent[root.index()].is_some() {
+        if parent_col[root.index()] != NONE {
             return Err(GraphError::NotConnected);
         }
-        // BFS from the root to compute depths / order and detect unreachable nodes.
-        let mut depth = vec![usize::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        let mut queue = std::collections::VecDeque::new();
-        depth[root.index()] = 0;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &c in &children[u.index()] {
-                if depth[c.index()] != usize::MAX {
-                    return Err(GraphError::NotConnected);
+        let parent_edge = parent_edge
+            .iter()
+            .map(|e| e.map_or(NONE, |e| e.0))
+            .collect();
+        RootedTree::from_columns(root, parent_col, parent_edge, Vec::with_capacity(n))
+    }
+
+    /// Builds a rooted spanning tree of `g` from an (unoriented) set of tree
+    /// edges by a BFS over those edges starting at `root`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::NodeOutOfRange`] if `root` is not a node of `g`
+    /// and [`GraphError::NotConnected`] if the edges do not span all nodes.
+    pub fn spanning_from_edges(g: &Graph, root: NodeId, edges: &[EdgeId]) -> Result<Self> {
+        let n = g.num_nodes();
+        if root.index() >= n {
+            return Err(GraphError::NodeOutOfRange {
+                node: root.index(),
+                num_nodes: n,
+            });
+        }
+        // Flat CSR over the edge subset, preserving the given edge order per
+        // node: with more than a spanning tree's edges, the first edge to
+        // reach a node in that order becomes its parent edge.
+        let adj = crate::csr::Csr::from_links(
+            n,
+            edges.iter().map(|&eid| {
+                let e = g.edge(eid);
+                (eid, e.tail, e.head)
+            }),
+        );
+        let mut parent = vec![NONE; n];
+        let mut parent_edge = vec![NONE; n];
+        // The BFS queue; its buffer becomes the tree's preorder.
+        let mut queue = Vec::with_capacity(n);
+        queue.push(root);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for (eid, w) in adj.incident(u) {
+                if parent[w.index()] == NONE && w != root {
+                    parent[w.index()] = u.0;
+                    parent_edge[w.index()] = eid.0;
+                    queue.push(w);
                 }
-                depth[c.index()] = depth[u.index()] + 1;
-                queue.push_back(c);
             }
+        }
+        if queue.len() != n {
+            return Err(GraphError::NotConnected);
+        }
+        // Free the adjacency before the remaining columns are allocated.
+        drop(adj);
+        RootedTree::from_columns(root, parent, parent_edge, queue)
+    }
+
+    /// Completes a tree from its parent columns, whose entries are `NONE`
+    /// (at `root` only) or nodes in `0..n`: lays out the children by a
+    /// counting sort and walks the BFS preorder and depths, with `order`'s
+    /// buffer as the BFS queue.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::NotConnected`] if some node does not reach the
+    /// root.
+    fn from_columns(
+        root: NodeId,
+        parent: Vec<u32>,
+        parent_edge: Vec<u32>,
+        mut order: Vec<NodeId>,
+    ) -> Result<Self> {
+        let n = parent.len();
+        // Count each parent's children; the running sum then leaves
+        // `child_start[p]` at the end of `p`'s range. Placing the nodes from
+        // the highest id down moves it back to the start and leaves every
+        // range ascending.
+        let mut child_start = vec![0u32; n + 1];
+        for &p in &parent {
+            if p != NONE {
+                child_start[p as usize] += 1;
+            }
+        }
+        let mut end = 0;
+        for s in &mut child_start {
+            end += *s;
+            *s = end;
+        }
+        let mut children = vec![NodeId(0); end as usize];
+        for (v, &p) in parent.iter().enumerate().rev() {
+            if p != NONE {
+                let start = &mut child_start[p as usize];
+                *start -= 1;
+                children[*start as usize] = NodeId(v as u32);
+            }
+        }
+        // A node is reached at most once, from its only parent; the nodes on
+        // a cycle or below one are never reached.
+        let mut depth = vec![0u32; n];
+        order.clear();
+        order.push(root);
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            let kids =
+                &children[child_start[u.index()] as usize..child_start[u.index() + 1] as usize];
+            for &c in kids {
+                depth[c.index()] = depth[u.index()] + 1;
+            }
+            order.extend_from_slice(kids);
         }
         if order.len() != n {
             return Err(GraphError::NotConnected);
@@ -94,50 +227,11 @@ impl RootedTree {
             root,
             parent,
             parent_edge,
-            parent_capacity: vec![None; n],
-            children,
             depth,
             order,
+            child_start,
+            children,
         })
-    }
-
-    /// Builds a rooted spanning tree of `g` from an (unoriented) set of tree
-    /// edges by a BFS over those edges starting at `root`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NotConnected`] if the edges do not span all nodes.
-    pub fn spanning_from_edges(g: &Graph, root: NodeId, edges: &[EdgeId]) -> Result<Self> {
-        let n = g.num_nodes();
-        // Flat CSR over the edge subset, preserving the given edge order per
-        // node (same traversal order as the legacy per-node Vec adjacency).
-        let adj = crate::csr::Csr::from_links(
-            n,
-            edges.iter().map(|&eid| {
-                let e = g.edge(eid);
-                (eid, e.tail, e.head)
-            }),
-        );
-        let mut parent = vec![None; n];
-        let mut parent_edge = vec![None; n];
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[root.index()] = true;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            for (eid, w) in adj.incident(u) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    parent[w.index()] = Some(u);
-                    parent_edge[w.index()] = Some(eid);
-                    queue.push_back(w);
-                }
-            }
-        }
-        if seen.iter().any(|&s| !s) {
-            return Err(GraphError::NotConnected);
-        }
-        RootedTree::from_parents(root, parent, parent_edge)
     }
 
     /// Number of nodes.
@@ -153,65 +247,67 @@ impl RootedTree {
     /// Parent of `v`, or `None` for the root.
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent[v.index()]
+        let p = self.parent[v.index()];
+        (p != NONE).then_some(NodeId(p))
     }
 
     /// Graph edge realizing the parent edge of `v` (if the tree is a spanning
     /// subtree of a graph).
     #[inline]
     pub fn parent_edge(&self, v: NodeId) -> Option<EdgeId> {
-        self.parent_edge[v.index()]
+        let e = self.parent_edge[v.index()];
+        (e != NONE).then_some(EdgeId(e))
     }
 
-    /// Children of `v`.
+    /// Children of `v`, in ascending id.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v.index()]
+        let (lo, hi) = (self.child_start[v.index()], self.child_start[v.index() + 1]);
+        &self.children[lo as usize..hi as usize]
     }
 
     /// Depth of `v` (root has depth 0).
     #[inline]
     pub fn depth(&self, v: NodeId) -> usize {
-        self.depth[v.index()]
+        self.depth[v.index()] as usize
     }
 
     /// Maximum depth over all nodes.
     pub fn max_depth(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.depth.iter().copied().max().unwrap_or(0) as usize
     }
 
-    /// Nodes in a top-down order (every node appears after its parent).
+    /// Nodes in BFS preorder from the root, each node's children in
+    /// ascending id (every node appears after its parent).
     pub fn preorder(&self) -> &[NodeId] {
         &self.order
     }
 
-    /// Sets an explicit capacity for the parent edge of `v` (virtual trees).
-    pub fn set_parent_capacity(&mut self, v: NodeId, capacity: f64) {
-        self.parent_capacity[v.index()] = Some(capacity);
-    }
-
-    /// Capacity of the parent edge of `v`: the explicitly set virtual capacity
-    /// if present, otherwise the capacity of the realizing graph edge.
+    /// Capacity of the parent edge of `v`: the capacity of the graph edge
+    /// realizing it.
     ///
-    /// Returns `None` for the root or when neither is available.
+    /// Returns `None` for the root and for a parent edge no graph edge
+    /// realizes.
     pub fn parent_capacity(&self, g: &Graph, v: NodeId) -> Option<f64> {
-        self.parent[v.index()]?;
-        if let Some(c) = self.parent_capacity[v.index()] {
-            return Some(c);
-        }
-        self.parent_edge[v.index()].map(|e| g.capacity(e))
+        self.parent(v)?;
+        self.parent_edge(v).map(|e| g.capacity(e))
     }
 
     /// Iterates over the tree edges as `(child, parent)` pairs.
     pub fn tree_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.order
             .iter()
-            .filter_map(move |&v| self.parent[v.index()].map(|p| (v, p)))
+            .filter_map(move |&v| self.parent(v).map(|p| (v, p)))
     }
 
-    /// The graph edges used by this tree (when it is a spanning subtree).
+    /// The graph edges used by this tree (when it is a spanning subtree), in
+    /// ascending id of the child node.
     pub fn graph_edges(&self) -> Vec<EdgeId> {
-        self.parent_edge.iter().filter_map(|e| *e).collect()
+        self.parent_edge
+            .iter()
+            .filter(|&&e| e != NONE)
+            .map(|&e| EdgeId(e))
+            .collect()
     }
 
     /// Returns `true` if `a` is an ancestor of `d` (or equal to it).
@@ -398,7 +494,7 @@ impl RootedTree {
             if v == self.root {
                 continue;
             }
-            let eid = self.parent_edge[v.index()].ok_or(GraphError::NotConnected)?;
+            let eid = self.parent_edge(v).ok_or(GraphError::NotConnected)?;
             let p = self.parent(v).expect("non-root has parent");
             let e = g.edge(eid);
             // per_node[v] > 0 means flow from v towards p.
@@ -413,9 +509,12 @@ impl RootedTree {
         Ok(f)
     }
 
-    /// Maximum congestion over the *tree edges* when routing demand `d`,
-    /// using the tree's own capacities (virtual capacity if set, otherwise the
-    /// realizing graph edge's capacity).
+    /// Maximum congestion over the *tree edges* when routing demand `d`, each
+    /// at the capacity of its realizing graph edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some parent edge has no realizing graph edge.
     pub fn routing_congestion(&self, g: &Graph, d: &Demand) -> f64 {
         let per_node = self.route_demand(d);
         let mut worst: f64 = 0.0;
@@ -477,7 +576,7 @@ impl RootedTree {
     /// has no realizing graph edge).
     pub fn average_stretch(&self, g: &Graph, length: impl Fn(EdgeId) -> f64) -> f64 {
         let root_dist = self.root_distances(|v| {
-            let e = self.parent_edge[v.index()].expect("spanning subtree required");
+            let e = self.parent_edge(v).expect("spanning subtree required");
             length(e)
         });
         let mut total_tree_dist = 0.0;
@@ -500,7 +599,7 @@ impl RootedTree {
     /// Panics if the tree is not a spanning subtree of `g`.
     pub fn edge_stretches(&self, g: &Graph, length: impl Fn(EdgeId) -> f64) -> Vec<f64> {
         let root_dist = self.root_distances(|v| {
-            let e = self.parent_edge[v.index()].expect("spanning subtree required");
+            let e = self.parent_edge(v).expect("spanning subtree required");
             length(e)
         });
         g.edges()
@@ -656,14 +755,46 @@ mod tests {
     }
 
     #[test]
+    fn from_parents_rejects_a_parent_edge_vector_of_another_length() {
+        let parent = vec![None, Some(NodeId(0)), Some(NodeId(1))];
+        let r = RootedTree::from_parents(NodeId(0), parent.clone(), vec![]);
+        assert_eq!(
+            r,
+            Err(GraphError::ParentEdgesMismatch {
+                nodes: 3,
+                parent_edges: 0,
+            })
+        );
+        let r = RootedTree::from_parents(NodeId(0), parent, vec![None; 4]);
+        assert!(matches!(
+            r,
+            Err(GraphError::ParentEdgesMismatch {
+                nodes: 3,
+                parent_edges: 4,
+            })
+        ));
+    }
+
+    #[test]
     fn sparse_st_congestion_is_bit_identical_to_dense() {
-        let g = diamond();
-        let mut t = path_tree(&g);
-        t.set_parent_capacity(NodeId(2), 0.37);
+        // The diamond's shape with four different capacities, so every leg
+        // of the tree path has its own bottleneck.
+        let g = GraphBuilder::new(4)
+            .edge(0, 1, 1.0)
+            .edge(1, 2, 0.37)
+            .edge(2, 3, 2.5)
+            .edge(0, 3, 4.0)
+            .build()
+            .unwrap();
+        let t = path_tree(&g);
+        assert_eq!(t.parent_capacity(&g, NodeId(2)), Some(0.37));
+        assert_eq!(t.parent_capacity(&g, NodeId(0)), None);
         for (s, tt, amount) in [
             (NodeId(0), NodeId(3), 1.0),
             (NodeId(3), NodeId(0), 2.5),
             (NodeId(1), NodeId(2), -0.75),
+            (NodeId(2), NodeId(3), 3.0),
+            (NodeId(3), NodeId(1), 0.1),
             (NodeId(2), NodeId(2), 1.0),
         ] {
             let dense = t.routing_congestion(&g, &Demand::st(&g, s, tt, amount));
@@ -674,20 +805,5 @@ mod tests {
                 "({s:?}, {tt:?}, {amount})"
             );
         }
-        // The cap = 0 branch must still escalate to infinity.
-        t.set_parent_capacity(NodeId(3), 0.0);
-        let dense = t.routing_congestion(&g, &Demand::st(&g, NodeId(0), NodeId(3), 1.0));
-        let sparse = t.st_routing_congestion(&g, NodeId(0), NodeId(3), 1.0);
-        assert!(dense.is_infinite() && sparse.is_infinite());
-    }
-
-    #[test]
-    fn virtual_capacities_override_graph() {
-        let g = diamond();
-        let mut t = path_tree(&g);
-        assert_eq!(t.parent_capacity(&g, NodeId(1)), Some(1.0));
-        t.set_parent_capacity(NodeId(1), 7.0);
-        assert_eq!(t.parent_capacity(&g, NodeId(1)), Some(7.0));
-        assert_eq!(t.parent_capacity(&g, NodeId(0)), None);
     }
 }

@@ -42,6 +42,13 @@ fn display_cases() -> Vec<(GraphError, Vec<&'static str>)> {
             vec!["25", "9"],
         ),
         (
+            GraphError::ParentEdgesMismatch {
+                nodes: 3,
+                parent_edges: 0,
+            },
+            vec!["parent-edge", "0", "3"],
+        ),
+        (
             GraphError::UnbalancedDemand {
                 imbalance: 1.5,
                 magnitude: 3.5,

@@ -118,9 +118,6 @@ pub fn low_stretch_spanning_tree(
             return Err(GraphError::InvalidWeight { value: l });
         }
     }
-    if !g.is_connected() {
-        return Err(GraphError::NotConnected);
-    }
     let n = g.num_nodes();
     if n == 1 {
         let tree = RootedTree::from_parents(NodeId(0), vec![None], vec![None])?;
@@ -173,13 +170,17 @@ pub fn low_stretch_spanning_tree(
 
     let mut active_class = 1usize;
     while cur.num_nodes() > 1 {
+        // Contraction never merges two components, so a disconnected `G`
+        // ends here with one edgeless super-node per component.
+        if cur.num_edges() == 0 {
+            return Err(GraphError::NotConnected);
+        }
         stats.iterations += 1;
         let has_active = cur
             .edge_ids()
             .any(|e| class_of[orig_of[e.index()].index()] <= active_class);
         if !has_active {
             // Nothing to decompose at this scale yet: advance the class.
-            // (The remaining multigraph has edges because G is connected.)
             active_class += 1;
             continue;
         }
@@ -366,15 +367,60 @@ mod tests {
         assert!(low_stretch_spanning_tree(&g, &[1.0], &LowStretchConfig::default()).is_err());
         assert!(low_stretch_spanning_tree(&g, &[1.0, -2.0], &LowStretchConfig::default()).is_err());
 
-        let disconnected = {
-            let mut g = Graph::with_nodes(4);
-            g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        // Disconnected graphs of several shapes. The contraction loop finds
+        // each: no component ever merges with another.
+        let union = |a: Graph, b: Graph| {
+            let shift = a.num_nodes() as u32;
+            let mut g = Graph::with_nodes(a.num_nodes() + b.num_nodes());
+            for (_, e) in a.edges() {
+                g.add_edge(e.tail, e.head, e.capacity).unwrap();
+            }
+            for (_, e) in b.edges() {
+                let (tail, head) = (NodeId(e.tail.0 + shift), NodeId(e.head.0 + shift));
+                g.add_edge(tail, head, e.capacity).unwrap();
+            }
             g
         };
-        assert!(matches!(
-            low_stretch_spanning_tree(&disconnected, &[1.0], &LowStretchConfig::default()),
-            Err(GraphError::NotConnected)
-        ));
+        let unit = |g: Graph| {
+            let lengths = vec![1.0; g.num_edges()];
+            (g, lengths)
+        };
+        let two_cycles = union(gen::cycle(6, 1.0), gen::cycle(6, 1.0));
+        // The second cycle's edges far above the first's length class, so
+        // the two contract at different class steps.
+        let split_classes = (0..12).map(|i| if i < 6 { 1.0 } else { 1.0e9 }).collect();
+        let shapes = [
+            (
+                "an edge and isolated nodes",
+                unit(union(gen::path(2, 1.0), Graph::with_nodes(2))),
+            ),
+            ("two cycles", unit(two_cycles.clone())),
+            (
+                "two cycles in different classes",
+                (two_cycles, split_classes),
+            ),
+            (
+                "a grid and a path",
+                unit(union(gen::grid(5, 5, 1.0), gen::path(7, 1.0))),
+            ),
+            (
+                "a grid and isolated nodes",
+                unit(union(gen::grid(5, 5, 1.0), Graph::with_nodes(3))),
+            ),
+            ("isolated nodes only", unit(Graph::with_nodes(5))),
+        ];
+        for (name, (g, lengths)) in shapes {
+            for (z, seed) in [(32.0, 0), (4.0, 0), (4.0, 1), (4.0, 2)] {
+                let cfg = LowStretchConfig::default().with_z(z).with_seed(seed);
+                assert!(
+                    matches!(
+                        low_stretch_spanning_tree(&g, &lengths, &cfg),
+                        Err(GraphError::NotConnected)
+                    ),
+                    "{name}, z {z}, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]
