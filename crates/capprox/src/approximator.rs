@@ -28,22 +28,40 @@
 //!
 //! # Level-ordered slot layout
 //!
-//! Construction flattens every tree into a struct-of-arrays view
-//! (`TreeSlots`, private): nodes are permuted into *slots* following the
-//! tree's BFS preorder (slot 0 is the root, each level is a contiguous slot
-//! range, every parent precedes its children), and the per-slot parent index
-//! and cut capacity live in flat arrays. Both aggregations then run as plain
-//! index sweeps over contiguous `f64` buffers — a reverse sweep
-//! `buf[parent[i]] += buf[i]` for the subtree sums (each run of siblings
-//! summed in registers and stored once), a forward sweep
-//! `buf[i] = buf[parent[i]] + price[i]` for the prefix sums — with no
-//! `Option` branches or per-node child-list chasing on the hot path. The slot
-//! order is exactly the preorder the original per-node walks followed, so
-//! every floating-point addition happens in the same sequence on the same
-//! values: results are bit-for-bit identical to the pointer-chasing
-//! evaluation, just faster.
+//! The approximator holds each tree once, as a [`SlotTree`]: nodes are
+//! permuted into *slots* following the tree's BFS preorder (slot 0 is the
+//! root, each level is a contiguous slot range, every parent precedes its
+//! children), and five flat columns hold, per tree, 24 bytes per node:
+//!
+//! ```text
+//! parent_slot:   [0, p_1, ..., p_{n-1}]   u32, p_i < i
+//! node_at_slot:  [root, ...]              u32, the BFS preorder
+//! slot_of_node:  [s_0, ..., s_{n-1}]      u32, its inverse
+//! parent_edge:   [NONE, e_1, ...]         u32, the realizing graph edge
+//! cut_capacity:  [0.0, c_1, ...]          f64, cut of the slot's subtree
+//! ```
+//!
+//! plus one `max_rload` per tree ([`ApproximatorTree`]). Trees are built as
+//! [`CapacitatedTree`]s (a `RootedTree` with node-indexed cut capacities
+//! and relative loads, 40 bytes per node), and
+//! [`CongestionApproximator::from_ensemble`] compacts each as it consumes
+//! the ensemble.
+//!
+//! Both aggregations run as plain index sweeps over contiguous `f64`
+//! buffers — a reverse sweep `buf[parent[i]] += buf[i]` for the subtree sums
+//! (each run of siblings summed in registers and stored once), a forward
+//! sweep `buf[i] = buf[parent[i]] + price[i]` for the prefix sums — with no
+//! `Option` branches or per-node child-list chasing on the hot path. The
+//! slot order is exactly the preorder of the `RootedTree` each tree was
+//! built as, so every floating-point addition happens in the same sequence
+//! on the same values as that tree's own sweeps: results are bit-for-bit
+//! identical. The s–t walk of the tree-routing bound steps the larger of
+//! two slots up until they meet, and the best tree's routing is a reverse
+//! slot sweep plus each slot's parent edge; both match the `RootedTree`
+//! evaluations bit for bit, and [`SlotTree::to_rooted_tree`] rebuilds the
+//! tree itself where a caller needs one.
 
-use flowgraph::{Demand, Graph, GraphError};
+use flowgraph::{Cut, Demand, EdgeId, FlowVec, Graph, GraphError, NodeId, RootedTree};
 use parallel::Parallelism;
 
 use crate::hierarchy::{build_hierarchical_ensemble, HierarchyConfig, HierarchyStats};
@@ -53,9 +71,7 @@ use crate::racke::{build_tree_ensemble, CapacitatedTree, RackeConfig, TreeEnsemb
 /// trees.
 #[derive(Debug, Clone)]
 pub struct CongestionApproximator {
-    trees: Vec<CapacitatedTree>,
-    /// One flattened slot view per tree, same order as `trees`.
-    slots: Vec<TreeSlots>,
+    trees: Vec<ApproximatorTree>,
     num_nodes: usize,
     /// Per-level quality bookkeeping when the ensemble came from the
     /// recursive hierarchy ([`Self::build_hierarchical`]); `None` for direct
@@ -87,11 +103,28 @@ macro_rules! lane_dispatch {
     };
 }
 
-/// Flattened, level-ordered view of one capacitated tree (see the module
-/// docs): node `node_at_slot[i]` occupies slot `i`, slots follow the tree's
-/// BFS preorder, and `parent_slot[i] < i` for every non-root slot.
+/// "No parent edge" in the parent-edge column.
+const NONE: u32 = u32::MAX;
+
+/// The graph edge in a parent-edge column entry of a non-root slot.
+///
+/// # Panics
+///
+/// Panics where no graph edge realizes the parent edge.
+fn realized(e: u32) -> EdgeId {
+    assert_ne!(
+        e, NONE,
+        "non-root node of a capacitated tree has a parent capacity"
+    );
+    EdgeId(e)
+}
+
+/// One tree of the approximator in the slot layout of the module docs: node
+/// `node_at_slot[i]` occupies slot `i`, slots follow the tree's BFS preorder,
+/// and `parent_slot[i] < i` for every non-root slot. Five columns, 24 bytes
+/// per node; every per-node answer is read through the node↔slot maps.
 #[derive(Debug, Clone)]
-struct TreeSlots {
+pub struct SlotTree {
     /// Slot of the parent of the node at each slot; the root slot (0) maps to
     /// itself.
     parent_slot: Vec<u32>,
@@ -99,37 +132,243 @@ struct TreeSlots {
     node_at_slot: Vec<u32>,
     /// Inverse permutation: slot occupied by each node.
     slot_of_node: Vec<u32>,
+    /// Graph edge realizing each slot's parent edge; `NONE` where none does
+    /// (the root, normally).
+    parent_edge: Vec<u32>,
     /// Cut capacity of each slot's parent edge (0 at the root slot).
     cut_capacity: Vec<f64>,
 }
 
-impl TreeSlots {
-    fn new(t: &CapacitatedTree) -> Self {
-        let n = t.tree.num_nodes();
-        let order = t.tree.preorder();
+/// One tree of a [`CongestionApproximator`]: the [`SlotTree`] its rows and
+/// routings read, plus the tree's largest relative load for
+/// [`CongestionApproximator::provable_alpha`].
+#[derive(Debug, Clone)]
+pub struct ApproximatorTree {
+    /// The tree's slot-order columns.
+    pub tree: SlotTree,
+    /// `max_v cut_capacity(v) / cap(parent edge of v)`, as
+    /// [`CapacitatedTree::max_rload`] folded it.
+    max_rload: f64,
+}
+
+impl ApproximatorTree {
+    /// Compacts a built tree into the slot layout. The built form is
+    /// consumed and freed on return.
+    fn compact(built: CapacitatedTree) -> Self {
+        let max_rload = built.max_rload();
+        let CapacitatedTree {
+            tree,
+            cut_capacity: cut_by_node,
+            rload,
+        } = built;
+        drop(rload);
+        let n = tree.num_nodes();
+        let order = tree.preorder();
         let mut slot_of_node = vec![0u32; n];
         for (slot, &v) in order.iter().enumerate() {
             slot_of_node[v.index()] = slot as u32;
         }
-        let mut parent_slot = vec![0u32; n];
-        let mut node_at_slot = vec![0u32; n];
-        let mut cut_capacity = vec![0.0; n];
+        let mut parent_slot = Vec::with_capacity(n);
+        let mut node_at_slot = Vec::with_capacity(n);
+        let mut parent_edge = Vec::with_capacity(n);
+        let mut cut_capacity = Vec::with_capacity(n);
         for (slot, &v) in order.iter().enumerate() {
-            node_at_slot[slot] = v.index() as u32;
-            cut_capacity[slot] = t.cut_capacity[v.index()];
-            parent_slot[slot] = match t.tree.parent(v) {
+            node_at_slot.push(v.0);
+            cut_capacity.push(cut_by_node[v.index()]);
+            parent_edge.push(tree.parent_edge(v).map_or(NONE, |e| e.0));
+            parent_slot.push(match tree.parent(v) {
                 // Parents precede children in the preorder, so the parent's
                 // slot is already final.
                 Some(p) => slot_of_node[p.index()],
                 None => slot as u32,
+            });
+        }
+        ApproximatorTree {
+            tree: SlotTree {
+                parent_slot,
+                node_at_slot,
+                slot_of_node,
+                parent_edge,
+                cut_capacity,
+            },
+            max_rload,
+        }
+    }
+
+    /// Largest relative load `max_e rload(e)` over the tree edges.
+    pub fn max_rload(&self) -> f64 {
+        self.max_rload
+    }
+
+    /// Maximum congestion over the *graph* tree edges when routing demand `b`
+    /// entirely on this tree (the upper-bound side of the approximator),
+    /// bit-identical to [`flowgraph::RootedTree::routing_congestion`] on the
+    /// tree it was built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` is not the tree's node count or some parent edge
+    /// has no realizing graph edge.
+    pub fn tree_routing_congestion(&self, g: &Graph, b: &Demand) -> f64 {
+        let t = &self.tree;
+        let sums = t.subtree_sums(b.values());
+        let mut worst: f64 = 0.0;
+        for (&sum, &e) in sums.iter().zip(&t.parent_edge).skip(1) {
+            let cap = g.capacity(realized(e));
+            // The routed flow is `−sum`; only its magnitude counts.
+            if cap > 0.0 {
+                worst = worst.max(sum.abs() / cap);
+            } else if sum.abs() > 0.0 {
+                worst = f64::INFINITY;
+            }
+        }
+        worst
+    }
+
+    /// [`Self::tree_routing_congestion`] specialized to an s–t demand of
+    /// `amount`, in `O(tree depth)` instead of `O(n)`: it walks the tree path
+    /// from both ends, stepping the larger slot up until the two slots meet
+    /// at the least common ancestor (a parent's slot is smaller than its
+    /// child's, so the larger slot is never an ancestor of the smaller).
+    /// The path's edges carry `|amount|` each and every other edge zero, and
+    /// the max fold is order-free, so the result is bit-identical to the
+    /// dense evaluation on `Demand::st(g, s, t, amount)` and to
+    /// [`flowgraph::RootedTree::st_routing_congestion`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` or `t` is not a node of the tree or a parent edge on
+    /// the path has no realizing graph edge.
+    pub fn st_tree_routing_congestion(&self, g: &Graph, s: NodeId, t: NodeId, amount: f64) -> f64 {
+        let tree = &self.tree;
+        let load = amount.abs();
+        let (mut a, mut b) = (tree.slot(s), tree.slot(t));
+        let mut worst: f64 = 0.0;
+        while a != b {
+            let up = if a > b { &mut a } else { &mut b };
+            let cap = g.capacity(realized(tree.parent_edge[*up]));
+            if cap > 0.0 {
+                worst = worst.max(load / cap);
+            } else if load > 0.0 {
+                worst = f64::INFINITY;
+            }
+            *up = tree.parent_slot[*up] as usize;
+        }
+        worst
+    }
+}
+
+impl SlotTree {
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.slot_of_node.len()
+    }
+
+    /// The slot of node `v`.
+    fn slot(&self, v: NodeId) -> usize {
+        self.slot_of_node[v.index()] as usize
+    }
+
+    /// Graph edge realizing the parent edge of `v`, or `None` at the root.
+    pub fn parent_edge(&self, v: NodeId) -> Option<EdgeId> {
+        let e = self.parent_edge[self.slot(v)];
+        (e != NONE).then_some(EdgeId(e))
+    }
+
+    /// Capacity of the cut `(subtree(v), rest)` of `G`; 0 at the root.
+    pub fn cut_capacity(&self, v: NodeId) -> f64 {
+        self.cut_capacity[self.slot(v)]
+    }
+
+    /// The cut induced by the parent edge of `v`: the subtree rooted at `v`
+    /// versus the rest of the graph. A node's descendants occupy larger
+    /// slots than it does, so one forward sweep from `v`'s slot marks them.
+    pub fn subtree_cut(&self, v: NodeId) -> Cut {
+        let mut below = vec![false; self.num_nodes()];
+        let first = self.slot(v);
+        below[first] = true;
+        for slot in first + 1..self.num_nodes() {
+            below[slot] = below[self.parent_slot[slot] as usize];
+        }
+        let mut side = vec![false; self.num_nodes()];
+        for (&node, &inside) in self.node_at_slot.iter().zip(&below) {
+            side[node as usize] = inside;
+        }
+        Cut::from_membership(side)
+    }
+
+    /// The [`RootedTree`] this tree was compacted from, rebuilt from its
+    /// parent and parent-edge columns: it compares `==` to the original.
+    pub fn to_rooted_tree(&self) -> RootedTree {
+        let n = self.num_nodes();
+        let mut parent = vec![None; n];
+        let mut parent_edge = vec![None; n];
+        for (slot, (&v, &p)) in self.node_at_slot.iter().zip(&self.parent_slot).enumerate() {
+            if slot > 0 {
+                parent[v as usize] = Some(NodeId(self.node_at_slot[p as usize]));
+            }
+            let e = self.parent_edge[slot];
+            parent_edge[v as usize] = (e != NONE).then_some(EdgeId(e));
+        }
+        RootedTree::from_parents(NodeId(self.node_at_slot[0]), parent, parent_edge)
+            .expect("slot columns describe a rooted tree")
+    }
+
+    /// Subtree sums of the node-indexed `values`, in slot order: the reverse
+    /// sweep adds in the order of [`RootedTree::subtree_sums_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len()` is not the node count.
+    fn subtree_sums(&self, values: &[f64]) -> Vec<f64> {
+        assert_eq!(values.len(), self.num_nodes(), "demand length mismatch");
+        let mut sums: Vec<f64> = self
+            .node_at_slot
+            .iter()
+            .map(|&v| values[v as usize])
+            .collect();
+        for i in (1..sums.len()).rev() {
+            let add = sums[i];
+            sums[self.parent_slot[i] as usize] += add;
+        }
+        sums
+    }
+
+    /// Routes the demand `d` over the tree and materializes it as a flow on
+    /// `g`: each parent edge carries its subtree's surplus towards the
+    /// parent. Bit-identical to [`RootedTree::route_demand_on_graph`] on the
+    /// tree it was built from (same sums, same edge order).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::NotConnected`] if some parent edge has no
+    /// realizing graph edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d.len()` is not the tree's node count.
+    pub fn route_demand_on_graph(&self, g: &Graph, d: &Demand) -> Result<FlowVec, GraphError> {
+        let sums = self.subtree_sums(d.values());
+        let mut f = FlowVec::zeros(g.num_edges());
+        for (slot, (&sum, &eid)) in sums.iter().zip(&self.parent_edge).enumerate().skip(1) {
+            if eid == NONE {
+                return Err(GraphError::NotConnected);
+            }
+            let eid = EdgeId(eid);
+            let v = NodeId(self.node_at_slot[slot]);
+            let p = NodeId(self.node_at_slot[self.parent_slot[slot] as usize]);
+            let e = g.edge(eid);
+            // A positive subtree sum is a net sink, so its flow comes down
+            // the parent edge.
+            let toward_parent = -sum;
+            let signed = if e.tail == v && e.head == p {
+                toward_parent
+            } else {
+                -toward_parent
             };
+            f.add(eid, signed);
         }
-        TreeSlots {
-            parent_slot,
-            node_at_slot,
-            slot_of_node,
-            cut_capacity,
-        }
+        Ok(f)
     }
 
     /// One tree's `k` lanes of `R·b` rows in one slot walk. `values_block`
@@ -381,8 +620,9 @@ pub struct ApproximatorStats {
 }
 
 impl CongestionApproximator {
-    /// Wraps an explicit tree ensemble as an approximator, building the
-    /// flattened slot views the operator sweeps run over.
+    /// Wraps an explicit tree ensemble as an approximator, compacting each
+    /// tree into the slot layout the operators read as it consumes the
+    /// ensemble (see the module docs).
     ///
     /// # Errors
     ///
@@ -397,10 +637,15 @@ impl CongestionApproximator {
             });
         };
         let num_nodes = first.tree.num_nodes();
-        let slots = ensemble.trees.iter().map(TreeSlots::new).collect();
+        // Each built tree is freed as soon as its compact form exists, so at
+        // most one tree is held in both forms.
+        let trees = ensemble
+            .trees
+            .into_iter()
+            .map(ApproximatorTree::compact)
+            .collect();
         Ok(CongestionApproximator {
-            trees: ensemble.trees,
-            slots,
+            trees,
             num_nodes,
             hierarchy: None,
         })
@@ -475,8 +720,8 @@ impl CongestionApproximator {
         self.hierarchy.as_ref()
     }
 
-    /// The trees backing the approximator.
-    pub fn trees(&self) -> &[CapacitatedTree] {
+    /// The trees backing the approximator, in ensemble order.
+    pub fn trees(&self) -> &[ApproximatorTree] {
         &self.trees
     }
 
@@ -692,21 +937,22 @@ impl CongestionApproximator {
         );
         if par.is_sequential() || self.trees.len() <= 1 || nk == 0 {
             scratch.ensure_nodes(nk);
-            for (slots, out) in self.slots.iter().zip(rows_block.chunks_mut(nk)) {
-                slots.apply_rows_block(b_block, k, &mut scratch.node_a, out);
+            for (t, out) in self.trees.iter().zip(rows_block.chunks_mut(nk)) {
+                t.tree
+                    .apply_rows_block(b_block, k, &mut scratch.node_a, out);
             }
             return Ok(());
         }
         scratch.ensure_tree_major(self.trees.len(), nk, false);
-        let tasks: Vec<(&TreeSlots, &mut [f64], &mut [f64])> = self
-            .slots
+        let tasks: Vec<(&SlotTree, &mut [f64], &mut [f64])> = self
+            .trees
             .iter()
             .zip(rows_block.chunks_mut(nk))
             .zip(scratch.tree_a.chunks_mut(nk))
-            .map(|((slots, out), tmp)| (slots, out, tmp))
+            .map(|((t, out), tmp)| (&t.tree, out, tmp))
             .collect();
-        par.for_each_owned(tasks, |_, (slots, out, tmp)| {
-            slots.apply_rows_block(b_block, k, tmp, out);
+        par.for_each_owned(tasks, |_, (tree, out, tmp)| {
+            tree.apply_rows_block(b_block, k, tmp, out);
         });
         Ok(())
     }
@@ -780,39 +1026,41 @@ impl CongestionApproximator {
         if par.is_sequential() || self.trees.len() <= 1 || nk == 0 {
             potentials_block.fill(0.0);
             scratch.ensure_nodes(nk);
-            for (slots, y_rows) in self.slots.iter().zip(y_block.chunks(nk)) {
-                slots.prefix_sums_block(y_rows, k, &mut scratch.node_a, &mut scratch.node_b);
-                slots.add_potentials_block(&scratch.node_b, k, potentials_block);
+            for (t, y_rows) in self.trees.iter().zip(y_block.chunks(nk)) {
+                t.tree
+                    .prefix_sums_block(y_rows, k, &mut scratch.node_a, &mut scratch.node_b);
+                t.tree
+                    .add_potentials_block(&scratch.node_b, k, potentials_block);
             }
             return Ok(());
         }
         scratch.ensure_tree_major(self.trees.len(), nk, true);
         struct TransposeBlockTask<'a> {
-            slots: &'a TreeSlots,
+            tree: &'a SlotTree,
             y_rows: &'a [f64],
             prices: &'a mut [f64],
             prefix: &'a mut [f64],
         }
         let tasks: Vec<TransposeBlockTask<'_>> = self
-            .slots
+            .trees
             .iter()
             .zip(y_block.chunks(nk))
             .zip(scratch.tree_a.chunks_mut(nk))
             .zip(scratch.tree_b.chunks_mut(nk))
-            .map(|(((slots, y_rows), prices), prefix)| TransposeBlockTask {
-                slots,
+            .map(|(((t, y_rows), prices), prefix)| TransposeBlockTask {
+                tree: &t.tree,
                 y_rows,
                 prices,
                 prefix,
             })
             .collect();
         par.for_each_owned(tasks, |_, task| {
-            task.slots
+            task.tree
                 .prefix_sums_block(task.y_rows, k, task.prices, task.prefix);
         });
         potentials_block.fill(0.0);
-        for (slots, prefix) in self.slots.iter().zip(scratch.tree_b.chunks(nk)) {
-            slots.add_potentials_block(prefix, k, potentials_block);
+        for (t, prefix) in self.trees.iter().zip(scratch.tree_b.chunks(nk)) {
+            t.tree.add_potentials_block(prefix, k, potentials_block);
         }
         Ok(())
     }
@@ -1181,13 +1429,13 @@ mod tests {
         }
     }
 
-    /// `R·b` by the trees' own sweeps: row `(t, v)` is tree `t`'s subtree sum
-    /// at `v` ([`flowgraph::RootedTree::subtree_sums_into`]) over the cut
-    /// capacity, or `0.0` where that capacity is not positive.
-    fn reference_rows(approx: &CongestionApproximator, b: &[f64]) -> Vec<f64> {
-        let mut rows = Vec::with_capacity(approx.num_rows());
-        let mut sums = vec![0.0; approx.num_nodes()];
-        for t in approx.trees() {
+    /// `R·b` by the built trees' own sweeps: row `(t, v)` is tree `t`'s
+    /// subtree sum at `v` ([`flowgraph::RootedTree::subtree_sums_into`]) over
+    /// the cut capacity, or `0.0` where that capacity is not positive.
+    fn reference_rows(built: &[CapacitatedTree], b: &[f64]) -> Vec<f64> {
+        let mut rows = Vec::with_capacity(built.len() * b.len());
+        let mut sums = vec![0.0; b.len()];
+        for t in built {
             t.tree.subtree_sums_into(b, &mut sums);
             rows.extend(sums.iter().zip(&t.cut_capacity).map(|(&sum, &cap)| {
                 if cap > 0.0 {
@@ -1200,14 +1448,15 @@ mod tests {
         rows
     }
 
-    /// `Rᵀ·y` by the trees' own sweeps: each tree's root-to-node prefix sums
-    /// ([`flowgraph::RootedTree::prefix_sums_from_root_into`]) of `y / cap`
-    /// (`0.0` where the cut capacity is not positive), added in tree order.
-    fn reference_potentials(approx: &CongestionApproximator, y: &[f64]) -> Vec<f64> {
-        let n = approx.num_nodes();
+    /// `Rᵀ·y` by the built trees' own sweeps: each tree's root-to-node prefix
+    /// sums ([`flowgraph::RootedTree::prefix_sums_from_root_into`]) of
+    /// `y / cap` (`0.0` where the cut capacity is not positive), added in
+    /// tree order.
+    fn reference_potentials(built: &[CapacitatedTree], y: &[f64]) -> Vec<f64> {
+        let n = y.len() / built.len();
         let (mut prices, mut prefix) = (vec![0.0; n], vec![0.0; n]);
         let mut potentials = vec![0.0; n];
-        for (t, y_rows) in approx.trees().iter().zip(y.chunks(n)) {
+        for (t, y_rows) in built.iter().zip(y.chunks(n)) {
             for ((p, &y), &cap) in prices.iter_mut().zip(y_rows).zip(&t.cut_capacity) {
                 *p = if cap > 0.0 { y / cap } else { 0.0 };
             }
@@ -1219,14 +1468,14 @@ mod tests {
         potentials
     }
 
-    /// An approximator over explicit spanning trees of `g`, each given by
-    /// its root and edge set, with the cut capacities of `dead` nodes
-    /// overwritten (`0.0` and negative values take the zero-row branch).
+    /// Capacitated explicit spanning trees of `g`, each given by its root and
+    /// edge set, with the cut capacities of `dead` nodes overwritten (`0.0`
+    /// and negative values take the zero-row branch).
     fn explicit_trees(
         g: &Graph,
         trees: &[(NodeId, Vec<EdgeId>)],
         dead: &[(usize, f64)],
-    ) -> CongestionApproximator {
+    ) -> TreeEnsemble {
         let trees: Vec<CapacitatedTree> = trees
             .iter()
             .map(|(root, edges)| {
@@ -1239,7 +1488,7 @@ mod tests {
             })
             .collect();
         let num_trees = trees.len();
-        CongestionApproximator::from_ensemble(TreeEnsemble {
+        TreeEnsemble {
             trees,
             stats: crate::racke::EnsembleStats {
                 num_trees,
@@ -1247,13 +1496,35 @@ mod tests {
                 decomposition_rounds: 0,
                 average_stretches: vec![1.0; num_trees],
             },
-        })
-        .unwrap()
+        }
     }
 
-    #[test]
-    fn slot_sweeps_match_the_rooted_tree_sweeps_bit_for_bit() {
-        let mut rng = gen::rng(53);
+    /// An approximator together with its graph and the built trees it was
+    /// compacted from, which the checks below take as the reference.
+    struct Instance {
+        name: &'static str,
+        graph: Graph,
+        built: Vec<CapacitatedTree>,
+        approx: CongestionApproximator,
+    }
+
+    impl Instance {
+        fn new(name: &'static str, graph: Graph, ensemble: TreeEnsemble) -> Self {
+            let built = ensemble.trees.clone();
+            let approx = CongestionApproximator::from_ensemble(ensemble).unwrap();
+            Instance {
+                name,
+                graph,
+                built,
+                approx,
+            }
+        }
+    }
+
+    /// The star rooted at a leaf, the path rooted in its middle, random
+    /// recursive trees, a 1k fat-tree ensemble, a random graph ensemble and
+    /// hierarchy-lifted trees.
+    fn instances(rng: &mut impl rand::Rng) -> Vec<Instance> {
         // A star rooted at a leaf: one sibling run of 300 slots below the
         // center. (Below the root, a run's sum reaches no row: the root's
         // cut capacity is 0.)
@@ -1272,11 +1543,11 @@ mod tests {
         let mut random_trees = Vec::new();
         for fan in [3usize, usize::MAX, 8] {
             let mut label: Vec<u32> = (0..n as u32).collect();
-            rand::seq::SliceRandom::shuffle(&mut label[..], &mut rng);
+            rand::seq::SliceRandom::shuffle(&mut label[..], rng);
             let edges = (1..n)
                 .map(|i| {
-                    let p = rand::Rng::gen_range(&mut rng, 0..i.min(fan));
-                    let cap = rand::Rng::gen_range(&mut rng, 0.5..4.0);
+                    let p = rand::Rng::gen_range(rng, 0..i.min(fan));
+                    let cap = rand::Rng::gen_range(rng, 0.5..4.0);
                     random
                         .add_edge(NodeId(label[p]), NodeId(label[i]), cap)
                         .unwrap()
@@ -1284,41 +1555,69 @@ mod tests {
                 .collect();
             random_trees.push((NodeId(label[0]), edges));
         }
-        let instances = [
-            (
+        let fat_tree = gen::fat_tree(16, 8, 61, 10.0, 40.0);
+        let gnp = gen::random_gnp(60, 0.1, (1.0, 5.0), 3);
+        let grid = gen::grid(20, 20, 1.0);
+        let lifted = build_hierarchical_ensemble(
+            &grid,
+            &HierarchyConfig::default()
+                .with_direct_threshold(32)
+                .with_chains(2)
+                .with_trees_per_chain(Some(2)),
+            &RackeConfig::default(),
+        )
+        .unwrap()
+        .0;
+        vec![
+            Instance::new(
                 "star",
+                star.clone(),
                 explicit_trees(
                     &star,
                     &[(NodeId(301), star_edges)],
                     &[(7, 0.0), (150, -1.0)],
                 ),
             ),
-            (
+            Instance::new(
                 "path",
+                path.clone(),
                 explicit_trees(&path, &[(NodeId(100), path_edges)], &[(40, 0.0)]),
             ),
-            (
+            Instance::new(
                 "random trees",
+                random.clone(),
                 explicit_trees(&random, &random_trees, &[(5, 0.0), (77, -2.0)]),
             ),
-            (
+            Instance::new(
                 "1k fat-tree ensemble",
-                CongestionApproximator::build(
-                    &gen::fat_tree(16, 8, 61, 10.0, 40.0),
-                    &RackeConfig::default(),
-                )
-                .unwrap(),
+                fat_tree.clone(),
+                build_tree_ensemble(&fat_tree, &RackeConfig::default()).unwrap(),
             ),
-            (
+            Instance::new(
                 "random graph ensemble",
-                build(&gen::random_gnp(60, 0.1, (1.0, 5.0), 3), 5, 9),
+                gnp.clone(),
+                build_tree_ensemble(&gnp, &RackeConfig::default().with_num_trees(5).with_seed(9))
+                    .unwrap(),
             ),
-        ];
+            Instance::new("hierarchy-lifted trees", grid, lifted),
+        ]
+    }
+
+    #[test]
+    fn slot_sweeps_match_the_rooted_tree_sweeps_bit_for_bit() {
+        let mut rng = gen::rng(53);
+        let instances = instances(&mut rng);
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let star_slots = &instances[0].1.slots[0];
+        let star_slots = &instances[0].approx.trees[0].tree;
         assert!(star_slots.parent_slot[2..].iter().all(|&p| p == 1));
         assert_eq!(star_slots.parent_slot.len(), 302);
-        for (name, approx) in &instances {
+        for Instance {
+            name,
+            built,
+            approx,
+            ..
+        } in &instances
+        {
             let (n, rows_n) = (approx.num_nodes(), approx.num_rows());
             let mut scratch = OperatorScratch::default();
             // One lane through the one-lane entry points.
@@ -1327,7 +1626,7 @@ mod tests {
             approx
                 .apply_into(&demands[0], &mut rows, &mut scratch)
                 .unwrap();
-            let want_rows = reference_rows(approx, demands[0].values());
+            let want_rows = reference_rows(built, demands[0].values());
             assert_eq!(bits(&rows), bits(&want_rows), "{name}: one-lane R");
             let y: Vec<f64> = (0..rows_n)
                 .map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0))
@@ -1336,7 +1635,7 @@ mod tests {
             approx
                 .apply_transpose_into(&y, &mut pot, &mut scratch)
                 .unwrap();
-            let want_pot = reference_potentials(approx, &y);
+            let want_pot = reference_potentials(built, &y);
             assert_eq!(bits(&pot), bits(&want_pot), "{name}: one-lane Rᵀ");
             // Every lane of every block width, against the reference alone.
             for k in 1..=9usize {
@@ -1354,7 +1653,7 @@ mod tests {
                     .unwrap();
                 for (l, b) in demands.iter().enumerate() {
                     let lane_rows: Vec<f64> = (0..rows_n).map(|r| rows_block[r * k + l]).collect();
-                    let want_rows = reference_rows(approx, b.values());
+                    let want_rows = reference_rows(built, b.values());
                     assert_eq!(
                         bits(&lane_rows),
                         bits(&want_rows),
@@ -1362,7 +1661,7 @@ mod tests {
                     );
                     let y: Vec<f64> = (0..rows_n).map(|r| y_block[r * k + l]).collect();
                     let lane_pot: Vec<f64> = (0..n).map(|v| pot_block[v * k + l]).collect();
-                    let want_pot = reference_potentials(approx, &y);
+                    let want_pot = reference_potentials(built, &y);
                     assert_eq!(
                         bits(&lane_pot),
                         bits(&want_pot),
@@ -1370,6 +1669,112 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn compact_trees_answer_like_the_built_trees_bit_for_bit() {
+        let mut rng = gen::rng(59);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for inst in instances(&mut rng) {
+            let (g, n) = (&inst.graph, inst.graph.num_nodes());
+            assert_eq!(inst.approx.trees().len(), inst.built.len(), "{}", inst.name);
+            for (i, (compact, built)) in inst.approx.trees().iter().zip(&inst.built).enumerate() {
+                let case = format!("{} tree {i}", inst.name);
+                assert_eq!(compact.tree.to_rooted_tree(), built.tree, "{case}: rebuilt");
+                assert_eq!(compact.tree.num_nodes(), n, "{case}");
+                assert_eq!(
+                    compact.max_rload().to_bits(),
+                    built.max_rload().to_bits(),
+                    "{case}: max_rload"
+                );
+                for v in g.nodes() {
+                    assert_eq!(
+                        compact.tree.parent_edge(v),
+                        built.tree.parent_edge(v),
+                        "{case}: parent edge of {v}"
+                    );
+                    assert_eq!(
+                        compact.tree.cut_capacity(v).to_bits(),
+                        built.cut_capacity[v.index()].to_bits(),
+                        "{case}: cut capacity of {v}"
+                    );
+                }
+                for _ in 0..8 {
+                    let v = NodeId(rand::Rng::gen_range(&mut rng, 0..n as u32));
+                    assert_eq!(
+                        compact.tree.subtree_cut(v),
+                        built.tree.subtree_cut(v),
+                        "{case}: subtree cut of {v}"
+                    );
+                }
+                // s–t walks, including `s == t`, a zero and negative amounts.
+                for j in 0..200 {
+                    let s = NodeId(rand::Rng::gen_range(&mut rng, 0..n as u32));
+                    let t = if j % 50 == 0 {
+                        s
+                    } else {
+                        NodeId(rand::Rng::gen_range(&mut rng, 0..n as u32))
+                    };
+                    let amount = if j % 40 == 1 {
+                        0.0
+                    } else {
+                        rand::Rng::gen_range(&mut rng, -3.0..3.0)
+                    };
+                    assert_eq!(
+                        compact
+                            .st_tree_routing_congestion(g, s, t, amount)
+                            .to_bits(),
+                        built.tree.st_routing_congestion(g, s, t, amount).to_bits(),
+                        "{case}: walk {s}-{t} of {amount}"
+                    );
+                }
+                for (l, b) in random_demand_block(n, 3, &mut rng).0.iter().enumerate() {
+                    assert_eq!(
+                        compact.tree_routing_congestion(g, b).to_bits(),
+                        built.tree.routing_congestion(g, b).to_bits(),
+                        "{case}: routing congestion {l}"
+                    );
+                    let flow = compact.tree.route_demand_on_graph(g, b).unwrap();
+                    let want = built.tree.route_demand_on_graph(g, b).unwrap();
+                    assert_eq!(
+                        bits(flow.values()),
+                        bits(want.values()),
+                        "{case}: routed flow {l}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Heap bytes of one tree's columns, from their capacities.
+    fn column_bytes(t: &SlotTree) -> usize {
+        use std::mem::size_of;
+        (t.parent_slot.capacity()
+            + t.node_at_slot.capacity()
+            + t.slot_of_node.capacity()
+            + t.parent_edge.capacity())
+            * size_of::<u32>()
+            + t.cut_capacity.capacity() * size_of::<f64>()
+    }
+
+    #[test]
+    fn a_held_tree_costs_24_bytes_per_node() {
+        let mut rng = gen::rng(61);
+        for inst in instances(&mut rng) {
+            let approx = &inst.approx;
+            let n = approx.num_nodes();
+            for t in approx.trees() {
+                assert_eq!(column_bytes(&t.tree), 24 * n, "{}", inst.name);
+            }
+            // Beyond the columns, the tree list holds a constant per tree: at
+            // most the slot of the built tree it reuses.
+            let list = approx.trees.capacity() * std::mem::size_of::<ApproximatorTree>();
+            assert!(
+                list <= approx.trees().len() * std::mem::size_of::<CapacitatedTree>(),
+                "{}: a {list}-byte tree list",
+                inst.name
+            );
         }
     }
 

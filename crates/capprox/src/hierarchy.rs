@@ -56,6 +56,8 @@
 //! assert!(stats.cut_distortion_bound() >= 1.0);
 //! ```
 
+use std::borrow::Cow;
+
 use flowgraph::{EdgeId, Graph, GraphError, NodeId, RootedTree};
 
 use crate::jtree::{build_jtree_top_loaded, CoreEdgeOrigin};
@@ -280,9 +282,10 @@ impl HierarchyStats {
 }
 
 /// One recursion level's working state: the level graph and, for every one of
-/// its edges, the input-graph edge it stands for.
-struct Level {
-    graph: Graph,
+/// its edges, the input-graph edge it stands for. Level 0 borrows the input
+/// graph; the sparsified and contracted levels own theirs.
+struct Level<'g> {
+    graph: Cow<'g, Graph>,
     edge_to_g: Vec<EdgeId>,
 }
 
@@ -290,7 +293,7 @@ struct Level {
 /// composing the edge map; falls back to the unsparsified level if the
 /// sample ever disconnects (the forest-index sampler keeps first-forest
 /// edges deterministically, so this is a guard, not an expected path).
-fn sparsify_level(level: Level, epsilon: f64, seed: u64) -> (Level, f64) {
+fn sparsify_level(level: Level<'_>, epsilon: f64, seed: u64) -> (Level<'_>, f64) {
     if level.graph.num_edges() <= 4 * level.graph.num_nodes() {
         return (level, 0.0);
     }
@@ -312,7 +315,7 @@ fn sparsify_level(level: Level, epsilon: f64, seed: u64) -> (Level, f64) {
         .collect();
     (
         Level {
-            graph: s.graph,
+            graph: Cow::Owned(s.graph),
             edge_to_g,
         },
         epsilon,
@@ -362,7 +365,7 @@ pub fn build_hierarchical_ensemble(
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(config.seed);
         let mut level = Level {
-            graph: g.clone(),
+            graph: Cow::Borrowed(g),
             edge_to_g: g.edge_ids().collect(),
         };
         // Input-graph edges lifting the forests of all levels walked so far.
@@ -440,7 +443,7 @@ pub fn build_hierarchical_ensemble(
                 })
                 .collect();
             level = Level {
-                graph: jt.core,
+                graph: Cow::Owned(jt.core),
                 edge_to_g: core_map,
             };
         }

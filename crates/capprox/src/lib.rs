@@ -61,7 +61,8 @@ pub mod racke;
 pub mod sparsify;
 
 pub use approximator::{
-    exhaustive_opt_congestion, ApproximatorStats, CongestionApproximator, OperatorScratch,
+    exhaustive_opt_congestion, ApproximatorStats, ApproximatorTree, CongestionApproximator,
+    OperatorScratch, SlotTree,
 };
 pub use hierarchy::{
     build_hierarchical_ensemble, ChainStats, HierarchyConfig, HierarchyLevelStats, HierarchyStats,

@@ -64,19 +64,6 @@ impl CapacitatedTree {
     pub fn tree_routing_congestion(&self, g: &Graph, b: &flowgraph::Demand) -> f64 {
         self.tree.routing_congestion(g, b)
     }
-
-    /// [`Self::tree_routing_congestion`] specialized to an s–t demand, in
-    /// `O(tree depth)` instead of `O(n)` — bit-identical to the dense
-    /// evaluation (see [`flowgraph::RootedTree::st_routing_congestion`]).
-    pub fn st_tree_routing_congestion(
-        &self,
-        g: &Graph,
-        s: flowgraph::NodeId,
-        t: flowgraph::NodeId,
-        amount: f64,
-    ) -> f64 {
-        self.tree.st_routing_congestion(g, s, t, amount)
-    }
 }
 
 /// Computes, for every non-root node `v`, the total capacity of the graph

@@ -189,7 +189,9 @@ struct PlanCosts {
 
 impl DistributedPlan {
     /// Samples every tree's Lemma 8.2 decomposition once, then the repair
-    /// tree's, and measures the plan's protocols on the classic model.
+    /// tree's, and measures the plan's protocols on the classic model. The
+    /// approximator holds its trees in slot order only, so each is rebuilt
+    /// as a [`flowgraph::RootedTree`] here, once per plan.
     fn build(session: &PreparedMaxFlow<'_>) -> DistributedPlan {
         let n = session.graph().num_nodes();
         let mut rng = ChaCha8Rng::seed_from_u64(session.config().racke.seed ^ 0x9e3779b97f4a7c15);
@@ -198,7 +200,7 @@ impl DistributedPlan {
             .approximator()
             .trees()
             .iter()
-            .map(|t| DecomposedTree::sample(t.tree.clone(), cut_probability, &mut rng))
+            .map(|t| DecomposedTree::sample(t.tree.to_rooted_tree(), cut_probability, &mut rng))
             .collect();
         let repair =
             DecomposedTree::sample(session.repair_tree().clone(), cut_probability, &mut rng);

@@ -122,14 +122,22 @@ impl RootedTree {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`] if `root` is not a node of `g`
-    /// and [`GraphError::NotConnected`] if the edges do not span all nodes.
+    /// Returns [`GraphError::NodeOutOfRange`] if `root` is not a node of `g`,
+    /// [`GraphError::EdgeOutOfRange`] if some id in `edges` is not an edge of
+    /// `g`, and [`GraphError::NotConnected`] if the edges do not span all
+    /// nodes.
     pub fn spanning_from_edges(g: &Graph, root: NodeId, edges: &[EdgeId]) -> Result<Self> {
         let n = g.num_nodes();
         if root.index() >= n {
             return Err(GraphError::NodeOutOfRange {
                 node: root.index(),
                 num_nodes: n,
+            });
+        }
+        if let Some(&bad) = edges.iter().find(|e| e.index() >= g.num_edges()) {
+            return Err(GraphError::EdgeOutOfRange {
+                edge: bad.index(),
+                num_edges: g.num_edges(),
             });
         }
         // Flat CSR over the edge subset, preserving the given edge order per
@@ -752,6 +760,19 @@ mod tests {
         let g = diamond();
         let r = RootedTree::spanning_from_edges(&g, NodeId(0), &[EdgeId(0)]);
         assert!(matches!(r, Err(GraphError::NotConnected)));
+    }
+
+    #[test]
+    fn spanning_from_edges_rejects_an_edge_id_outside_the_graph() {
+        let g = crate::gen::path(3, 1.0);
+        let r = RootedTree::spanning_from_edges(&g, NodeId(0), &[EdgeId(0), EdgeId(9)]);
+        assert_eq!(
+            r,
+            Err(GraphError::EdgeOutOfRange {
+                edge: 9,
+                num_edges: 2,
+            })
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! along as a multigraph (§7: "Remove all self loops, but leave parallel
 //! edges in place").
 
+use std::borrow::Cow;
+
 use flowgraph::contract::ContractedGraph;
 use flowgraph::{EdgeId, Graph, GraphError, NodeId, RootedTree};
 use rand::SeedableRng;
@@ -157,7 +159,8 @@ pub fn low_stretch_spanning_tree(
     let num_classes = class_of.iter().copied().max().unwrap_or(1);
 
     // Current contracted multigraph plus the mapping of its edges back to G.
-    let mut cur = g.clone();
+    // The first round reads `g` itself.
+    let mut cur = Cow::Borrowed(g);
     let mut orig_of: Vec<EdgeId> = g.edge_ids().collect();
     let mut tree_edges: Vec<EdgeId> = Vec::new();
     let mut stats = LowStretchStats {
@@ -225,7 +228,7 @@ pub fn low_stretch_spanning_tree(
             .iter()
             .map(|&prev| orig_of[prev.index()])
             .collect();
-        cur = contracted.graph;
+        cur = Cow::Owned(contracted.graph);
         active_class = (active_class + 1).min(num_classes + 1);
     }
 

@@ -16,18 +16,19 @@
 //!
 //! [`split_graph`] simulates those synchronous rounds one at a time. Round
 //! `t` holds the reaches pushed in round `t − 1` plus the seeds of the
-//! still-unclaimed nodes whose delay is `t`. It sorts them by
-//! `(center, node, via edge, has via edge)`, lets each reach claim its node
-//! if no earlier one did, and every claim pushes one reach per active edge
-//! to an unclaimed neighbor into round `t + 1`. The first reach of a node in
-//! that order wins, so ties go to the smaller center, then to the smaller
-//! edge id, and the cluster BFS trees list their edges in claim order.
+//! still-unclaimed nodes whose delay is `t`. Each reached node keeps only its
+//! smallest `center << 32 | via edge` key in a node-indexed array, so ties go
+//! to the smaller center, then to the smaller edge id (a seed is its own
+//! center and comes over no edge). The round's winners then claim their
+//! nodes in `(center, node)` order, which is the order the cluster BFS trees
+//! list their edges in, and every claim pushes one reach per active edge to
+//! an unclaimed neighbor into round `t + 1`.
 //!
 //! Nothing is sized by `ρ`: the seeds are ordered by `(delay, node)` with a
 //! counting sort when `ρ ≤ n` and a comparison sort otherwise, rounds with
 //! no reach and no seed are skipped, and the simulation stops once all `n`
-//! nodes are claimed. At most `n + 2m` reaches are ever sorted, so the time
-//! is `O((n + m) log(n + m))` for any `ρ`, up to `usize::MAX`.
+//! nodes are claimed. Each node wins once, so at most `n` winners are ever
+//! sorted and the time is `O(m + n log n)` for any `ρ`, up to `usize::MAX`.
 
 use flowgraph::{EdgeId, Graph, NodeId};
 use rand::Rng;
@@ -53,19 +54,24 @@ pub struct Decomposition {
     pub rounds: usize,
 }
 
-/// A ball reaching a node in some round. The derived order is the claim
-/// order within a round: by center, then node, then the edge it came over
-/// (a center's own seed has no edge).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Reach {
-    center: u32,
-    node: u32,
-    via_edge: u32,
-    has_via: bool,
-}
-
 /// Marks a node no ball has claimed yet, and a center with no label yet.
 const NONE: u32 = u32::MAX;
+
+/// Marks a node no ball reaches in a round. No key reaches it: centers stay
+/// below `NONE`.
+const UNREACHED: u64 = u64::MAX;
+
+/// Records that the ball of `center` reaches node `v` over `via_edge` (0
+/// for the center's own seed) in the round whose keys are `best`: the
+/// smallest key `center << 32 | via_edge` reaching a node wins it, and
+/// `reached` lists each node with a key once.
+fn reach(best: &mut [u64], reached: &mut Vec<u32>, v: u32, center: u32, via_edge: u32) {
+    let b = &mut best[v as usize];
+    if *b == UNREACHED {
+        reached.push(v);
+    }
+    *b = (*b).min((u64::from(center) << 32) | u64::from(via_edge));
+}
 
 /// Runs the random-delay BFS decomposition on the subgraph formed by the
 /// edges for which `active(e)` is true, with target radius `radius`.
@@ -92,53 +98,59 @@ pub fn split_graph(
     let mut max_radius = 0usize;
     let mut claimed = 0usize;
     let mut next_seed = 0usize;
-    let mut round: Vec<Reach> = Vec::new();
-    let mut pushed: Vec<Reach> = Vec::new();
+    // The smallest key reaching each node in this round and in the next,
+    // and the nodes holding one; an entry is reset when its node is claimed
+    // or found claimed.
+    let (mut best, mut next_best) = (vec![UNREACHED; n], vec![UNREACHED; n]);
+    let (mut reached, mut next_reached): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    // The round's winners as `center << 32 | node`.
+    let mut winners: Vec<u64> = Vec::new();
     let mut t = 0usize;
     while claimed < n {
         // An unclaimed node's seed is still ahead, so `next_seed < n`.
         // Pushes come from a claim in round `t`, and every node is claimed
         // by its own delay `≤ radius − 1`, so `t + 1` cannot overflow.
-        t = if pushed.is_empty() {
+        t = if next_reached.is_empty() {
             delays[seeds[next_seed] as usize]
         } else {
             t + 1
         };
-        std::mem::swap(&mut round, &mut pushed);
+        std::mem::swap(&mut best, &mut next_best);
+        std::mem::swap(&mut reached, &mut next_reached);
         while let Some(&v) = seeds.get(next_seed) {
             if delays[v as usize] != t {
                 break;
             }
             next_seed += 1;
             if center_of[v as usize] == NONE {
-                round.push(Reach {
-                    center: v,
-                    node: v,
-                    via_edge: 0,
-                    has_via: false,
-                });
+                reach(&mut best, &mut reached, v, v, 0);
             }
         }
-        round.sort_unstable();
-        for reach in round.drain(..) {
-            let v = reach.node as usize;
-            if center_of[v] != NONE {
-                continue;
+        winners.clear();
+        for v in reached.drain(..) {
+            let key = best[v as usize];
+            if center_of[v as usize] == NONE {
+                winners.push((key & !u64::from(u32::MAX)) | u64::from(v));
+            } else {
+                best[v as usize] = UNREACHED;
             }
-            center_of[v] = reach.center;
+        }
+        winners.sort_unstable();
+        for &winner in &winners {
+            let (center, v) = ((winner >> 32) as u32, winner as u32);
+            let via_edge = best[v as usize] as u32;
+            best[v as usize] = UNREACHED;
+            center_of[v as usize] = center;
             claimed += 1;
-            max_radius = max_radius.max(t - delays[reach.center as usize]);
-            if reach.has_via {
-                tree_edges.push(EdgeId(reach.via_edge));
+            max_radius = max_radius.max(t - delays[center as usize]);
+            // A center's own node is won by its seed, before its ball
+            // pushes anything; every other node is won over an edge.
+            if center != v {
+                tree_edges.push(EdgeId(via_edge));
             }
-            for (eid, w) in g.incident(NodeId(reach.node)) {
+            for (eid, w) in g.incident(NodeId(v)) {
                 if active(eid) && center_of[w.index()] == NONE {
-                    pushed.push(Reach {
-                        center: reach.center,
-                        node: w.0,
-                        via_edge: eid.0,
-                        has_via: true,
-                    });
+                    reach(&mut next_best, &mut next_reached, w.0, center, eid.0);
                 }
             }
         }

@@ -106,7 +106,7 @@ fn main() {
         for v in big.nodes() {
             let parent = t.tree.parent_edge(v).map_or(u64::MAX, |e| e.index() as u64);
             trees.write_u64(parent);
-            trees.write_u64(t.cut_capacity[v.index()].to_bits());
+            trees.write_u64(t.tree.cut_capacity(v).to_bits());
         }
     }
     println!(
