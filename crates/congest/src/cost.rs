@@ -13,18 +13,10 @@
 pub struct RoundCost {
     /// Number of synchronous rounds.
     pub rounds: u64,
-    /// Total number of point-to-point messages sent (retransmissions
-    /// included: a frame resent over a lossy channel is a real message).
+    /// Total number of point-to-point messages sent.
     pub messages: u64,
     /// Largest message size observed, in `O(log n)`-bit words.
     pub max_message_words: u64,
-    /// How many of [`Self::messages`] were retransmissions — repeat sends of
-    /// a payload whose earlier frame was dropped or not yet acknowledged.
-    /// Always `0` under the reliable models (classic CONGEST, Congested
-    /// Clique, `BCAST`); under the lossy model the retransmit-with-ack
-    /// wrapper flags its resends so round bills separate useful traffic from
-    /// recovery traffic.
-    pub retransmissions: u64,
 }
 
 impl RoundCost {
@@ -33,7 +25,6 @@ impl RoundCost {
         rounds: 0,
         messages: 0,
         max_message_words: 0,
-        retransmissions: 0,
     };
 
     /// Creates a cost with the given number of rounds and no messages.
@@ -44,13 +35,12 @@ impl RoundCost {
         }
     }
 
-    /// Creates a cost record from explicit fields (no retransmissions).
+    /// Creates a cost record from explicit fields.
     pub fn new(rounds: u64, messages: u64, max_message_words: u64) -> Self {
         RoundCost {
             rounds,
             messages,
             max_message_words,
-            retransmissions: 0,
         }
     }
 
@@ -61,7 +51,6 @@ impl RoundCost {
             rounds: self.rounds + other.rounds,
             messages: self.messages + other.messages,
             max_message_words: self.max_message_words.max(other.max_message_words),
-            retransmissions: self.retransmissions + other.retransmissions,
         }
     }
 
@@ -74,7 +63,6 @@ impl RoundCost {
             rounds: self.rounds.max(other.rounds),
             messages: self.messages + other.messages,
             max_message_words: self.max_message_words.max(other.max_message_words),
-            retransmissions: self.retransmissions + other.retransmissions,
         }
     }
 
@@ -85,7 +73,6 @@ impl RoundCost {
             rounds: self.rounds * k,
             messages: self.messages * k,
             max_message_words: self.max_message_words,
-            retransmissions: self.retransmissions * k,
         }
     }
 
@@ -106,11 +93,7 @@ impl std::fmt::Display for RoundCost {
             f,
             "{} rounds, {} messages (max {} words/message)",
             self.rounds, self.messages, self.max_message_words
-        )?;
-        if self.retransmissions > 0 {
-            write!(f, ", {} retransmissions", self.retransmissions)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -151,22 +134,6 @@ mod tests {
     fn display_formats() {
         let a = RoundCost::new(3, 7, 1);
         assert_eq!(a.to_string(), "3 rounds, 7 messages (max 1 words/message)");
-    }
-
-    #[test]
-    fn retransmissions_compose_and_display() {
-        let mut a = RoundCost::new(3, 7, 1);
-        a.retransmissions = 2;
-        let b = RoundCost::new(1, 2, 1);
-        assert_eq!(a.then(b).retransmissions, 2);
-        assert_eq!(a.in_parallel(b).retransmissions, 2);
-        assert_eq!(a.repeat(3).retransmissions, 6);
-        assert_eq!(
-            a.to_string(),
-            "3 rounds, 7 messages (max 1 words/message), 2 retransmissions"
-        );
-        // Reliable-model costs (retransmissions == 0) keep the PR-4 format.
-        assert_eq!(b.to_string(), "1 rounds, 2 messages (max 1 words/message)");
     }
 
     #[test]

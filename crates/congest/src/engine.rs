@@ -39,37 +39,21 @@
 //!
 //! # One round loop
 //!
-//! One loop steps every edge-addressed protocol, on every communication
-//! model: [`Simulator::run`] and the [`crate::model`] entry points
-//! ([`Simulator::run_model`] and its traced and reliable forms) all run it.
-//! It steps the nodes of every round on the calling thread, in node-id
-//! order, and stops at the first model violation in that order. The model
-//! is a parameter of the loop, which branches only where the fabrics
-//! differ:
-//!
-//! * **classic** delivers every sent message through `flip` in the next
-//!   round, as above: no queues and no random draws;
-//! * **clique** delivers the same way and also checks, after each node's
-//!   init and round, that the node queued at most one message per peer;
-//! * **lossy** applies the adversary's crash-stops at the start of each
-//!   round, lets it drop or delay each sent message in send order, moves the
-//!   survivors into per-link FIFO queues, delivers one due message per link
-//!   per round, freezes crashed nodes, and waits for empty queues before it
-//!   declares quiescence.
-//!
-//! Besides it there are two loops: [`reference_run`], the executable
-//! specification the suites diff this loop against, and
-//! [`Simulator::run_bcast`], whose `BCAST(log n)` protocols broadcast one
-//! word per node instead of addressing edges. What the simulator measures
-//! (rounds, messages, message widths and transcripts) does not depend on how
-//! the nodes of a round are scheduled, so there is no multi-threaded twin of
-//! the loop: the workspace's thread fan-out sits in the approximator's
-//! operators and in query batches (see the README's determinism policy).
+//! [`Simulator::run`] and [`Simulator::run_traced`] share one round loop. It
+//! steps the nodes of every round on the calling thread, in node-id order,
+//! stops at the first violation of the sending rules in that order, and
+//! delivers every sent message through `flip` in the next round, as above.
+//! The only other loop is [`reference_run`], the executable specification
+//! the suites diff this one against. What the
+//! simulator measures (rounds, messages, message widths and transcripts)
+//! does not depend on how the nodes of a round are scheduled, so there is no
+//! multi-threaded twin of the loop: the workspace's thread fan-out sits in
+//! the approximator's operators and in query batches (see the README's
+//! determinism policy).
 
 use flowgraph::{EdgeId, Graph, IncidentSlots, NodeId};
 
 use crate::cost::RoundCost;
-use crate::model::{check_clique_pairs, CommModel, FaultLog, LossyLinks};
 
 /// Message types must report their size in `O(log n)`-bit machine words so
 /// the simulator can verify the CONGEST bandwidth constraint.
@@ -77,16 +61,6 @@ pub trait MessageSize {
     /// Number of `O(log n)`-bit words needed to encode this message.
     fn words(&self) -> u64 {
         1
-    }
-
-    /// Whether this message is a *retransmission* — a repeat send of a
-    /// payload whose earlier frame was dropped or not yet acknowledged. The
-    /// engines bill such sends to [`RoundCost::retransmissions`] on top of
-    /// the ordinary message count. Plain protocol messages never are (the
-    /// default); only adapter frames like
-    /// [`crate::reliable::Frame`] override this.
-    fn is_retransmission(&self) -> bool {
-        false
     }
 }
 
@@ -207,12 +181,6 @@ impl Network {
         self.flip.len()
     }
 
-    /// The mirrored slot of `slot` at the other endpoint of its edge (used
-    /// by the lossy links in [`crate::model`]).
-    pub(crate) fn flip_slot(&self, slot: usize) -> usize {
-        self.flip[slot] as usize
-    }
-
     /// The local view of node `v` (borrowed CSR slices; no allocation).
     pub fn view(&self, v: NodeId) -> LocalView<'_> {
         let range = self.graph.csr().slot_range(v);
@@ -241,26 +209,6 @@ pub struct Outbox<'a, M> {
 }
 
 impl<'a, M> Outbox<'a, M> {
-    /// Assembles an outbox over caller-owned slots (used by the retransmit
-    /// adapter in [`crate::reliable`]).
-    pub(crate) fn from_parts(
-        node: NodeId,
-        incident: IncidentSlots<'a>,
-        slots: &'a mut [Option<M>],
-        base: u32,
-        dirty: &'a mut Vec<u32>,
-        violation: &'a mut Option<SimulationError>,
-    ) -> Self {
-        Outbox {
-            node,
-            incident,
-            slots,
-            base,
-            dirty,
-            violation,
-        }
-    }
-
     /// Queues `msg` over `edge`. Records [`SimulationError::NotIncident`] if
     /// the edge is not incident to this node and
     /// [`SimulationError::DuplicateSend`] if a message was already queued on
@@ -326,13 +274,6 @@ pub struct Inbox<'a, M> {
 }
 
 impl<'a, M> Inbox<'a, M> {
-    /// Assembles an inbox view over caller-owned slots (used by the
-    /// retransmit adapter in [`crate::reliable`], which presents payloads
-    /// through buffers it owns).
-    pub(crate) fn from_parts(incident: IncidentSlots<'a>, slots: &'a [Option<M>]) -> Self {
-        Inbox { incident, slots }
-    }
-
     /// Iterates over the delivered `(arrival edge, message)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (EdgeId, &'a M)> + '_ {
         self.incident
@@ -392,38 +333,6 @@ pub trait Protocol {
     fn output(&self, view: &LocalView<'_>, state: Self::State) -> Self::Output;
 }
 
-/// Protocols execute through `&self`, so a shared reference is itself a
-/// protocol. This is what lets adapters like [`crate::reliable::Reliable`]
-/// wrap a borrowed protocol without cloning it.
-impl<P: Protocol + ?Sized> Protocol for &P {
-    type Msg = P::Msg;
-    type State = P::State;
-    type Output = P::Output;
-
-    fn init(&self, view: &LocalView<'_>, outbox: &mut Outbox<'_, Self::Msg>) -> Self::State {
-        (**self).init(view, outbox)
-    }
-
-    fn round(
-        &self,
-        view: &LocalView<'_>,
-        state: &mut Self::State,
-        inbox: &Inbox<'_, Self::Msg>,
-        outbox: &mut Outbox<'_, Self::Msg>,
-        round: u64,
-    ) {
-        (**self).round(view, state, inbox, outbox, round);
-    }
-
-    fn is_terminated(&self, state: &Self::State) -> bool {
-        (**self).is_terminated(state)
-    }
-
-    fn output(&self, view: &LocalView<'_>, state: Self::State) -> Self::Output {
-        (**self).output(view, state)
-    }
-}
-
 /// Result of executing a protocol.
 #[derive(Debug, Clone)]
 pub struct RunResult<T> {
@@ -453,7 +362,8 @@ pub struct DeliveryEvent {
 /// executions.
 pub type Transcript = Vec<DeliveryEvent>;
 
-/// Error produced when a protocol violates the model or fails to terminate.
+/// Error produced when a protocol breaks the sending rules or fails to
+/// terminate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimulationError {
     /// A node attempted to send two messages over the same edge in one round.
@@ -475,27 +385,6 @@ pub enum SimulationError {
         /// The configured cap.
         max_rounds: u64,
     },
-    /// Under the Congested Clique model a node queued two messages for the
-    /// same peer in one round (over parallel edges of the multigraph). The
-    /// clique fabric carries at most one `O(log n)`-bit word per *ordered
-    /// node pair* per round — parallel edges do not widen the pair's link
-    /// like they do in per-edge CONGEST.
-    CliquePairOverflow {
-        /// The sending node.
-        node: NodeId,
-        /// The peer that would have received two messages.
-        peer: NodeId,
-    },
-    /// The protocol was executed on a communication model that cannot carry
-    /// it (e.g. an edge-addressed protocol on `BCAST(log n)`, whose nodes
-    /// emit one shared broadcast word per round instead of per-edge
-    /// messages).
-    UnsupportedModel {
-        /// The model that rejected the protocol.
-        model: &'static str,
-        /// Why the protocol cannot run there.
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for SimulationError {
@@ -515,16 +404,6 @@ impl std::fmt::Display for SimulationError {
             }
             SimulationError::RoundLimitExceeded { max_rounds } => {
                 write!(f, "protocol did not terminate within {max_rounds} rounds")
-            }
-            SimulationError::CliquePairOverflow { node, peer } => {
-                write!(
-                    f,
-                    "node {node} queued two messages for peer {peer} in one round; the \
-                     congested clique carries one word per ordered pair per round"
-                )
-            }
-            SimulationError::UnsupportedModel { model, reason } => {
-                write!(f, "protocol cannot run on the {model} model: {reason}")
             }
         }
     }
@@ -560,11 +439,6 @@ impl Simulator {
         self
     }
 
-    /// The configured round cap.
-    pub fn max_rounds(&self) -> u64 {
-        self.max_rounds
-    }
-
     /// Runs `protocol` on `network` until quiescence (no messages in flight
     /// and every node locally terminated) or until the round cap is hit.
     ///
@@ -577,8 +451,7 @@ impl Simulator {
         network: &Network,
         protocol: &P,
     ) -> Result<RunResult<P::Output>, SimulationError> {
-        let (run, _) = self.run_impl(network, &CommModel::Classic, protocol, None)?;
-        Ok(run)
+        self.run_impl(network, protocol, None)
     }
 
     /// Like [`Simulator::run`], additionally recording the canonical
@@ -593,36 +466,20 @@ impl Simulator {
         network: &Network,
         protocol: &P,
     ) -> Result<(RunResult<P::Output>, Transcript), SimulationError> {
-        let (run, transcript, _) = self.run_model_traced(network, &CommModel::Classic, protocol)?;
+        let mut transcript = Vec::new();
+        let run = self.run_impl(network, protocol, Some(&mut transcript))?;
+        transcript.sort_unstable();
         Ok((run, transcript))
     }
 
-    /// The round loop of every edge-addressed run, on every model (see the
-    /// [module docs](self)). On the classic model the loop performs no heap
-    /// allocation once its arenas are built; the lossy model's link queues
-    /// grow on demand.
-    pub(crate) fn run_impl<P: Protocol>(
+    /// The round loop (see the [module docs](self)). It performs no heap
+    /// allocation once its arenas are built.
+    fn run_impl<P: Protocol>(
         &self,
         network: &Network,
-        model: &CommModel,
         protocol: &P,
         mut trace: Option<&mut Vec<DeliveryEvent>>,
-    ) -> Result<(RunResult<P::Output>, FaultLog), SimulationError> {
-        let clique = match model {
-            CommModel::Bcast => {
-                return Err(SimulationError::UnsupportedModel {
-                    model: "bcast",
-                    reason: "edge-addressed protocols cannot run on a broadcast fabric; \
-                             implement BcastProtocol and use Simulator::run_bcast",
-                })
-            }
-            CommModel::Clique => true,
-            CommModel::Classic | CommModel::Lossy(_) => false,
-        };
-        let mut lossy = match model {
-            CommModel::Lossy(adversary) => Some(LossyLinks::new(network, adversary)),
-            _ => None,
-        };
+    ) -> Result<RunResult<P::Output>, SimulationError> {
         let n = network.num_nodes();
         let slots = network.num_slots();
         let csr = network.graph().csr();
@@ -634,12 +491,10 @@ impl Simulator {
         let mut states: Vec<P::State> = Vec::with_capacity(n);
         let mut violation: Option<SimulationError> = None;
         let mut cost = RoundCost::ZERO;
-        let mut peers: Vec<u32> = Vec::new();
 
         for v in network.graph().nodes() {
             let view = network.view(v);
             let range = csr.slot_range(v);
-            let dirty_before = send_dirty.len();
             let mut outbox = Outbox {
                 node: v,
                 incident: view.incident,
@@ -652,22 +507,12 @@ impl Simulator {
             if let Some(err) = violation.take() {
                 return Err(err);
             }
-            if clique {
-                check_clique_pairs(v, &send_dirty[dirty_before..], csr, &mut peers)?;
-            }
             states.push(state);
         }
 
         let mut round: u64 = 0;
         loop {
-            let frozen = |v: usize| lossy.as_ref().is_some_and(|l| l.is_crashed(v));
-            if send_dirty.is_empty()
-                && lossy.as_ref().is_none_or(LossyLinks::is_idle)
-                && states
-                    .iter()
-                    .enumerate()
-                    .all(|(v, s)| frozen(v) || protocol.is_terminated(s))
-            {
+            if send_dirty.is_empty() && states.iter().all(|s| protocol.is_terminated(s)) {
                 break;
             }
             if round >= self.max_rounds {
@@ -677,55 +522,30 @@ impl Simulator {
             }
             round += 1;
 
-            // Deliver. Classic and clique move every queued message to the
-            // mirrored slot at the other endpoint, visiting only touched
-            // slots; the lossy links hand each message to the adversary and
-            // deliver the due heads of their queues.
+            // Deliver: move every queued message to the mirrored slot at the
+            // other endpoint, visiting only touched slots.
             recv_dirty.clear();
-            match lossy.as_mut() {
-                None => {
-                    for &s in &send_dirty {
-                        let msg = send[s as usize].take().expect("dirty slot holds a message");
-                        bill(&mut cost, &msg);
-                        if let Some(tr) = trace.as_deref_mut() {
-                            let (edge, receiver) = csr.slot(s as usize);
-                            tr.push(DeliveryEvent {
-                                round,
-                                edge,
-                                receiver,
-                            });
-                        }
-                        let d = network.flip[s as usize];
-                        recv[d as usize] = Some(msg);
-                        recv_dirty.push(d);
-                    }
-                }
-                Some(links) => {
-                    links.crash_scheduled(round);
-                    for &s in &send_dirty {
-                        let msg = send[s as usize].take().expect("dirty slot holds a message");
-                        bill(&mut cost, &msg);
-                        links.send(network, round, s as usize, msg);
-                    }
-                    links.deliver(
-                        network,
+            for &s in &send_dirty {
+                let msg = send[s as usize].take().expect("dirty slot holds a message");
+                bill(&mut cost, &msg);
+                if let Some(tr) = trace.as_deref_mut() {
+                    let (edge, receiver) = csr.slot(s as usize);
+                    tr.push(DeliveryEvent {
                         round,
-                        &mut recv,
-                        &mut recv_dirty,
-                        trace.as_deref_mut(),
-                    );
+                        edge,
+                        receiver,
+                    });
                 }
+                let d = network.flip[s as usize];
+                recv[d as usize] = Some(msg);
+                recv_dirty.push(d);
             }
             send_dirty.clear();
 
-            // Execute the round at every node that has not crashed.
+            // Execute the round at every node.
             for v in network.graph().nodes() {
-                if lossy.as_ref().is_some_and(|l| l.is_crashed(v.index())) {
-                    continue;
-                }
                 let view = network.view(v);
                 let range = csr.slot_range(v);
-                let dirty_before = send_dirty.len();
                 let inbox = Inbox {
                     incident: view.incident,
                     slots: &recv[range.clone()],
@@ -742,9 +562,6 @@ impl Simulator {
                 if let Some(err) = violation.take() {
                     return Err(err);
                 }
-                if clique {
-                    check_clique_pairs(v, &send_dirty[dirty_before..], csr, &mut peers)?;
-                }
             }
 
             // Clear the delivered slots for the next round.
@@ -760,19 +577,17 @@ impl Simulator {
             .zip(states)
             .map(|(v, s)| protocol.output(&network.view(v), s))
             .collect();
-        let run = RunResult {
+        Ok(RunResult {
             outputs,
             cost,
             quiescent: true,
-        };
-        Ok((run, lossy.map(LossyLinks::into_faults).unwrap_or_default()))
+        })
     }
 }
 
-/// Bills one message leaving its sender: every send counts, dropped or not.
+/// Bills one message leaving its sender.
 fn bill<M: MessageSize>(cost: &mut RoundCost, msg: &M) {
     cost.messages += 1;
-    cost.retransmissions += u64::from(msg.is_retransmission());
     cost.max_message_words = cost.max_message_words.max(msg.words());
 }
 
@@ -946,60 +761,14 @@ fn reference_run_impl<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitives::{BfsProtocol, MinIdFlood};
     use flowgraph::gen;
 
-    /// A toy protocol: every node floods the smallest identifier it has seen;
-    /// used to exercise the engine itself.
-    struct MinIdFlood;
-
+    /// The one-word message of the rule-breaking protocols below.
     #[derive(Clone, Debug)]
-    struct MinMsg(u32);
+    struct Ping;
 
-    impl MessageSize for MinMsg {}
-
-    struct MinState {
-        best: u32,
-        announced: u32,
-    }
-
-    impl Protocol for MinIdFlood {
-        type Msg = MinMsg;
-        type State = MinState;
-        type Output = u32;
-
-        fn init(&self, view: &LocalView<'_>, outbox: &mut Outbox<'_, Self::Msg>) -> Self::State {
-            outbox.broadcast(MinMsg(view.node.0));
-            MinState {
-                best: view.node.0,
-                announced: view.node.0,
-            }
-        }
-
-        fn round(
-            &self,
-            _view: &LocalView<'_>,
-            state: &mut Self::State,
-            inbox: &Inbox<'_, Self::Msg>,
-            outbox: &mut Outbox<'_, Self::Msg>,
-            _round: u64,
-        ) {
-            for (_, MinMsg(id)) in inbox.iter() {
-                state.best = state.best.min(*id);
-            }
-            if state.best < state.announced {
-                state.announced = state.best;
-                outbox.broadcast(MinMsg(state.best));
-            }
-        }
-
-        fn is_terminated(&self, _state: &Self::State) -> bool {
-            true
-        }
-
-        fn output(&self, _view: &LocalView<'_>, state: Self::State) -> Self::Output {
-            state.best
-        }
-    }
+    impl MessageSize for Ping {}
 
     #[test]
     fn min_id_flood_converges_in_diameter_rounds() {
@@ -1029,14 +798,14 @@ mod tests {
     struct Misbehaving;
 
     impl Protocol for Misbehaving {
-        type Msg = MinMsg;
+        type Msg = Ping;
         type State = ();
         type Output = ();
 
         fn init(&self, view: &LocalView<'_>, outbox: &mut Outbox<'_, Self::Msg>) -> Self::State {
             if let Some((e, _)) = view.incident_pairs().first() {
-                outbox.send(e, MinMsg(0));
-                outbox.send(e, MinMsg(1));
+                outbox.send(e, Ping);
+                outbox.send(e, Ping);
             }
         }
 
@@ -1069,12 +838,12 @@ mod tests {
     struct OffNetwork;
 
     impl Protocol for OffNetwork {
-        type Msg = MinMsg;
+        type Msg = Ping;
         type State = ();
         type Output = ();
 
         fn init(&self, _view: &LocalView<'_>, outbox: &mut Outbox<'_, Self::Msg>) -> Self::State {
-            outbox.send(EdgeId(999), MinMsg(0));
+            outbox.send(EdgeId(999), Ping);
         }
 
         fn round(
@@ -1140,18 +909,18 @@ mod tests {
         assert_eq!(leaf.neighbor_via(e), Some(NodeId(0)));
     }
 
-    /// Round 2: a model violation at low node 0 *and* a panic at high node
-    /// 15. The round loop steps nodes in id order and stops at the first
+    /// Round 2: a sending-rule violation at low node 0 *and* a panic at high
+    /// node 15. The round loop steps nodes in id order and stops at the first
     /// violation, so node 15 is never reached and the violation is reported.
     struct ViolatesThenPanics;
 
     impl Protocol for ViolatesThenPanics {
-        type Msg = MinMsg;
+        type Msg = Ping;
         type State = ();
         type Output = ();
 
         fn init(&self, _view: &LocalView<'_>, outbox: &mut Outbox<'_, Self::Msg>) -> Self::State {
-            outbox.broadcast(MinMsg(0));
+            outbox.broadcast(Ping);
         }
 
         fn round(
@@ -1165,13 +934,13 @@ mod tests {
             if round == 2 {
                 if view.node == NodeId(0) {
                     if let Some((e, _)) = view.incident_pairs().first() {
-                        outbox.send(e, MinMsg(0));
-                        outbox.send(e, MinMsg(1));
+                        outbox.send(e, Ping);
+                        outbox.send(e, Ping);
                     }
                 }
                 assert!(view.node != NodeId(15), "panic at the last node");
             } else if round < 2 {
-                outbox.broadcast(MinMsg(0));
+                outbox.broadcast(Ping);
             }
         }
 
@@ -1193,26 +962,93 @@ mod tests {
         assert_eq!(reference, err);
     }
 
+    /// The traced arena run, the untraced arena run and the reference run
+    /// of `protocol` agree on outputs and bill, and the two traced runs on
+    /// their transcripts, byte for byte.
+    fn assert_engines_agree<P>(network: &Network, protocol: &P, what: &str)
+    where
+        P: Protocol,
+        P::Output: PartialEq + std::fmt::Debug,
+    {
+        let (arena, arena_t) = Simulator::new().run_traced(network, protocol).unwrap();
+        let (reference, reference_t) = reference_run_traced(network, protocol, 1_000_000).unwrap();
+        assert_eq!(arena.outputs, reference.outputs, "{what}");
+        assert_eq!(arena.cost, reference.cost, "{what}");
+        assert_eq!(arena_t, reference_t, "{what}");
+        // Byte-identical transcripts, not merely equal.
+        assert_eq!(
+            format!("{arena_t:?}").into_bytes(),
+            format!("{reference_t:?}").into_bytes(),
+            "{what}"
+        );
+        // Recording a transcript changes neither outputs nor bill.
+        let untraced = Simulator::new().run(network, protocol).unwrap();
+        assert_eq!(untraced.outputs, arena.outputs, "{what}");
+        assert_eq!(untraced.cost, arena.cost, "{what}");
+    }
+
     #[test]
     fn arena_and_reference_engines_agree_on_flooding() {
-        for g in [
-            gen::path(17, 1.0),
-            gen::grid(5, 6, 1.0),
-            gen::star(12, 2.0),
-            gen::cycle(9, 1.0),
-        ] {
+        let mut graphs = vec![
+            ("path".to_string(), gen::path(17, 1.0)),
+            ("grid".to_string(), gen::grid(5, 6, 1.0)),
+            ("star".to_string(), gen::star(12, 2.0)),
+            ("cycle".to_string(), gen::cycle(9, 1.0)),
+        ];
+        for (n, seed) in [(30, 3), (24, 5)] {
+            for fam in gen::Family::ALL {
+                graphs.push((format!("{fam} n={n} seed={seed}"), fam.generate(n, seed)));
+            }
+        }
+        for (name, g) in graphs {
             let network = Network::new(g);
-            let (arena, arena_t) = Simulator::new().run_traced(&network, &MinIdFlood).unwrap();
-            let (reference, reference_t) =
-                reference_run_traced(&network, &MinIdFlood, 1_000_000).unwrap();
-            assert_eq!(arena.outputs, reference.outputs);
-            assert_eq!(arena.cost, reference.cost);
-            assert_eq!(arena_t, reference_t);
-            // Byte-identical transcripts, not merely equal.
-            assert_eq!(
-                format!("{arena_t:?}").into_bytes(),
-                format!("{reference_t:?}").into_bytes()
+            assert_engines_agree(&network, &MinIdFlood, &format!("MinIdFlood on {name}"));
+            assert_engines_agree(
+                &network,
+                &BfsProtocol::new(NodeId(0)),
+                &format!("BFS on {name}"),
             );
         }
+    }
+
+    /// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, x: u64) {
+            for b in x.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Pins every observable of one flood: its outputs, its `RoundCost` and
+    /// its sorted transcript. The hashed word stream keeps two literal zero
+    /// words where it once hashed counters that only other communication
+    /// models filled, so the constant is the one first pinned for this run.
+    #[test]
+    fn classic_flood_matches_its_pinned_digest() {
+        let network = Network::new(gen::grid(4, 4, 1.0));
+        let (run, transcript) = Simulator::new().run_traced(&network, &MinIdFlood).unwrap();
+        let mut h = Fnv::new();
+        h.word(run.outputs.len() as u64);
+        run.outputs.iter().for_each(|&o| h.word(u64::from(o)));
+        let cost = run.cost;
+        for x in [cost.rounds, cost.messages, cost.max_message_words, 0] {
+            h.word(x);
+        }
+        h.word(transcript.len() as u64);
+        for ev in &transcript {
+            h.word(ev.round);
+            h.word(ev.edge.0.into());
+            h.word(ev.receiver.0.into());
+        }
+        h.word(0);
+        assert_eq!(h.0, 0x3e3a_52ed_3897_4b93, "digest {:#018x}", h.0);
     }
 }

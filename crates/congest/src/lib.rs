@@ -17,13 +17,10 @@
 //!   a (possibly deep) spanning tree in `Õ(√n + D)` rounds via the random
 //!   edge-sampling decomposition of Lemma 8.2 / Lemma 9.1;
 //! * [`cost`] — composable round/message cost records used by the
-//!   round-accounted execution of the full pipeline;
-//! * [`model`] — pluggable communication models: classic per-edge CONGEST,
-//!   lossy/faulty CONGEST under a seeded [`Adversary`] and the Congested
-//!   Clique run through the one round loop of [`engine`], and
-//!   `BCAST(log n)` runs its broadcast protocols through a loop of its own;
-//! * [`reliable`] — the retransmit-with-ack adapter that runs unchanged
-//!   protocols over the lossy model.
+//!   round-accounted execution of the full pipeline.
+//!
+//! Classic CONGEST is the only communication model: it is the model of
+//! Theorem 1.1 and of every round bill the workspace reproduces.
 //!
 //! # Example: distributed BFS tree
 //!
@@ -47,9 +44,7 @@
 
 pub mod cost;
 pub mod engine;
-pub mod model;
 pub mod primitives;
-pub mod reliable;
 pub mod treeops;
 
 pub use cost::RoundCost;
@@ -59,5 +54,3 @@ pub use engine::{
     DeliveryEvent, Inbox, LocalView, MessageSize, Network, Outbox, Protocol, RunResult, Simulator,
     Transcript,
 };
-pub use model::{Adversary, BcastInbox, BcastProtocol, CommModel, FaultEvent, FaultLog};
-pub use reliable::Reliable;

@@ -15,7 +15,6 @@ use crate::cost::RoundCost;
 use crate::engine::{
     Inbox, LocalView, MessageSize, Network, Outbox, Protocol, SimulationError, Simulator,
 };
-use crate::model::CommModel;
 
 /// Result of the distributed BFS-tree construction.
 #[derive(Debug, Clone)]
@@ -34,32 +33,9 @@ pub struct BfsTreeResult {
 /// Panics if the graph is disconnected (the paper assumes a connected
 /// network) or `root` is out of range.
 pub fn build_bfs_tree(network: &Network, root: NodeId) -> BfsTreeResult {
-    build_bfs_tree_on(&CommModel::Classic, network, root)
-}
-
-/// [`build_bfs_tree`] executed under an arbitrary edge-addressed
-/// communication model (classic is byte-identical to [`build_bfs_tree`]; the
-/// lossy model runs the unchanged flooding protocol through the
-/// retransmit-with-ack adapter). Under an interfering adversary the returned
-/// spanning tree may not be minimum-depth — a node can hear a longer path
-/// first when the shorter announcement was dropped — which is exactly the
-/// degradation a faulty network inflicts on the real protocol; the tree is
-/// still a valid spanning tree rooted at `root`.
-///
-/// # Panics
-///
-/// Same conditions as [`build_bfs_tree`], plus a panic on
-/// [`CommModel::Bcast`] (edge-addressed flooding cannot run there), on
-/// [`CommModel::Clique`] if the graph has parallel edges (the flood's
-/// one-announcement-per-edge exceeds the clique's one-word-per-ordered-pair
-/// rule — callers that cannot rule multigraphs out should pre-check, as
-/// `PreparedMaxFlow::distributed_max_flow_on` does), or if the adversary
-/// prevents termination within the round cap.
-pub fn build_bfs_tree_on(model: &CommModel, network: &Network, root: NodeId) -> BfsTreeResult {
-    let protocol = BfsProtocol::new(root);
-    let (run, _faults) = Simulator::new()
-        .run_model_reliable(network, model, &protocol)
-        .expect("BFS flooding respects the model's rules");
+    let run = Simulator::new()
+        .run(network, &BfsProtocol::new(root))
+        .expect("BFS flooding respects the CONGEST rules");
     let mut parent = vec![None; network.num_nodes()];
     let mut parent_edge = vec![None; network.num_nodes()];
     for (v, out) in run.outputs.iter().enumerate() {
@@ -190,9 +166,9 @@ pub fn elect_leader(network: &Network) -> LeaderResult {
 /// The minimum-identifier flooding protocol behind [`elect_leader`]: every
 /// node announces the smallest id it has seen and re-floods on improvement;
 /// each node outputs that minimum. Public because its outputs are
-/// independent of message delivery order — which makes it the canonical
-/// replay subject of the differential conformance suites (`testkit`): the
-/// same outputs must emerge on every engine, model and adversary.
+/// independent of message delivery order, which makes it the canonical
+/// replay subject of the engine suites: the same outputs must emerge on the
+/// arena round loop and on the reference engine.
 pub struct MinIdFlood;
 
 /// The id announcement of [`MinIdFlood`] (one `O(log n)`-bit word).

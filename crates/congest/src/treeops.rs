@@ -26,7 +26,6 @@ use rand::Rng;
 
 use crate::cost::RoundCost;
 use crate::engine::{Inbox, LocalView, MessageSize, Network, Outbox, Protocol, Simulator};
-use crate::model::{BcastInbox, BcastProtocol, CommModel};
 use crate::primitives::pipelined_broadcast_cost;
 
 /// A decomposition of a rooted tree into low-depth components obtained by
@@ -135,14 +134,6 @@ impl DecomposedTree {
         }
     }
 
-    /// Wraps an explicit decomposition (used by tests and ablations).
-    pub fn from_decomposition(tree: RootedTree, decomposition: TreeDecomposition) -> Self {
-        DecomposedTree {
-            tree,
-            decomposition,
-        }
-    }
-
     /// The underlying spanning tree.
     pub fn tree(&self) -> &RootedTree {
         &self.tree
@@ -182,54 +173,6 @@ impl DecomposedTree {
     ) -> TreeAggregationResult {
         distributed_prefix_sums(network, &self.tree, &self.decomposition, bfs_tree, values)
     }
-
-    /// [`Self::subtree_sums`] executed under an arbitrary communication
-    /// model (classic is byte-identical to [`Self::subtree_sums`]; the lossy
-    /// model runs the unchanged protocol through the retransmit-with-ack
-    /// adapter).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`distributed_subtree_sums_on`].
-    pub fn subtree_sums_on(
-        &self,
-        model: &CommModel,
-        network: &Network,
-        bfs_tree: &RootedTree,
-        values: &[f64],
-    ) -> TreeAggregationResult {
-        distributed_subtree_sums_on(
-            model,
-            network,
-            &self.tree,
-            &self.decomposition,
-            bfs_tree,
-            values,
-        )
-    }
-
-    /// [`Self::prefix_sums`] executed under an arbitrary communication
-    /// model.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`distributed_prefix_sums_on`].
-    pub fn prefix_sums_on(
-        &self,
-        model: &CommModel,
-        network: &Network,
-        bfs_tree: &RootedTree,
-        values: &[f64],
-    ) -> TreeAggregationResult {
-        distributed_prefix_sums_on(
-            model,
-            network,
-            &self.tree,
-            &self.decomposition,
-            bfs_tree,
-            values,
-        )
-    }
 }
 
 /// Result of a distributed tree aggregation.
@@ -259,36 +202,6 @@ pub fn distributed_subtree_sums(
     bfs_tree: &RootedTree,
     values: &[f64],
 ) -> TreeAggregationResult {
-    distributed_subtree_sums_on(
-        &CommModel::Classic,
-        network,
-        tree,
-        decomposition,
-        bfs_tree,
-        values,
-    )
-}
-
-/// [`distributed_subtree_sums`] executed under an arbitrary communication
-/// model: the two within-component protocol phases run on the model's fabric
-/// (through the retransmit-with-ack adapter on the lossy model, so the
-/// computed values are identical — only the round bill inflates), the
-/// pipelined global exchange is charged analytically as before.
-///
-/// # Panics
-///
-/// Same conditions as [`distributed_subtree_sums`], plus a panic if the
-/// model cannot carry edge-addressed protocols ([`CommModel::Bcast`] — use
-/// [`bcast_subtree_sums`] there) or the protocol exceeds the model's round
-/// cap under the adversary.
-pub fn distributed_subtree_sums_on(
-    model: &CommModel,
-    network: &Network,
-    tree: &RootedTree,
-    decomposition: &TreeDecomposition,
-    bfs_tree: &RootedTree,
-    values: &[f64],
-) -> TreeAggregationResult {
     assert_eq!(
         values.len(),
         network.num_nodes(),
@@ -296,7 +209,7 @@ pub fn distributed_subtree_sums_on(
     );
 
     // Phase 1 (real protocol): within-component subtree sums.
-    let phase1 = forest_subtree_sums(model, network, tree, decomposition, values);
+    let phase1 = forest_subtree_sums(network, tree, decomposition, values);
 
     // Phase 2 (pipelined BFS exchange, cost measured on the actual trees):
     // every node learns, for every component c, its total S_c and its parent
@@ -338,7 +251,7 @@ pub fn distributed_subtree_sums_on(
             augmented[p.index()] += total;
         }
     }
-    let phase3 = forest_subtree_sums(model, network, tree, decomposition, &augmented);
+    let phase3 = forest_subtree_sums(network, tree, decomposition, &augmented);
 
     let cost = phase1.cost.then(phase2_cost).then(phase3.cost);
     TreeAggregationResult {
@@ -364,30 +277,6 @@ pub fn distributed_prefix_sums(
     bfs_tree: &RootedTree,
     values: &[f64],
 ) -> TreeAggregationResult {
-    distributed_prefix_sums_on(
-        &CommModel::Classic,
-        network,
-        tree,
-        decomposition,
-        bfs_tree,
-        values,
-    )
-}
-
-/// [`distributed_prefix_sums`] executed under an arbitrary communication
-/// model (see [`distributed_subtree_sums_on`] for the execution scheme).
-///
-/// # Panics
-///
-/// Same conditions as [`distributed_subtree_sums_on`].
-pub fn distributed_prefix_sums_on(
-    model: &CommModel,
-    network: &Network,
-    tree: &RootedTree,
-    decomposition: &TreeDecomposition,
-    bfs_tree: &RootedTree,
-    values: &[f64],
-) -> TreeAggregationResult {
     assert_eq!(
         values.len(),
         network.num_nodes(),
@@ -396,7 +285,7 @@ pub fn distributed_prefix_sums_on(
 
     // Phase 1 (real protocol): prefix sums within each component (root of the
     // component acts as a local root with offset 0).
-    let phase1 = forest_prefix_sums(model, network, tree, decomposition, values);
+    let phase1 = forest_prefix_sums(network, tree, decomposition, values);
 
     // Phase 2: every node learns each component's "entry offset", i.e. the
     // prefix sum at the attachment node of the component root. Offsets are
@@ -445,7 +334,6 @@ pub fn distributed_prefix_sums_on(
 /// cut parent edges are simply never used, so each component performs an
 /// independent convergecast concurrently.
 fn forest_subtree_sums(
-    model: &CommModel,
     network: &Network,
     tree: &RootedTree,
     decomposition: &TreeDecomposition,
@@ -457,13 +345,12 @@ fn forest_subtree_sums(
         values,
         direction: Direction::Up,
     };
-    run_forest(model, network, &protocol)
+    run_forest(network, &protocol)
 }
 
 /// Within-component prefix sums (downcast) as a genuine message-passing
 /// protocol.
 fn forest_prefix_sums(
-    model: &CommModel,
     network: &Network,
     tree: &RootedTree,
     decomposition: &TreeDecomposition,
@@ -475,22 +362,14 @@ fn forest_prefix_sums(
         values,
         direction: Direction::Down,
     };
-    run_forest(model, network, &protocol)
+    run_forest(network, &protocol)
 }
 
-/// Executes one forest-aggregation phase on the model's fabric. Classic
-/// delegates to the raw engine (byte-identical to PR 4); the lossy model
-/// runs the unchanged protocol through the retransmit-with-ack adapter, so
-/// the aggregation still computes exact values, just with an inflated round
-/// and message bill.
-fn run_forest(
-    model: &CommModel,
-    network: &Network,
-    protocol: &ForestAggregate<'_>,
-) -> TreeAggregationResult {
-    let (run, _faults) = Simulator::new()
-        .run_model_reliable(network, model, protocol)
-        .expect("forest aggregation respects the model's rules");
+/// Executes one forest-aggregation phase on the simulator.
+fn run_forest(network: &Network, protocol: &ForestAggregate<'_>) -> TreeAggregationResult {
+    let run = Simulator::new()
+        .run(network, protocol)
+        .expect("forest aggregation respects the CONGEST rules");
     TreeAggregationResult {
         values: run.outputs,
         cost: run.cost,
@@ -634,191 +513,6 @@ impl<'a> Protocol for ForestAggregate<'a> {
     }
 }
 
-/// Subtree sums in the `BCAST(log n)` model: every broadcast word is global,
-/// so the Lemma 8.2 decomposition and the pipelined summary exchange are
-/// unnecessary — each node broadcasts its completed subtree sum exactly once
-/// and the whole aggregation finishes in `O(depth(T))` rounds with at most
-/// one broadcast per node. The computed values equal
-/// [`RootedTree::subtree_sums`], like the CONGEST protocol's.
-///
-/// # Panics
-///
-/// Panics if `values.len()` differs from the node count. (The tree's edges
-/// need not exist in the network: `BCAST` does not route over graph edges.)
-pub fn bcast_subtree_sums(
-    network: &Network,
-    tree: &RootedTree,
-    values: &[f64],
-) -> TreeAggregationResult {
-    run_bcast_aggregate(network, tree, values, Direction::Up)
-}
-
-/// Root-to-node prefix sums in the `BCAST(log n)` model (see
-/// [`bcast_subtree_sums`]); equals [`RootedTree::prefix_sums_from_root`].
-///
-/// # Panics
-///
-/// Panics if `values.len()` differs from the node count.
-pub fn bcast_prefix_sums(
-    network: &Network,
-    tree: &RootedTree,
-    values: &[f64],
-) -> TreeAggregationResult {
-    run_bcast_aggregate(network, tree, values, Direction::Down)
-}
-
-fn run_bcast_aggregate(
-    network: &Network,
-    tree: &RootedTree,
-    values: &[f64],
-    direction: Direction,
-) -> TreeAggregationResult {
-    assert_eq!(
-        values.len(),
-        network.num_nodes(),
-        "value vector length mismatch"
-    );
-    let protocol = BcastTreeAggregate {
-        tree,
-        values,
-        direction,
-    };
-    let run = Simulator::new()
-        .run_bcast(network, &protocol)
-        .expect("bcast tree aggregation terminates within the round cap");
-    TreeAggregationResult {
-        values: run.outputs,
-        cost: run.cost,
-    }
-}
-
-/// The tree aggregations as a [`BcastProtocol`]: upward, a node broadcasts
-/// its subtree sum once all children have announced theirs; downward, a node
-/// derives its prefix from its parent's broadcast and announces it to its
-/// own children. One `O(log n)`-bit word per broadcast.
-struct BcastTreeAggregate<'a> {
-    tree: &'a RootedTree,
-    values: &'a [f64],
-    direction: Direction,
-}
-
-struct BcastAggState {
-    acc: f64,
-    pending: usize,
-    done: bool,
-}
-
-impl BcastProtocol for BcastTreeAggregate<'_> {
-    type Word = AggMsg;
-    type State = BcastAggState;
-    type Output = f64;
-
-    fn init(&self, view: &LocalView<'_>) -> (Self::State, Option<Self::Word>) {
-        let v = view.node;
-        let acc = self.values[v.index()];
-        let is_root = self.tree.parent(v).is_none();
-        match self.direction {
-            Direction::Up => {
-                let pending = self.tree.children(v).len();
-                if pending == 0 {
-                    // Leaves announce immediately; the root's total interests
-                    // nobody above it, so it stays silent.
-                    (
-                        BcastAggState {
-                            acc,
-                            pending,
-                            done: true,
-                        },
-                        (!is_root).then_some(AggMsg(acc)),
-                    )
-                } else {
-                    (
-                        BcastAggState {
-                            acc,
-                            pending,
-                            done: false,
-                        },
-                        None,
-                    )
-                }
-            }
-            Direction::Down => {
-                if is_root {
-                    let word = (!self.tree.children(v).is_empty()).then_some(AggMsg(acc));
-                    (
-                        BcastAggState {
-                            acc,
-                            pending: 0,
-                            done: true,
-                        },
-                        word,
-                    )
-                } else {
-                    (
-                        BcastAggState {
-                            acc,
-                            pending: 0,
-                            done: false,
-                        },
-                        None,
-                    )
-                }
-            }
-        }
-    }
-
-    fn round(
-        &self,
-        view: &LocalView<'_>,
-        state: &mut Self::State,
-        heard: &BcastInbox<'_, Self::Word>,
-        _round: u64,
-    ) -> Option<Self::Word> {
-        let v = view.node;
-        if state.done {
-            return None;
-        }
-        match self.direction {
-            Direction::Up => {
-                // Each child broadcasts exactly once, so a heard child is a
-                // freshly completed subtree — no double counting.
-                for &c in self.tree.children(v) {
-                    if let Some(AggMsg(w)) = heard.from(c) {
-                        state.acc += w;
-                        state.pending -= 1;
-                    }
-                }
-                if state.pending == 0 {
-                    state.done = true;
-                    if self.tree.parent(v).is_some() {
-                        return Some(AggMsg(state.acc));
-                    }
-                }
-                None
-            }
-            Direction::Down => {
-                let p = self.tree.parent(v).expect("non-root has a parent");
-                if let Some(AggMsg(prefix)) = heard.from(p) {
-                    state.acc += prefix;
-                    state.done = true;
-                    if !self.tree.children(v).is_empty() {
-                        return Some(AggMsg(state.acc));
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    fn is_terminated(&self, state: &Self::State) -> bool {
-        state.done
-    }
-
-    fn output(&self, _view: &LocalView<'_>, state: Self::State) -> Self::Output {
-        state.acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,90 +613,6 @@ mod tests {
         // be much smaller than the tree depth.
         assert!(dec.max_component_depth * 4 < tree.max_depth());
         let _ = (decomposed.cost, naive.cost);
-    }
-
-    #[test]
-    fn model_ports_compute_identical_values() {
-        use crate::model::{Adversary, CommModel};
-        // Integer-valued inputs make f64 sums exact regardless of the
-        // delivery order a model induces, so every model must produce the
-        // same bytes.
-        let (network, tree, bfs) = setup(40);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let dec = TreeDecomposition::sample(&tree, 0.25, &mut rng);
-        let values: Vec<f64> = (0..40).map(|v| ((v * 7) % 13) as f64 - 6.0).collect();
-        let classic_up = distributed_subtree_sums(&network, &tree, &dec, &bfs, &values);
-        let classic_down = distributed_prefix_sums(&network, &tree, &dec, &bfs, &values);
-        let handle = DecomposedTree::from_decomposition(tree.clone(), dec.clone());
-        for model in [
-            CommModel::Classic,
-            CommModel::Clique,
-            CommModel::Lossy(Adversary::benign(5)),
-            CommModel::Lossy(Adversary::lossy(5, 0.15)),
-        ] {
-            let up = handle.subtree_sums_on(&model, &network, &bfs, &values);
-            let down = handle.prefix_sums_on(&model, &network, &bfs, &values);
-            let up_bits: Vec<u64> = up.values.iter().map(|x| x.to_bits()).collect();
-            let classic_up_bits: Vec<u64> = classic_up.values.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(up_bits, classic_up_bits, "model {}", model.name());
-            let down_bits: Vec<u64> = down.values.iter().map(|x| x.to_bits()).collect();
-            let classic_down_bits: Vec<u64> =
-                classic_down.values.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(down_bits, classic_down_bits, "model {}", model.name());
-            if model.is_lossy() {
-                // Adversarial runs still finish; the recovery traffic is
-                // visible in the bill whenever drops occurred.
-                assert!(up.cost.rounds >= classic_up.cost.rounds);
-            } else {
-                assert_eq!(up.cost, classic_up.cost, "model {}", model.name());
-                assert_eq!(down.cost, classic_down.cost, "model {}", model.name());
-            }
-        }
-    }
-
-    #[test]
-    fn lossy_aggregation_inflates_but_finishes_the_bill() {
-        use crate::model::{Adversary, CommModel};
-        let (network, tree, bfs) = setup(60);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let dec = TreeDecomposition::sample(&tree, 0.2, &mut rng);
-        let values: Vec<f64> = (0..60).map(|v| (v % 5) as f64).collect();
-        let classic = distributed_subtree_sums(&network, &tree, &dec, &bfs, &values);
-        let model = CommModel::Lossy(Adversary::lossy(13, 0.2));
-        let lossy = distributed_subtree_sums_on(&model, &network, &tree, &dec, &bfs, &values);
-        for (got, want) in lossy.values.iter().zip(&classic.values) {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-        assert!(lossy.cost.rounds > classic.cost.rounds);
-        assert!(lossy.cost.retransmissions > 0);
-        assert_eq!(classic.cost.retransmissions, 0);
-    }
-
-    #[test]
-    fn bcast_aggregations_match_centralized_in_depth_rounds() {
-        let g = gen::grid(7, 7, 1.0);
-        let tree = spanning::max_weight_spanning_tree(&g, NodeId(0)).unwrap();
-        let network = Network::new(g);
-        let values: Vec<f64> = (0..49).map(|v| ((v * 3) % 11) as f64 - 5.0).collect();
-        let up = bcast_subtree_sums(&network, &tree, &values);
-        let down = bcast_prefix_sums(&network, &tree, &values);
-        let expected_up = tree.subtree_sums(&values);
-        let expected_down = tree.prefix_sums_from_root(&values);
-        for v in 0..49 {
-            assert_eq!(up.values[v].to_bits(), expected_up[v].to_bits(), "node {v}");
-            assert_eq!(
-                down.values[v].to_bits(),
-                expected_down[v].to_bits(),
-                "node {v}"
-            );
-        }
-        let depth = tree.max_depth() as u64;
-        assert!(up.cost.rounds <= depth + 2, "{} rounds", up.cost.rounds);
-        assert!(down.cost.rounds <= depth + 2);
-        // One O(log n)-bit word per broadcast, at most one broadcast per node.
-        assert_eq!(up.cost.max_message_words, 1);
-        assert!(up.cost.messages <= network.num_nodes() as u64);
-        assert!(down.cost.messages <= network.num_nodes() as u64);
     }
 
     #[test]

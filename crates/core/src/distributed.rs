@@ -22,24 +22,21 @@
 //! All measured protocol state — the network arena, one cached
 //! [`DecomposedTree`] handle per virtual tree (Lemma 8.2 says the
 //! decomposition is sampled once per tree, not once per aggregation) and the
-//! costs measured on the classic model — lives in a cached plan owned by the
+//! costs its protocols measured — lives in a cached plan owned by the
 //! [`PreparedMaxFlow`] session, so a build-once / query-many caller pays the
 //! construction bill once and only the per-iteration and repair-aggregation
 //! bills per query. [`PreparedMaxFlow::distributed_bill`] exposes exactly
 //! that amortized split.
 //!
-//! Every bill, on every communication model, comes from the same two steps:
-//! the plan measures its protocols on the model's fabric, and the measured
-//! costs plus a query's iteration count make its [`RoundBreakdown`]. The
-//! classic measurement is taken once, when the plan is built; other models
-//! measure per query.
+//! Every bill comes from the same two steps: the plan measures its protocols
+//! once, when it is built, and the measured costs plus a query's iteration
+//! count make its [`RoundBreakdown`].
 //!
 //! The paper's headline claim — `(D + √n)·n^{o(1)}·ε^{-3}` rounds, far below
 //! the `Θ(n²)` of distributed push–relabel and the `Θ(m)` of centralizing the
 //! input — is what experiments E1/E9 check against this accounting.
 
-use congest::model::CommModel;
-use congest::primitives::{build_bfs_tree_on, pipelined_broadcast_cost};
+use congest::primitives::{build_bfs_tree, pipelined_broadcast_cost};
 use congest::treeops::{DecomposedTree, TreeDecomposition};
 use congest::{Network, RoundCost};
 use flowgraph::{Graph, GraphError, NodeId};
@@ -156,8 +153,7 @@ impl SessionBill {
 
 /// The cached distributed-execution state of a session: the simulated
 /// network, re-runnable [`DecomposedTree`] handles for every virtual tree
-/// and for the repair tree, and the costs their protocols measured on the
-/// classic model.
+/// and for the repair tree, and the costs their protocols measured.
 #[derive(Debug)]
 pub(crate) struct DistributedPlan {
     network: Network,
@@ -168,13 +164,12 @@ pub(crate) struct DistributedPlan {
     repair: DecomposedTree,
     /// Cluster-level decomposition rounds of the ensemble build.
     decomposition_rounds: u64,
-    /// What [`Self::measure`] read on [`CommModel::Classic`] (every protocol
+    /// What [`Self::measure`] read when the plan was built (every protocol
     /// is deterministic for a fixed plan, so measured once).
-    classic: PlanCosts,
+    costs: PlanCosts,
 }
 
-/// The measured round costs of a plan's protocols on one communication
-/// model.
+/// The measured round costs of a plan's protocols.
 #[derive(Debug, Clone, Copy, Default)]
 struct PlanCosts {
     bfs: RoundCost,
@@ -189,9 +184,9 @@ struct PlanCosts {
 
 impl DistributedPlan {
     /// Samples every tree's Lemma 8.2 decomposition once, then the repair
-    /// tree's, and measures the plan's protocols on the classic model. The
-    /// approximator holds its trees in slot order only, so each is rebuilt
-    /// as a [`flowgraph::RootedTree`] here, once per plan.
+    /// tree's, and measures the plan's protocols. The approximator holds its
+    /// trees in slot order only, so each is rebuilt as a
+    /// [`flowgraph::RootedTree`] here, once per plan.
     fn build(session: &PreparedMaxFlow<'_>) -> DistributedPlan {
         let n = session.graph().num_nodes();
         let mut rng = ChaCha8Rng::seed_from_u64(session.config().racke.seed ^ 0x9e3779b97f4a7c15);
@@ -209,24 +204,22 @@ impl DistributedPlan {
             virtual_trees,
             repair,
             decomposition_rounds: session.ensemble_stats().decomposition_rounds as u64,
-            classic: PlanCosts::default(),
+            costs: PlanCosts::default(),
         };
-        plan.classic = plan.measure(&CommModel::Classic);
+        plan.costs = plan.measure();
         plan
     }
 
-    /// Runs every protocol of the plan on `model`'s fabric, through the
-    /// cached decomposition handles, and measures what each costs. Only the
-    /// channel differs between models: the lossy model runs the same
-    /// protocols through the retransmit-with-ack adapter.
-    fn measure(&self, model: &CommModel) -> PlanCosts {
+    /// Runs every protocol of the plan through the cached decomposition
+    /// handles and measures what each costs.
+    fn measure(&self) -> PlanCosts {
         let n = self.network.num_nodes();
         let sqrt_n = (n as f64).sqrt().ceil() as u64;
 
         // Phase 1: global BFS tree (real protocol), rooted at the canonical
         // aggregation root. Its depth is within a factor 2 of the diameter
         // from any root, which is all the accounting uses it for.
-        let bfs = build_bfs_tree_on(model, &self.network, NodeId(0));
+        let bfs = build_bfs_tree(&self.network, NodeId(0));
         let bfs_depth = bfs.tree.max_depth();
 
         // Phase 2: congestion approximator construction. Sparsifier
@@ -243,8 +236,8 @@ impl DistributedPlan {
         let unit_values = vec![1.0; n];
         let mut per_iteration = RoundCost::ZERO;
         for handle in &self.virtual_trees {
-            let up = handle.subtree_sums_on(model, &self.network, &bfs.tree, &unit_values);
-            let down = handle.prefix_sums_on(model, &self.network, &bfs.tree, &unit_values);
+            let up = handle.subtree_sums(&self.network, &bfs.tree, &unit_values);
+            let down = handle.prefix_sums(&self.network, &bfs.tree, &unit_values);
             // Computing |f'| / the tree capacities costs one aggregation per
             // tree during construction (Lemma 8.3).
             construction.add_sequential(up.cost);
@@ -267,7 +260,7 @@ impl DistributedPlan {
         let logn = (n.max(2) as f64).log2().ceil() as u64;
         let per_query_repair = self
             .repair
-            .subtree_sums_on(model, &self.network, &bfs.tree, &unit_values)
+            .subtree_sums(&self.network, &bfs.tree, &unit_values)
             .cost;
         PlanCosts {
             bfs: bfs.cost,
@@ -319,7 +312,7 @@ impl<'g> PreparedMaxFlow<'g> {
     /// fixed plan, which [`Self::remeasure_query_costs`] pins).
     pub fn distributed_bill(&mut self) -> SessionBill {
         let num_nodes = self.graph().num_nodes();
-        let costs = self.ensure_plan().classic;
+        let costs = self.ensure_plan().costs;
         SessionBill {
             bfs_construction: costs.bfs,
             approximator_construction: costs.construction,
@@ -346,77 +339,8 @@ impl<'g> PreparedMaxFlow<'g> {
     /// cached [`SessionBill`] figures; the test suite uses it to pin that
     /// the cached handles really are re-runnable.
     pub fn remeasure_query_costs(&mut self) -> (RoundCost, RoundCost) {
-        let costs = self.ensure_plan().measure(&CommModel::Classic);
+        let costs = self.ensure_plan().measure();
         (costs.per_iteration, costs.per_query_repair)
-    }
-
-    /// Runs one s–t query under an arbitrary communication model
-    /// (`CommModel::Classic` is [`Self::distributed_max_flow`] exactly,
-    /// cached plan and all).
-    ///
-    /// The flow itself is computed by the same centralized gradient descent
-    /// for every model — it is **byte-identical** across models — while the
-    /// measured protocols (BFS construction, the Lemma 8.2 aggregations of
-    /// every virtual tree, the Lemma 9.1 repair aggregation) are re-executed
-    /// on the model's fabric, through the retransmit-with-ack adapter on the
-    /// lossy model. Under an interfering adversary the round bill is
-    /// therefore retransmission-inflated (but finite, and reproducible for a
-    /// fixed adversary seed); under the clique it is classic's bill with the
-    /// pair-capacity rule enforced.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`Self::max_flow`], plus
-    /// [`GraphError::InvalidConfig`] for [`CommModel::Bcast`] (the plan's
-    /// protocols are edge-addressed; the `BCAST(log n)` tree aggregations
-    /// live in `congest::treeops::bcast_subtree_sums`).
-    pub fn distributed_max_flow_on(
-        &mut self,
-        s: NodeId,
-        t: NodeId,
-        model: &CommModel,
-    ) -> Result<DistributedMaxFlowResult, GraphError> {
-        if matches!(model, CommModel::Bcast) {
-            return Err(GraphError::InvalidConfig {
-                parameter: "comm_model",
-                reason: "the distributed plan's protocols are edge-addressed and cannot run \
-                         on BCAST(log n); use congest::treeops::bcast_subtree_sums for the \
-                         broadcast-model tree aggregations",
-            });
-        }
-        if matches!(model, CommModel::Clique) {
-            // The plan's BFS flood sends one announcement per incident edge;
-            // on a multigraph two parallel edges target one peer, which the
-            // clique's one-word-per-ordered-pair rule cannot carry. Reject
-            // up front with a typed error instead of panicking mid-protocol.
-            let mut peers: Vec<u32> = Vec::new();
-            for v in self.graph().nodes() {
-                peers.clear();
-                peers.extend(self.graph().incident(v).iter().map(|(_, w)| w.0));
-                peers.sort_unstable();
-                if peers.windows(2).any(|w| w[0] == w[1]) {
-                    return Err(GraphError::InvalidConfig {
-                        parameter: "comm_model",
-                        reason: "the graph has parallel edges; the congested clique carries \
-                                 one word per ordered node pair per round, so the plan's \
-                                 per-edge BFS flood cannot run on it",
-                    });
-                }
-            }
-        }
-        let result = self.max_flow(s, t)?;
-        let plan = self.ensure_plan();
-        let costs = match model {
-            CommModel::Classic => plan.classic,
-            _ => plan.measure(model),
-        };
-        Ok(DistributedMaxFlowResult {
-            rounds: costs.breakdown(result.iterations),
-            bfs_depth: costs.bfs_depth,
-            num_nodes: self.graph().num_nodes(),
-            num_edges: self.graph().num_edges(),
-            result,
-        })
     }
 
     /// Runs one s–t query and returns the flow together with the standalone
@@ -432,7 +356,15 @@ impl<'g> PreparedMaxFlow<'g> {
         s: NodeId,
         t: NodeId,
     ) -> Result<DistributedMaxFlowResult, GraphError> {
-        self.distributed_max_flow_on(s, t, &CommModel::Classic)
+        let result = self.max_flow(s, t)?;
+        let costs = self.ensure_plan().costs;
+        Ok(DistributedMaxFlowResult {
+            rounds: costs.breakdown(result.iterations),
+            bfs_depth: costs.bfs_depth,
+            num_nodes: self.graph().num_nodes(),
+            num_edges: self.graph().num_edges(),
+            result,
+        })
     }
 }
 
@@ -467,31 +399,6 @@ pub fn distributed_approx_max_flow(
     PreparedMaxFlow::prepare(g, config)?.distributed_max_flow(s, t)
 }
 
-/// [`distributed_approx_max_flow`] executed under an arbitrary communication
-/// model — the one-shot form of
-/// [`PreparedMaxFlow::distributed_max_flow_on`]. The flow is byte-identical
-/// across models; the round bill reflects the model's fabric (classic and
-/// clique agree, a lossy adversary inflates it with retransmissions).
-///
-/// # Errors
-///
-/// Same error conditions as [`PreparedMaxFlow::distributed_max_flow_on`].
-pub fn distributed_approx_max_flow_on(
-    g: &Graph,
-    s: NodeId,
-    t: NodeId,
-    config: &MaxFlowConfig,
-    model: &CommModel,
-) -> Result<DistributedMaxFlowResult, GraphError> {
-    if g.num_nodes() == 0 {
-        return Err(GraphError::Empty);
-    }
-    if !g.is_connected() {
-        return Err(GraphError::NotConnected);
-    }
-    PreparedMaxFlow::prepare(g, config)?.distributed_max_flow_on(s, t, model)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,6 +421,17 @@ mod tests {
         dist.result.flow.validate_st_flow(&g, s, t, 1e-6).unwrap();
         assert!(dist.result.value > 0.0);
         assert!(dist.result.value <= dist.result.upper_bound + 1e-9);
+        // The round accounting never changes the answer: the flow is the
+        // centralized query's, bit for bit.
+        let centralized = PreparedMaxFlow::prepare(&g, &config(4))
+            .unwrap()
+            .max_flow(s, t)
+            .unwrap();
+        let bits = |r: &MaxFlowResult| -> Vec<u64> {
+            r.flow.values().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&dist.result), bits(&centralized));
+        assert_eq!(dist.result.value.to_bits(), centralized.value.to_bits());
     }
 
     #[test]
@@ -611,137 +529,6 @@ mod tests {
         let (per_iteration, per_query_repair) = session.remeasure_query_costs();
         assert_eq!(per_iteration, bill.per_iteration);
         assert_eq!(per_query_repair, bill.per_query_repair);
-    }
-
-    #[test]
-    fn model_flows_are_byte_identical_and_lossy_bills_inflate() {
-        use congest::model::Adversary;
-        let g = gen::grid(5, 5, 1.0);
-        let cfg = config(3)
-            .with_phases(Some(1))
-            .with_max_iterations_per_phase(20);
-        let mut session = PreparedMaxFlow::prepare(&g, &cfg).unwrap();
-        let classic = session.distributed_max_flow(NodeId(0), NodeId(24)).unwrap();
-
-        // The clique executes the same protocols over a reliable fabric: the
-        // whole breakdown matches classic.
-        let clique = session
-            .distributed_max_flow_on(NodeId(0), NodeId(24), &CommModel::Clique)
-            .unwrap();
-        assert_eq!(
-            clique.result.value.to_bits(),
-            classic.result.value.to_bits()
-        );
-        assert_eq!(clique.rounds, classic.rounds);
-
-        // A benign adversary is indistinguishable from classic.
-        let benign = session
-            .distributed_max_flow_on(
-                NodeId(0),
-                NodeId(24),
-                &CommModel::Lossy(Adversary::benign(3)),
-            )
-            .unwrap();
-        assert_eq!(benign.rounds, classic.rounds);
-
-        // Real drop rates: identical flow, inflated but finite bill with
-        // visible retransmissions.
-        for drop_p in [0.1, 0.2] {
-            let lossy = session
-                .distributed_max_flow_on(
-                    NodeId(0),
-                    NodeId(24),
-                    &CommModel::Lossy(Adversary::lossy(17, drop_p)),
-                )
-                .unwrap();
-            assert_eq!(
-                lossy.result.value.to_bits(),
-                classic.result.value.to_bits(),
-                "p={drop_p}"
-            );
-            let flow_bits: Vec<u64> = lossy
-                .result
-                .flow
-                .values()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect();
-            let classic_bits: Vec<u64> = classic
-                .result
-                .flow
-                .values()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect();
-            assert_eq!(flow_bits, classic_bits, "p={drop_p}");
-            assert!(
-                lossy.rounds.total.rounds > classic.rounds.total.rounds,
-                "p={drop_p}: lossy bill must exceed classic's"
-            );
-            assert!(lossy.rounds.total.retransmissions > 0, "p={drop_p}");
-            assert_eq!(classic.rounds.total.retransmissions, 0);
-            // The wrapper's one-word frame header is the only width change.
-            assert!(
-                lossy.rounds.per_iteration.max_message_words
-                    <= classic.rounds.per_iteration.max_message_words + 1
-            );
-        }
-
-        // The one-shot wrapper agrees with the session for the same model.
-        let lossy_model = CommModel::Lossy(Adversary::lossy(17, 0.2));
-        let one_shot =
-            distributed_approx_max_flow_on(&g, NodeId(0), NodeId(24), &cfg, &lossy_model).unwrap();
-        let session_run = session
-            .distributed_max_flow_on(NodeId(0), NodeId(24), &lossy_model)
-            .unwrap();
-        assert_eq!(one_shot.rounds, session_run.rounds);
-        assert_eq!(
-            one_shot.result.value.to_bits(),
-            session_run.result.value.to_bits()
-        );
-    }
-
-    #[test]
-    fn clique_model_rejects_multigraphs_with_a_typed_error() {
-        // Parallel edges are legal in per-edge CONGEST but exceed the
-        // clique's one-word-per-ordered-pair rule; the session must return
-        // the typed error, not panic inside the BFS flood.
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        g.add_edge(NodeId(0), NodeId(1), 2.0).unwrap();
-        g.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
-        let mut session = PreparedMaxFlow::prepare(&g, &config(2)).unwrap();
-        // The classic plan handles the multigraph fine...
-        session.distributed_max_flow(NodeId(0), NodeId(2)).unwrap();
-        // ...the clique rejects it up front.
-        match session.distributed_max_flow_on(NodeId(0), NodeId(2), &CommModel::Clique) {
-            Err(GraphError::InvalidConfig { parameter, reason }) => {
-                assert_eq!(parameter, "comm_model");
-                assert!(reason.contains("parallel edges"), "{reason}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        // The lossy model still runs it (per-edge fabric, parallel edges OK).
-        session
-            .distributed_max_flow_on(
-                NodeId(0),
-                NodeId(2),
-                &CommModel::Lossy(congest::model::Adversary::lossy(1, 0.1)),
-            )
-            .unwrap();
-    }
-
-    #[test]
-    fn bcast_model_is_rejected_with_a_pointer_to_the_port() {
-        let g = gen::grid(4, 4, 1.0);
-        let mut session = PreparedMaxFlow::prepare(&g, &config(2)).unwrap();
-        match session.distributed_max_flow_on(NodeId(0), NodeId(15), &CommModel::Bcast) {
-            Err(GraphError::InvalidConfig { parameter, reason }) => {
-                assert_eq!(parameter, "comm_model");
-                assert!(reason.contains("bcast_subtree_sums"));
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
     }
 
     #[test]

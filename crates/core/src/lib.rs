@@ -104,10 +104,8 @@ pub use almost_route::{
     almost_route, almost_route_with, AlmostRouteConfig, AlmostRouteResult, AlmostRouteScratch,
 };
 pub use capprox::{HierarchyConfig, HierarchyStats};
-pub use congest::model::{Adversary, CommModel};
 pub use distributed::{
-    distributed_approx_max_flow, distributed_approx_max_flow_on, DistributedMaxFlowResult,
-    RoundBreakdown, SessionBill,
+    distributed_approx_max_flow, DistributedMaxFlowResult, RoundBreakdown, SessionBill,
 };
 pub use parallel::Parallelism;
 pub use session::PreparedMaxFlow;

@@ -2,7 +2,7 @@
 //! random parent arrays.
 //!
 //! The congestion approximator lays each tree's nodes out in
-//! `RootedTree::preorder` order (`capprox`'s `TreeSlots`), so answers keep
+//! `RootedTree::preorder` order (`capprox`'s `SlotTree`), so answers keep
 //! their bits only while the preorder stays the BFS that visits each node's
 //! children in ascending id. Each case draws a random recursive tree (every
 //! node hangs below a uniformly random earlier node of a random

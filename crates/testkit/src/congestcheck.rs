@@ -6,7 +6,6 @@
 //! `c·(D + √n)·log^k n` budget, the total must be the sum of its stages, and
 //! no message may exceed a constant number of `O(log n)`-bit words.
 
-use congest::model::CommModel;
 use congest::RoundCost;
 use maxflow::DistributedMaxFlowResult;
 
@@ -180,41 +179,6 @@ pub fn check_congest_invariants(
     })
 }
 
-/// Checks a measured cost against the message-width rule of the given
-/// communication model: per-edge CONGEST and the Congested Clique admit
-/// `budget.max_message_words` words per message, the lossy model one extra
-/// control word for the retransmit-with-ack frame header, and `BCAST(log n)`
-/// exactly one word per broadcast. Also rejects retransmissions reported
-/// under a reliable model (there is nothing to retransmit when no message
-/// can be lost).
-///
-/// # Errors
-///
-/// Returns a [`CongestViolation`] naming the model and the observed width.
-pub fn check_model_width(
-    model: &CommModel,
-    cost: &RoundCost,
-    budget: &CongestBudget,
-) -> Result<(), CongestViolation> {
-    let allowed = model.width_budget(budget.max_message_words);
-    if cost.max_message_words > allowed {
-        return Err(CongestViolation(format!(
-            "a {}-word message was sent under the {} model, which admits at most {allowed} \
-             O(log n)-bit words",
-            cost.max_message_words,
-            model.name()
-        )));
-    }
-    if !model.is_lossy() && cost.retransmissions > 0 {
-        return Err(CongestViolation(format!(
-            "{} retransmissions billed under the reliable {} model — nothing can be lost there",
-            cost.retransmissions,
-            model.name()
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,32 +233,5 @@ mod tests {
         let err = check_congest_invariants(&dist, &CongestBudget::default())
             .expect_err("kilo-word messages violate the CONGEST bandwidth bound");
         assert!(err.to_string().contains("word"));
-    }
-
-    #[test]
-    fn model_width_checks_follow_each_fabric() {
-        use congest::model::Adversary;
-        let budget = CongestBudget::default();
-        let ok = RoundCost::new(5, 10, budget.max_message_words);
-        let lossy = CommModel::Lossy(Adversary::lossy(1, 0.1));
-        // In-budget costs pass on every model that admits them.
-        check_model_width(&CommModel::Classic, &ok, &budget).unwrap();
-        check_model_width(&CommModel::Clique, &ok, &budget).unwrap();
-        check_model_width(&lossy, &ok, &budget).unwrap();
-        // The lossy model grants exactly one extra frame-header word.
-        let framed = RoundCost::new(5, 10, budget.max_message_words + 1);
-        check_model_width(&CommModel::Classic, &framed, &budget).unwrap_err();
-        check_model_width(&lossy, &framed, &budget).unwrap();
-        // BCAST admits one word only.
-        let two_words = RoundCost::new(1, 3, 2);
-        let err = check_model_width(&CommModel::Bcast, &two_words, &budget).unwrap_err();
-        assert!(err.to_string().contains("bcast"));
-        check_model_width(&CommModel::Bcast, &RoundCost::new(1, 3, 1), &budget).unwrap();
-        // Retransmissions on a reliable fabric are a contradiction.
-        let mut retrans = ok;
-        retrans.retransmissions = 2;
-        let err = check_model_width(&CommModel::Classic, &retrans, &budget).unwrap_err();
-        assert!(err.to_string().contains("retransmissions"));
-        check_model_width(&lossy, &retrans, &budget).unwrap();
     }
 }

@@ -15,11 +15,7 @@
 //!   `(1 ± ε)`-style brackets;
 //! * [`congestcheck`] — shape checks on the CONGEST round accounting
 //!   (`O((D + √n)·polylog n)` per phase, message payloads of `O(log n)`
-//!   bits, per-model width rules);
-//! * [`conformance`] — the differential harness: replays one protocol (or
-//!   one max-flow query) across every engine, communication model,
-//!   adversary seed and thread count and asserts byte-identical results on
-//!   reliable fabrics and drop-log-reconciled accounting on lossy ones.
+//!   bits).
 //!
 //! # Example
 //!
@@ -35,16 +31,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conformance;
 pub mod congestcheck;
 pub mod families;
 pub mod oracle;
 
-pub use conformance::{
-    check_flow_conformance, check_protocol_matrix, check_tree_aggregation_matrix,
-    ConformanceMatrix, ConformanceReport, ConformanceViolation, FlowConformanceReport,
-};
-pub use congestcheck::{check_congest_invariants, check_model_width, CongestBudget, CongestReport};
+pub use congestcheck::{check_congest_invariants, CongestBudget, CongestReport};
 pub use families::{oracle_families, Instance};
 pub use oracle::{
     check_distributed_matches_centralized, check_exact_baselines_agree, check_solver_against_exact,

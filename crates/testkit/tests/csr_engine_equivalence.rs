@@ -12,10 +12,11 @@
 //!    identical outputs on the zero-allocation arena engine and on the
 //!    allocation-per-round reference engine (`engine::reference_run_traced`),
 //!    on seeded random multigraphs and on the seeded CONGEST workload
-//!    families (`testkit::families::congest_families`).
+//!    families (`testkit::families::congest_families`). On the random
+//!    multigraphs the min-id flood must agree too, traced and untraced.
 
 use congest::engine::{reference_run_traced, Network, Simulator};
-use congest::primitives::BfsProtocol;
+use congest::primitives::{BfsProtocol, MinIdFlood};
 use flowgraph::{EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 use testkit::families;
@@ -108,6 +109,25 @@ proptest! {
                 }
             }
         }
+        // The min-id flood agrees on both engines, and recording a
+        // transcript changes neither its outputs nor its bill.
+        let (flood, flood_t) = Simulator::new()
+            .run_traced(&network, &MinIdFlood)
+            .expect("flooding respects the CONGEST rules");
+        let (flood_ref, flood_ref_t) = reference_run_traced(&network, &MinIdFlood, 1_000_000)
+            .expect("flooding respects the CONGEST rules");
+        prop_assert_eq!(&flood.outputs, &flood_ref.outputs);
+        prop_assert_eq!(flood.cost, flood_ref.cost);
+        prop_assert_eq!(
+            format!("{flood_t:?}").into_bytes(),
+            format!("{flood_ref_t:?}").into_bytes()
+        );
+        let untraced = Simulator::new()
+            .run(&network, &MinIdFlood)
+            .expect("flooding respects the CONGEST rules");
+        prop_assert_eq!(&untraced.outputs, &flood.outputs);
+        prop_assert_eq!(untraced.cost, flood.cost);
+        prop_assert!(flood.outputs.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use congest::Network;
 use flowgraph::{gen, spanning, NodeId};
 use maxflow::MaxFlowConfig;
 use proptest::prelude::*;
+use testkit::CongestBudget;
 
 #[test]
 fn bfs_broadcast_convergecast_roundtrip_on_all_families() {
@@ -170,15 +171,18 @@ proptest! {
         let bfs = build_bfs_tree(&network, NodeId(0)).tree;
         let mut rng = gen::rng(seed);
         let dec = TreeDecomposition::sample(&tree, 0.25, &mut rng);
+        // Integer values: f64 sums are exact in any order, so the protocols
+        // must reproduce the centralized sums bit for bit.
         let values: Vec<f64> = (0..n).map(|v| ((v * 31 + seed as usize) % 11) as f64 - 5.0).collect();
         let up = distributed_subtree_sums(&network, &tree, &dec, &bfs, &values);
         let down = distributed_prefix_sums(&network, &tree, &dec, &bfs, &values);
-        let expected_up = tree.subtree_sums(&values);
-        let expected_down = tree.prefix_sums_from_root(&values);
-        for v in 0..n {
-            prop_assert!((up.values[v] - expected_up[v]).abs() < 1e-9);
-            prop_assert!((down.values[v] - expected_down[v]).abs() < 1e-9);
-        }
+        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|x| x.to_bits()).collect() };
+        prop_assert_eq!(bits(&up.values), bits(&tree.subtree_sums(&values)));
+        prop_assert_eq!(bits(&down.values), bits(&tree.prefix_sums_from_root(&values)));
+        // Every message carries O(log n) bits.
+        let max_words = CongestBudget::default().max_message_words;
+        prop_assert!(up.cost.max_message_words <= max_words);
+        prop_assert!(down.cost.max_message_words <= max_words);
     }
 
     #[test]
